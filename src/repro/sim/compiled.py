@@ -57,7 +57,7 @@ class _Unsupported(Exception):
 
 #: bump whenever generated-code semantics change; part of the
 #: persistent kernel-cache key so stale kernels can never be loaded
-_CODEGEN_VERSION = 2
+_CODEGEN_VERSION = 3
 
 
 # ----------------------------------------------------------------------
@@ -565,27 +565,51 @@ def _analyze_design(sim: Simulator) -> _DesignFacts:
 
 
 def _fault_token(spec) -> str:
-    """The compile-time shape of a fault spec (part of the cache key).
+    """The fault kind a kernel is generated for (part of the cache key).
 
-    Only what codegen specializes on — kind, target signal, pinned
-    state — is in the token; runtime parameters (masks, cycle window,
-    one-shot latch) are bound from ``ctx`` at load time, so all faults
-    sharing a shape share one cached kernel.
+    Codegen specializes on the kind alone (``stuck`` or ``flip``).  The
+    target signal, pinned state, masks, cycle window and one-shot latch
+    are bound from ``ctx`` at load time (see :func:`_fault_runtime`), so
+    every fault of one kind on a design shares one cached kernel.
     """
     if spec is None:
         return ""
-    return "%s:%s:%s" % (spec.kind, spec.signal,
-                         getattr(spec, "state", None) or "")
+    return spec.kind
 
 
-def _fault_runtime(spec) -> Optional[dict]:
-    """The ctx entry carrying a fault spec's runtime parameters."""
+def _fault_runtime(spec, sim: Simulator,
+                   facts: _DesignFacts) -> Optional[dict]:
+    """Bind *spec* to one elaboration: the kernel's ``ctx["fault"]``.
+
+    Runs on every build and every cache load.  A target outside
+    ``facts.tracked`` (e.g. a Moore control line) or a pinned state
+    that is not an FSM state raises :class:`_Unsupported`, so no kernel
+    is ever armed for a fault it cannot reach.
+    """
     if spec is None:
         return None
+    signal = sim._signals.get(spec.signal)
+    if signal is None or id(signal) not in facts.local:
+        raise _Unsupported(
+            f"fault target {spec.signal!r} is not a tracked signal")
+    target = facts.tracked.index(signal)
     if spec.kind == "stuck":
-        return {"and_mask": spec.and_mask, "or_mask": spec.or_mask}
-    return {"xor_mask": spec.xor_mask, "lo": spec.lo, "hi": spec.hi,
-            "latch": spec.latch}
+        return {"target": target, "and_mask": spec.and_mask,
+                "or_mask": spec.or_mask}
+    if spec.kind == "flip":
+        state = getattr(spec, "state", None)
+        if state not in facts.sid:
+            raise _Unsupported(f"fault state {state!r} not an FSM state")
+        return {"target": target, "state": facts.sid[state],
+                "xor_mask": spec.xor_mask, "mask": signal.mask,
+                "lo": spec.lo, "hi": spec.hi, "latch": spec.latch}
+    raise _Unsupported(f"unknown fault kind {spec.kind!r}")
+
+
+def _stuck_force(name: str) -> str:
+    """Re-force local *name* if it is the stuck-at target (locals are
+    named ``v<index into facts.tracked>``, the index ``_ft`` holds)."""
+    return f"if _ft == {name[1:]}: {name} = ({name} & _fa) | _fo"
 
 
 def _transition_fns(behavior) -> Callable:
@@ -619,33 +643,23 @@ def _build_program(sim: Simulator) -> CompiledProgram:
     local = facts.local
 
     # --- fault instrumentation (see repro.inject) -----------------------
-    # A stuck-at fault re-forces the target local after every write
-    # site (entry sync, register commits, settle ops); a transient flip
-    # XORs the target once, at the end of the pinned state's edge block
-    # (after commits, so a flipped register output survives the edge),
-    # gated by a cycle window and a one-shot latch.  Runtime parameters
-    # live in ctx["fault"], so the generated source depends only on the
-    # fault's shape (see :func:`_fault_token`).
+    # The generated source depends on the fault kind alone: the target
+    # (``_ft``, an index into ``tracked``), pinned state, masks, cycle
+    # window and one-shot latch are ctx["fault"] values bound at load
+    # time (see :func:`_fault_runtime`).  A stuck-at forces _S[_ft]
+    # before the locals load, then every register commit and settle op
+    # re-forces the local it wrote when that local is the target.  A
+    # transient flip tests the pre-edge state, window and latch once
+    # per cycle, after the edge tree (so a flipped register output
+    # survives the edge); when it fires it spills the locals to _S,
+    # XORs _S[_ft] and reloads them.
     fault = getattr(sim, "fault_spec", None)
-    fault_sig = None
-    stuck_line = None
-    if fault is not None:
-        if getattr(sim, "_kernel_kind", "compiled") == "batched":
-            raise _Unsupported("fault injection on batched kernels")
-        fault_sig = sim._signals.get(fault.signal)
-        if fault_sig is None or id(fault_sig) not in local:
-            raise _Unsupported(
-                f"fault target {fault.signal!r} is not a tracked signal")
-        fault_local = local[id(fault_sig)]
-        if fault.kind == "stuck":
-            stuck_line = f"{fault_local} = ({fault_local} & _fa) | _fo"
-        elif fault.kind == "flip":
-            if getattr(fault, "state", None) not in sid:
-                raise _Unsupported(
-                    f"fault state {getattr(fault, 'state', None)!r} "
-                    f"not an FSM state")
-        else:
-            raise _Unsupported(f"unknown fault kind {fault.kind!r}")
+    if fault is not None and \
+            getattr(sim, "_kernel_kind", "compiled") == "batched":
+        raise _Unsupported("fault injection on batched kernels")
+    fault_ctx = _fault_runtime(fault, sim, facts)
+    stuck = fault is not None and fault.kind == "stuck"
+    flip = fault is not None and fault.kind == "flip"
 
     try:
         topo = levelize(facts.comb_ops)
@@ -731,6 +745,8 @@ def _build_program(sim: Simulator) -> CompiledProgram:
                 ir.samples.append(
                     (id(register), d_key, d, val(enable), q, id(register.q)))
             commits.append((0, f"{q} = _q{temp}"))
+            if stuck:
+                commits.append((0, _stuck_force(q)))
             temp += 1
         for sram in srams:
             mode = const_of(sram.we)
@@ -785,14 +801,6 @@ def _build_program(sim: Simulator) -> CompiledProgram:
             elif instrumented:
                 lines.append((0, f"tc[{index * n_states + index}] += 1"))
         lines.extend(commits)
-        if stuck_line is not None:
-            lines.append((0, stuck_line))
-        if fault is not None and fault.kind == "flip" \
-                and sid[fault.state] == index:
-            lines.append((0, "if _fb[0] == 0 and _fc0 <= n <= _fc1:"))
-            lines.append((1, "_fb[0] = 1"))
-            lines.append((1, f"{fault_local} = "
-                             f"({fault_local} ^ _fx) & {fault_sig.mask}"))
         edge_blocks.append(lines)
         edge_static[index] = armed
 
@@ -809,10 +817,10 @@ def _build_program(sim: Simulator) -> CompiledProgram:
         for op in topo:
             if id(op) in live_ops:
                 op_lines = _EMITTERS[type(op)](op, val, gen)
-                if stuck_line is not None \
-                        and _op_output(op) is fault_sig:
-                    op_lines = list(op_lines) + [(0, stuck_line)]
                 block.extend(op_lines)
+                if stuck:
+                    block.append(
+                        (0, _stuck_force(local[id(_op_output(op))])))
                 active_names.add(op.name)
                 in_keys = [id(sig) for sig in _op_inputs(op, const_of)
                            if id(sig) not in control_signals]
@@ -879,11 +887,14 @@ def _build_program(sim: Simulator) -> CompiledProgram:
         emit(1, f'_t{state_id} = ctx["transitions"][{state_id}]')
     if fault is not None:
         emit(1, '_flt = ctx["fault"]')
-        if fault.kind == "stuck":
+        emit(1, '_ft = _flt["target"]')
+        if stuck:
             emit(1, '_fa = _flt["and_mask"]')
             emit(1, '_fo = _flt["or_mask"]')
         else:
+            emit(1, '_fs = _flt["state"]')
             emit(1, '_fx = _flt["xor_mask"]')
+            emit(1, '_fm = _flt["mask"]')
             emit(1, '_fc0 = _flt["lo"]')
             emit(1, '_fc1 = _flt["hi"]')
             emit(1, '_fb = _flt["latch"]')
@@ -896,10 +907,10 @@ def _build_program(sim: Simulator) -> CompiledProgram:
             emit(1, text)
     emit(1, "def _run(s, max_cycles, stop, counts, tc, box%s):"
             % (", pw" if profiled else ""))
+    if stuck:
+        emit(2, "_S[_ft].value = (_S[_ft].value & _fa) | _fo")
     for index, sig in enumerate(tracked):
         emit(2, f"v{index} = _S[{index}].value")
-    if stuck_line is not None:
-        emit(2, stuck_line)
     emit(2, "n = 0")
     emit(2, "_nt = 0")
     if fusion is not None:
@@ -914,12 +925,21 @@ def _build_program(sim: Simulator) -> CompiledProgram:
             emit(4 + rel, text)
     emit(4, "counts[s] += 1")
     emit(4, "n += 1")
-    if profiled:
+    if profiled or flip:
         # the edge tree rewrites ``s``; remember whose cycle this was
         emit(4, "_ps = s")
+    if profiled:
         emit(4, "_pt = _pc()")
     state_ids = list(range(n_states))
     emit_tree(4, state_ids, edge_blocks)
+    if flip:
+        emit(4, "if _ps == _fs and _fb[0] == 0 and _fc0 <= n <= _fc1:")
+        emit(5, "_fb[0] = 1")
+        for index in range(len(tracked)):
+            emit(5, f"_S[{index}].value = v{index}")
+        emit(5, "_S[_ft].value = (_S[_ft].value ^ _fx) & _fm")
+        for index in range(len(tracked)):
+            emit(5, f"v{index} = _S[{index}].value")
     emit_tree(4, state_ids, settle_blocks)
     if profiled:
         emit(4, "pw[_ps] += _pc() - _pt")
@@ -943,7 +963,7 @@ def _build_program(sim: Simulator) -> CompiledProgram:
         "helpers": gen.helpers,
         "transitions": dynamic_fns,
         "write_oob": _write_oob,
-        "fault": _fault_runtime(fault),
+        "fault": fault_ctx,
         "perf": time.perf_counter_ns,
     }
 
@@ -1007,6 +1027,8 @@ def _program_from_cache(sim: Simulator, payload: dict,
     design; any structural mismatch returns ``None`` (build fresh)."""
     try:
         facts = _analyze_design(sim)
+        fault_ctx = _fault_runtime(getattr(sim, "fault_spec", None),
+                                   sim, facts)
     except _Unsupported:
         return None
     try:
@@ -1042,7 +1064,7 @@ def _program_from_cache(sim: Simulator, payload: dict,
             "helpers": helpers,
             "transitions": dynamic_fns,
             "write_oob": _write_oob,
-            "fault": _fault_runtime(getattr(sim, "fault_spec", None)),
+            "fault": fault_ctx,
             "perf": time.perf_counter_ns,
         }
         program = CompiledProgram()
@@ -1186,12 +1208,13 @@ class CompiledSimulator(Simulator):
     def set_fault_spec(self, spec) -> None:
         """Install (or clear, with ``None``) a kernel fault spec.
 
-        The program is regenerated with the fault's forcing/flip lines
-        compiled in — the same mechanism as coverage instrumentation.
-        A spec outside the compiled subset (e.g. targeting a Moore
-        control line) makes compilation fall back to the event kernel;
-        callers that need the fault to take effect must then install
-        event-kernel hooks instead (see
+        The program is rebuilt with the fault kind's forcing/flip lines
+        compiled in — the same mechanism as coverage instrumentation —
+        and bound to this spec's target and parameters, so a cached
+        kernel of the same kind is reused.  A spec outside the compiled
+        subset (e.g. targeting a Moore control line) makes compilation
+        fall back to the event kernel; callers that need the fault to
+        take effect must then install event-kernel hooks instead (see
         :func:`repro.inject.hooks.attach_fault`).
         """
         if spec is not self.fault_spec:
@@ -1231,9 +1254,10 @@ class CompiledSimulator(Simulator):
         """Check the persistent kernel cache before generating code.
 
         The key covers everything codegen depends on: the structural
-        design digest, the kernel flavour, the coverage flag, the
-        codegen version and (inside the cache layer) the interpreter's
-        bytecode magic.  Designs without a digest (hand-built sims,
+        design digest, the kernel flavour, the coverage and profile
+        flags, the fault kind (see :func:`_fault_token`), the codegen
+        version and (inside the cache layer) the interpreter's bytecode
+        magic.  Designs without a digest (hand-built sims,
         post-elaboration mutations) always build fresh.
         """
         from ..core.kernelcache import default_cache, digest_parts
