@@ -17,11 +17,15 @@ golden execution:
     The simulation itself failed — combinational loop from a forced
     line, out-of-bounds write from a flipped address register, etc.
 
+A campaign elaborates its design once: every injection rewinds that
+one live elaboration to its post-elaboration state instead of building
+the hardware again (see :class:`_Testbench`).
+
 :func:`run_campaign` mirrors the test-suite fork pool: the design,
-golden images and faultload live in a module global that workers
-inherit over ``fork``, each task ships only a fault index, workers
-never raise, and the ledger is touched only in the parent after the
-pool has drained.  With ``backend="batched"`` the ``mem_flip`` subset
+its elaboration, golden images and faultload live in a module global
+that workers inherit over ``fork``, each task ships only a fault index,
+workers never raise, and the ledger is touched only in the parent after
+the pool has drained.  With ``backend="batched"`` the ``mem_flip`` subset
 of the faultload — the only kind that needs no kernel changes, just
 different initial images — advances many injections per elaboration in
 lockstep lanes, falling back to serial classification whenever a lane
@@ -46,9 +50,10 @@ from ..core.verification import prepare_images
 from ..golden.runner import run_golden
 from ..obs.trace import span
 from ..rtg.context import ReconfigurationContext
-from ..rtg.executor import RtgBatchExecutor, RtgExecutor
+from ..rtg.executor import RtgBatchExecutor
 from ..sim.batched import BatchUnsupported
 from ..sim.errors import SimulationTimeout
+from ..translate.to_sim import build_simulation
 from ..util.files import MemoryImage, compare_images
 from .faultload import FaultDescriptor
 from .hooks import attach_fault
@@ -153,6 +158,95 @@ def apply_mem_flip(images: Mapping[str, MemoryImage],
     image.write(fault.word, image.read(fault.word) ^ (1 << fault.bit))
 
 
+class _Testbench:
+    """One live elaboration of a design, rewound before every injection.
+
+    Building the hardware costs more than a short injection runs, so a
+    campaign elaborates its design once — in the parent, before the
+    fork pool starts, so every worker inherits it — and saves the state
+    right after elaboration: every signal value, the controller's
+    state and counters, the kernel's statistics, simulated time, each
+    clock domain's cycle count, and every memory's words.  SRAM
+    ``reads``/``writes`` counters are not restored; nothing in a
+    campaign reads them.
+
+    Only single-configuration designs qualify: no RTG transition may
+    leave the start configuration.
+    """
+
+    def __init__(self, design: Design, inputs: Optional[Mapping], *,
+                 backend: str, fsm_mode: str) -> None:
+        rtg = design.rtg
+        rtg.validate()
+        if design.multi_configuration or rtg.transitions_from(rtg.start):
+            raise ValueError("fault injection supports "
+                             "single-configuration designs")
+        ref = rtg.configurations[rtg.start]
+        self.context = ReconfigurationContext.from_rtg(
+            rtg, initial=prepare_images(design, inputs))
+        with span("inject.elaborate", "inject", design=design.name,
+                  backend=backend):
+            self.design = build_simulation(
+                ref.datapath, ref.fsm, memories=self.context.memories,
+                fsm_mode=fsm_mode, backend=backend)
+        sim = self.design.sim
+        controller = self.design.controller
+        self._signals = [(signal, signal.value)
+                         for signal in sim._signals.values()]
+        self._controller = (controller.state, controller.transitions,
+                            controller._idle, controller.invocations)
+        self._stats = sim.stats.as_dict()
+        self._now = sim.now
+        self._domains = [(domain, domain.cycles)
+                         for domain in sim._domains.values()]
+        self._words = [(image._words, list(image._words))
+                       for image in self.design.memories.values()]
+        self._combinational = [component
+                               for component in sim._components.values()
+                               if hasattr(component, "evaluate")]
+
+    def rewind(self) -> None:
+        """Return the live design to its post-elaboration state."""
+        # in place: compiled kernels are bound to these very lists
+        for words, saved in self._words:
+            words[:] = saved
+        for signal, value in self._signals:
+            signal.value = value
+        controller = self.design.controller
+        (controller.state, controller.transitions, controller._idle,
+         controller.invocations) = self._controller
+        sim = self.design.sim
+        for name, value in self._stats.items():
+            setattr(sim.stats, name, value)
+        sim.now = self._now
+        for domain, cycles in self._domains:
+            domain.cycles = cycles
+            domain.rearm()  # enables were restored without their watchers
+        sim._worklist.clear()
+        sim._staged.clear()
+
+    def flip(self, fault: FaultDescriptor) -> None:
+        """Apply a ``mem_flip`` to the live image, then re-derive every
+        combinational value (SRAM and ROM read paths included) from
+        the flipped words, as elaborating on them would."""
+        apply_mem_flip(self.context.memories, fault)
+        sim = self.design.sim
+        sim._worklist.extend(self._combinational)
+        sim.settle()
+
+
+def _golden_images(design: Design, func: Callable,
+                   inputs: Optional[Mapping]) -> Dict[str, MemoryImage]:
+    """The fault-free software result every run is classified against."""
+    images = {name: image
+              for name, image in prepare_images(design, inputs).items()
+              if name != SPILL_MEMORY}
+    array_specs = {name: spec for name, spec in design.arrays.items()
+                   if name != SPILL_MEMORY}
+    run_golden(func, array_specs, images, design.params)
+    return images
+
+
 def _classify(design: Design, context, golden_images, fault,
               mismatch_limit: int) -> InjectionResult:
     """Compare memories after a completed run (masked vs sdc).
@@ -189,47 +283,42 @@ def run_injection(design: Design, func: Callable,
                   max_cycles: int = 1_000_000,
                   golden_images: Optional[Dict[str, MemoryImage]] = None,
                   fsm_mode: str = "generated",
-                  mismatch_limit: int = 8) -> InjectionResult:
+                  mismatch_limit: int = 8,
+                  testbench: Optional[_Testbench] = None) -> InjectionResult:
     """Run *design* once with *fault* armed (or fault-free when None).
 
-    *golden_images* (the fault-free software result) may be supplied to
-    amortize the golden run across a campaign; when omitted it is
-    computed here from the same inputs.
+    *golden_images* (the fault-free software result) and *testbench*
+    (one elaboration of *design* on *inputs* under *backend* and
+    *fsm_mode*) may be supplied to spread their cost over a campaign;
+    when omitted they are built here from the same inputs.  The run
+    starts from the testbench rewound to its post-elaboration state.
+    Any failure to apply the fault (an unknown net or memory, a bit out
+    of range) classifies as ``crash``.  Raises :class:`ValueError` for
+    a design that is not single-configuration.
     """
-    base_images = prepare_images(design, inputs)
+    if testbench is None:
+        testbench = _Testbench(design, inputs, backend=backend,
+                               fsm_mode=fsm_mode)
     if golden_images is None:
-        array_specs = {name: spec for name, spec in design.arrays.items()
-                       if name != SPILL_MEMORY}
-        golden_images = {name: image.copy()
-                         for name, image in base_images.items()
-                         if name != SPILL_MEMORY}
-        run_golden(func, array_specs, golden_images, design.params)
+        golden_images = _golden_images(design, func, inputs)
+    sim_design = testbench.design
 
     mechanism = "none"
-    if fault is not None and fault.kind == "mem_flip":
-        apply_mem_flip(base_images, fault)
-        mechanism = "image"
-
-    context = ReconfigurationContext.from_rtg(design.rtg,
-                                              initial=base_images)
-    executor = RtgExecutor(design.rtg, context, fsm_mode=fsm_mode,
-                           backend=backend,
-                           max_cycles_per_configuration=max_cycles)
-    handles: List = []
-    if fault is not None and fault.kind in ("stuck", "reg_flip"):
-        def arm(sim_design) -> None:
-            handles.append(attach_fault(sim_design, fault))
-
-        executor.on_configure = arm
-
-    started = time.perf_counter()
+    handle = None
     verdict: Optional[InjectionResult] = None
     cycles = 0
+    started = time.perf_counter()
     with span("inject.run", "inject", design=design.name,
               fault=fault.fault_id if fault else "baseline"):
+        testbench.rewind()
         try:
-            rtg_result = executor.run()
-            cycles = rtg_result.total_cycles
+            if fault is not None and fault.kind == "mem_flip":
+                testbench.flip(fault)
+                mechanism = "image"
+            elif fault is not None:
+                handle = attach_fault(sim_design, fault)
+                mechanism = handle.mechanism
+            cycles = sim_design.run_to_done(max_cycles=max_cycles)
         except SimulationTimeout:
             verdict = InjectionResult(
                 fault, "hang", max_cycles, 0.0,
@@ -238,13 +327,14 @@ def run_injection(design: Design, func: Callable,
             verdict = InjectionResult(
                 fault, "crash", cycles, 0.0,
                 note=f"{type(exc).__name__}: {exc}")
+        finally:
+            if handle is not None:
+                handle.detach()
     seconds = time.perf_counter() - started
 
-    if handles:
-        mechanism = handles[0].mechanism
     if verdict is None:
-        verdict = _classify(design, context, golden_images, fault,
-                            mismatch_limit)
+        verdict = _classify(design, testbench.context, golden_images,
+                            fault, mismatch_limit)
         verdict.cycles = cycles
     verdict.seconds = seconds
     verdict.mechanism = mechanism
@@ -299,9 +389,10 @@ def _run_mem_flip_batch(design: Design, faults: Sequence[FaultDescriptor],
 # ----------------------------------------------------------------------
 # The campaign runner (fork-pool, mirroring core.testsuite)
 # ----------------------------------------------------------------------
-# Worker-side handle: the design and golden images do not need to be
-# pickled — with the fork start method the children inherit this module
-# global, and the parent ships only a fault index per task.
+# Worker-side handle: the design, its elaboration and the golden images
+# do not need to be pickled — with the fork start method the children
+# inherit this module global, and the parent ships only a fault index
+# per task.
 _ACTIVE_CAMPAIGN: Optional[dict] = None
 
 
@@ -313,7 +404,8 @@ def _pool_inject(index: int) -> InjectionResult:
                              c["inputs"], backend=c["backend"],
                              max_cycles=c["budget"],
                              golden_images=c["golden"],
-                             fsm_mode=c["fsm_mode"])
+                             fsm_mode=c["fsm_mode"],
+                             testbench=c["testbench"])
     except BaseException as exc:  # noqa: BLE001 - worker boundary
         fault = None
         try:
@@ -340,10 +432,13 @@ def run_campaign(design: Design, func: Callable,
                  ledger=None) -> CampaignReport:
     """Classify every fault in *faults* against the golden execution.
 
-    The fault-free baseline runs first: it must classify as ``masked``
-    (anything else means the campaign's verdicts would be meaningless)
-    and its cycle count sets the hang budget
-    (``cycles × hang_factor``).  ``jobs`` > 1 fans injections over a
+    The design is elaborated once, and every injection (the baseline
+    included) runs on that elaboration rewound (see
+    :class:`_Testbench`); a design that is not single-configuration
+    raises :class:`ValueError`.  The fault-free baseline runs first: it
+    must classify as ``masked`` (anything else means the campaign's
+    verdicts would be meaningless) and its cycle count sets the hang
+    budget (``cycles × hang_factor``).  ``jobs`` > 1 fans injections over a
     fork pool; ``backend="batched"`` additionally groups the
     ``mem_flip`` faults into lockstep lanes.  ``time_budget`` (seconds,
     measured from campaign start) stops scheduling new injections once
@@ -354,9 +449,6 @@ def run_campaign(design: Design, func: Callable,
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if design.multi_configuration:
-        raise ValueError("fault injection supports single-configuration "
-                         "designs")
     name = app or design.name
     report = CampaignReport(app=name, backend=backend, jobs=jobs, seed=seed,
                             planned=len(faults))
@@ -364,19 +456,14 @@ def run_campaign(design: Design, func: Callable,
     deadline = (None if time_budget is None
                 else wall_started + float(time_budget))
 
-    base_images = prepare_images(design, inputs)
-    array_specs = {spec_name: spec
-                   for spec_name, spec in design.arrays.items()
-                   if spec_name != SPILL_MEMORY}
-    golden_images = {image_name: image.copy()
-                     for image_name, image in base_images.items()
-                     if image_name != SPILL_MEMORY}
-    run_golden(func, array_specs, golden_images, design.params)
+    testbench = _Testbench(design, inputs, backend=backend,
+                           fsm_mode=fsm_mode)
+    golden_images = _golden_images(design, func, inputs)
 
     baseline = run_injection(design, func, None, inputs, backend=backend,
                              max_cycles=max_cycles,
                              golden_images=golden_images,
-                             fsm_mode=fsm_mode)
+                             fsm_mode=fsm_mode, testbench=testbench)
     report.baseline = baseline
     if baseline.verdict != "masked":
         raise ValueError(
@@ -416,6 +503,7 @@ def run_campaign(design: Design, func: Callable,
                 "design": design, "func": func, "faults": faults,
                 "inputs": inputs, "backend": backend, "budget": budget,
                 "golden": golden_images, "fsm_mode": fsm_mode,
+                "testbench": testbench,
             }
             futures: Dict = {}
             try:
@@ -477,7 +565,7 @@ def run_campaign(design: Design, func: Callable,
                 slots[index] = run_injection(
                     design, func, faults[index], inputs, backend=backend,
                     max_cycles=budget, golden_images=golden_images,
-                    fsm_mode=fsm_mode)
+                    fsm_mode=fsm_mode, testbench=testbench)
 
     report.results = [result for result in slots if result is not None]
     report.wall_seconds = time.perf_counter() - wall_started

@@ -444,7 +444,6 @@ class CompiledProgram:
         self.names: List[str] = []
         self.sid: Dict[str, int] = {}
         self.n_states = 0
-        self.control_sync: List[Tuple[Signal, List[int]]] = []
         self.control_names: Dict[int, str] = {}  # id(signal) -> output name
         self.eval_static: List[int] = []
         self.edge_static: List[int] = []
@@ -493,15 +492,18 @@ def _is_controller(component) -> bool:
 class _DesignFacts:
     """The cheap live-object walk shared by fresh builds and cache loads."""
 
-    __slots__ = ("components", "controller", "domain", "behavior", "names",
-                 "sid", "vectors", "control_signals", "registers", "srams",
-                 "roms", "comb_ops", "tracked", "local")
+    __slots__ = ("components", "comb_components", "component_ids",
+                 "controller", "domain", "behavior", "names", "sid",
+                 "vectors", "control_signals", "registers", "srams", "roms",
+                 "comb_ops", "tracked", "local")
 
 
 def _analyze_design(sim: Simulator) -> _DesignFacts:
     _ensure_tables()
     facts = _DesignFacts()
     facts.components = components = list(sim._components.values())
+    facts.comb_components = [c for c in components if hasattr(c, "evaluate")]
+    facts.component_ids = {id(c) for c in components}
     controllers = [c for c in components if _is_controller(c)]
     if len(controllers) != 1:
         raise _Unsupported(f"{len(controllers)} FSM controllers (need 1)")
@@ -624,11 +626,10 @@ def _transition_fns(behavior) -> Callable:
     return transition_fn
 
 
-def _build_program(sim: Simulator) -> CompiledProgram:
-    facts = _analyze_design(sim)
+def _build_program(sim: "CompiledSimulator") -> CompiledProgram:
+    facts = sim._design_facts()
     instrumented = bool(getattr(sim, "coverage_enabled", False))
     profiled = bool(getattr(sim, "profile_enabled", False))
-    components = facts.components
     controller = facts.controller
     domain = facts.domain
     behavior = facts.behavior
@@ -974,17 +975,13 @@ def _build_program(sim: Simulator) -> CompiledProgram:
     program.names = names
     program.sid = sid
     program.n_states = n_states
-    program.control_sync = [
-        (signal, [vectors[state][output] & signal.mask for state in names])
-        for output, signal in controller.output_signals.items()
-    ]
     program.control_names = control_signals
     program.eval_static = eval_static
     program.edge_static = edge_static
-    program.comb_components = [c for c in components if hasattr(c, "evaluate")]
+    program.comb_components = facts.comb_components
     program.images = list({id(m.image): m.image
                            for m in (*srams, *roms)}.values())
-    program.component_ids = {id(c) for c in components}
+    program.component_ids = facts.component_ids
     program.instrumented = instrumented
     program.profiled = profiled
     program.state_active_ops = state_active_ops
@@ -1021,12 +1018,12 @@ def _write_oob(comp, address):
     )
 
 
-def _program_from_cache(sim: Simulator, payload: dict,
+def _program_from_cache(sim: "CompiledSimulator", payload: dict,
                         code) -> Optional[CompiledProgram]:
-    """Re-bind a cached kernel against a fresh elaboration of the same
+    """Re-bind a cached kernel against an elaboration of the same
     design; any structural mismatch returns ``None`` (build fresh)."""
     try:
-        facts = _analyze_design(sim)
+        facts = sim._design_facts()
         fault_ctx = _fault_runtime(getattr(sim, "fault_spec", None),
                                    sim, facts)
     except _Unsupported:
@@ -1074,18 +1071,12 @@ def _program_from_cache(sim: Simulator, payload: dict,
         program.names = facts.names
         program.sid = facts.sid
         program.n_states = len(facts.names)
-        program.control_sync = [
-            (signal, [facts.vectors[state][output] & signal.mask
-                      for state in facts.names])
-            for output, signal in facts.controller.output_signals.items()
-        ]
         program.control_names = facts.control_signals
         program.eval_static = list(payload["eval_static"])
         program.edge_static = list(payload["edge_static"])
-        program.comb_components = [c for c in facts.components
-                                   if hasattr(c, "evaluate")]
+        program.comb_components = facts.comb_components
         program.images = images
-        program.component_ids = {id(c) for c in facts.components}
+        program.component_ids = facts.component_ids
         program.instrumented = payload["instrumented"]
         program.profiled = payload.get("profiled", False)
         program.state_active_ops = [frozenset(active)
@@ -1132,6 +1123,8 @@ class CompiledSimulator(Simulator):
         self.profile_cycles = 0
         #: structural hash set by build_simulation; keys the kernel cache
         self.design_digest: Optional[str] = None
+        #: memoized design walk (see :meth:`_design_facts`)
+        self._facts: Optional[_DesignFacts] = None
 
     # -- coverage -------------------------------------------------------
     def enable_coverage(self) -> None:
@@ -1225,18 +1218,34 @@ class CompiledSimulator(Simulator):
     def signal(self, name: str, width: int, init: int = 0) -> Signal:
         self._invalidate_program()
         self.design_digest = None  # structure changed after elaboration
+        self._facts = None
         return super().signal(name, width, init)
 
     def _register(self, component):
         self._invalidate_program()
         self.design_digest = None
+        self._facts = None
         return super()._register(component)
 
     def clock_domain(self, name: str = "clk", period: int = 10) -> ClockDomain:
         if name not in self._domains:
             self._invalidate_program()
             self.design_digest = None
+            self._facts = None
         return super().clock_domain(name, period)
+
+    def _design_facts(self) -> _DesignFacts:
+        """The live-object walk every build and cache load binds to.
+
+        Kept until the design is mutated (a new signal, component or
+        clock domain), so re-binding a kernel to the same elaboration —
+        a fault campaign swaps one fault's parameters for the next's —
+        does not walk the design again.  An unsupported design raises
+        :class:`_Unsupported` and is not memoized.
+        """
+        if self._facts is None:
+            self._facts = _analyze_design(self)
+        return self._facts
 
     def _invalidate_program(self) -> None:
         self._program = None
@@ -1371,8 +1380,9 @@ class CompiledSimulator(Simulator):
         controller = program.controller
         controller.state = program.names[final]
         controller.transitions += transitions
-        for signal, per_state in program.control_sync:
-            signal.value = per_state[final]
+        vector = program._vectors[controller.state]
+        for output, signal in controller.output_signals.items():
+            signal.value = vector[output] & signal.mask
         evaluations = 0
         dispatches = 0
         for index, visits in enumerate(counts):

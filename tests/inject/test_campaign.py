@@ -1,6 +1,7 @@
 """Tests for the campaign runner: classification, replay, pooling."""
 
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.inject import (FaultDescriptor, FaultloadGenerator, run_campaign,
                           run_injection)
 from repro.inject import campaign as campaign_mod
 from repro.obs.ledger import Ledger
+from repro.translate.to_sim import SimDesign
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -157,6 +159,33 @@ class TestPool:
         assert rows(serial) == rows(pooled)
         assert campaign_mod._ACTIVE_CAMPAIGN is None
 
+    @fork_only
+    def test_malformed_faults_classify_alike_in_both_modes(self, threshold):
+        """A fault that cannot apply is a clean crash verdict whether
+        the campaign runs serially or over the pool: a bad memory name
+        classifies exactly like a bad net name, with no harness
+        traceback."""
+        case, design, inputs = threshold
+        faults = [FaultDescriptor(fault_id="bad-mem", kind="mem_flip",
+                                  target="nope"),
+                  FaultDescriptor(fault_id="bad-net", kind="stuck",
+                                  target="nope")]
+
+        def rows(report):
+            return [(r.fault.fault_id, r.verdict, r.note)
+                    for r in report.results]
+
+        serial = run_campaign(design, case.func, faults, inputs,
+                              backend="compiled", jobs=1)
+        pooled = run_campaign(design, case.func, faults, inputs,
+                              backend="compiled", jobs=2)
+        assert rows(serial) == rows(pooled)
+        assert [r.verdict for r in serial.results] == ["crash", "crash"]
+        assert "no memory named 'nope'" in serial.results[0].note
+        assert "has no signal 'nope'" in serial.results[1].note
+        assert not any("Traceback" in r.note
+                       for r in serial.results + pooled.results)
+
     def test_worker_never_raises(self):
         """A broken worker state must come back as a crash verdict, not
         an exception that would poison the whole pool."""
@@ -170,6 +199,115 @@ class TestPool:
         case, design, inputs = threshold
         with pytest.raises(ValueError, match="jobs"):
             run_campaign(design, case.func, [], inputs, jobs=0)
+
+
+class TestElaboration:
+    def test_campaign_elaborates_once(self, fdct1, monkeypatch):
+        case, design, inputs = fdct1
+        baseline = run_injection(design, case.func, None, inputs,
+                                 backend="compiled")
+        faults = FaultloadGenerator(design, seed=8,
+                                    max_cycle=baseline.cycles).generate(40)
+        built = []
+        original = SimDesign.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimDesign, "__init__", counting)
+        report = run_campaign(design, case.func, faults, inputs,
+                              backend="compiled", jobs=1)
+        assert len(report.results) == 40
+        assert len(built) == 1
+
+    def test_rewind_restores_the_post_elaboration_state(self, fdct1):
+        """After injections through every mechanism, a rewound
+        testbench is indistinguishable from a freshly built one."""
+        case, design, inputs = fdct1
+
+        def state(bench):
+            sim, controller = bench.design.sim, bench.design.controller
+            return (
+                {name: signal.value
+                 for name, signal in sim._signals.items()},
+                (controller.state, controller.transitions,
+                 controller._idle, controller.invocations),
+                sim.stats.as_dict(), sim.now,
+                [(domain.name, domain.cycles,
+                  sorted(component.name for component in domain._armed))
+                 for domain in sim._domains.values()],
+                {name: image.words()
+                 for name, image in bench.design.memories.items()},
+                list(sim._worklist), list(sim._staged))
+
+        def bench():
+            return campaign_mod._Testbench(design, inputs,
+                                           backend="compiled",
+                                           fsm_mode="generated")
+
+        fresh, used = bench(), bench()
+        output = next(name for name, spec in design.arrays.items()
+                      if spec.role == "output")
+        faults = [
+            None, HANG_FAULT,
+            FaultDescriptor(fault_id="done-sa1", kind="stuck",
+                            target="done", bit=0, stuck_value=1),
+            FaultDescriptor(fault_id="any-state", kind="reg_flip",
+                            target=HANG_FAULT.target, bit=0, state=None,
+                            cycle_lo=1, cycle_hi=50),
+            FaultDescriptor(fault_id="m", kind="mem_flip", target=output,
+                            bit=0, word=0),
+        ]
+        for fault in faults:
+            run_injection(design, case.func, fault, inputs,
+                          max_cycles=5000, testbench=used)
+        used.rewind()
+        assert state(used) == state(fresh)
+
+    def test_rewound_runs_match_fresh_elaborations(self):
+        """Every injection of a campaign starts from its one rewound
+        elaboration; each must classify exactly as a one-off run on a
+        fresh elaboration.  The faultload leads with the event-kernel
+        mechanisms (and, on fdct1, a hang), so state an event-kernel,
+        hung or crashed run leaves behind would show up in the kernel
+        runs that follow it."""
+        verdicts, mechanisms = set(), set()
+        for name in sorted(CASE_BUILDERS):
+            case = suite_case(name, **SMALL_SIZES[name])
+            design = case.compile()
+            if design.multi_configuration:
+                continue
+            inputs = case.inputs(0)
+            baseline = run_injection(design, case.func, None, inputs,
+                                     backend="compiled")
+            drawn = FaultloadGenerator(design, seed=13,
+                                       max_cycle=baseline.cycles) \
+                .generate(40)
+            flip = next(fault for fault in drawn
+                        if fault.kind == "reg_flip")
+            lead = [FaultDescriptor(fault_id="done-sa1", kind="stuck",
+                                    target="done", bit=0, stuck_value=1),
+                    replace(flip, fault_id="any-state", state=None)]
+            if name == "fdct1":
+                lead.append(HANG_FAULT)
+            report = run_campaign(design, case.func, lead + drawn, inputs,
+                                  backend="compiled", jobs=1)
+            assert len(report.results) == len(lead) + len(drawn)
+            for result in report.results:
+                fresh = run_injection(design, case.func, result.fault,
+                                      inputs, backend="compiled",
+                                      max_cycles=report.cycle_budget)
+                assert (result.fault.fault_id, result.verdict,
+                        result.cycles, result.mechanism, result.note) \
+                    == (fresh.fault.fault_id, fresh.verdict, fresh.cycles,
+                        fresh.mechanism, fresh.note), \
+                    f"{name}: {result.fault.describe()}"
+            verdicts.update(result.verdict for result in report.results)
+            mechanisms.update(result.mechanism
+                              for result in report.results)
+        assert {"crash", "hang"} <= verdicts
+        assert mechanisms == {"kernel", "watcher", "cycle-hook", "image"}
 
 
 class TestTimeBudget:

@@ -123,8 +123,16 @@ class TestFallbacks:
         ref, dut = _build_pair()
         dut.run_to_done()
         assert dut.sim._program is not None
-        dut.sim.signal("late_addition", 4)
+        tracked = len(dut.sim._design_facts().tracked)
+        late = dut.sim.signal("late_addition", 4)
         assert dut.sim._program is None
+        # the memoized design walk goes too: the next program is built
+        # from a fresh walk that sees the added signal
+        assert dut.sim._facts is None
+        program = dut.sim._ensure_program()
+        assert program is not None
+        assert late in dut.sim._facts.tracked
+        assert program.cache_payload["n_tracked"] == tracked + 1
 
 
 class TestFactory:

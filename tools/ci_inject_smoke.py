@@ -1,6 +1,6 @@
 """CI fault-injection smoke: the SBFI layer must classify correctly.
 
-Three gates, cheap enough for every push (fdct1, ~200 injections):
+Four gates, cheap enough for every push (fdct1, ~200 injections):
 
 1. **Golden equivalence** — a run with zero faults armed must
    classify as ``masked`` with every memory (not just outputs)
@@ -17,6 +17,10 @@ Three gates, cheap enough for every push (fdct1, ~200 injections):
    written to ``hang-reproducers.json``; CI uploads both as
    artifacts, so a hang replays locally with
    ``repro inject fdct1 --replay hang-reproducers.json``.
+4. **Rewind fidelity** — a campaign runs every fault on one rewound
+   elaboration; every 8th fault is re-run on a fresh elaboration
+   (a one-off ``run_injection``) and must classify identically:
+   same verdict, cycles, mechanism and note.
 
 Exit status 0 = all gates pass.
 """
@@ -33,6 +37,8 @@ SIZE = {"pixels": 256}
 CAMPAIGN_FAULTS = 200
 CAMPAIGN_SEED = 0
 JOBS = 4
+#: every REWIND_STRIDE-th campaign fault is re-run on a fresh elaboration
+REWIND_STRIDE = 8
 LEDGER = "inject-campaign.sqlite"
 HANGS = "hang-reproducers.json"
 
@@ -83,12 +89,37 @@ def campaign_gate(design, case, inputs, baseline):
     if len(report.results) != CAMPAIGN_FAULTS:
         print(f"[FAIL] campaign: classified {len(report.results)} of "
               f"{CAMPAIGN_FAULTS} faults")
-        return False
+        return None
     hangs = report.hang_reproducers
     if hangs:
         save_faultload(hangs, HANGS)
         print(f"{len(hangs)} hang reproducer(s) -> {HANGS}")
     print(f"[ok]   campaign: all {CAMPAIGN_FAULTS} faults classified")
+    return report
+
+
+def rewind_gate(design, case, inputs, report):
+    def row(result):
+        return (result.verdict, result.cycles, result.mechanism,
+                result.note)
+
+    sampled = report.results[::REWIND_STRIDE]
+    differ = []
+    for result in sampled:
+        fresh = run_injection(design, case.func, result.fault, inputs,
+                              backend="compiled",
+                              max_cycles=report.cycle_budget)
+        if row(fresh) != row(result):
+            differ.append((result.fault, row(result), row(fresh)))
+    for fault, rewound, fresh in differ:
+        print(f"  {fault.describe()}: rewound {rewound} != fresh {fresh}")
+    if differ:
+        print(f"[FAIL] rewind fidelity: {len(differ)} of {len(sampled)} "
+              f"re-run fault(s) classify differently on a fresh "
+              f"elaboration")
+        return False
+    print(f"[ok]   rewind fidelity: {len(sampled)} re-run fault(s) "
+          f"classify identically on a fresh elaboration")
     return True
 
 
@@ -101,7 +132,10 @@ def main() -> int:
         return 1
     if not sdc_gate(design, case, inputs):
         return 1
-    if not campaign_gate(design, case, inputs, baseline):
+    report = campaign_gate(design, case, inputs, baseline)
+    if report is None:
+        return 1
+    if not rewind_gate(design, case, inputs, report):
         return 1
     print("inject smoke: all gates passed")
     return 0
