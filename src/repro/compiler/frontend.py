@@ -25,10 +25,10 @@ line, so compiler users learn exactly which construct to rewrite.
 from __future__ import annotations
 
 import ast
-import inspect
 import textwrap
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
+from ..util.loc import function_source
 from .errors import CompileError, UnsupportedConstructError
 from .hir import (Cond, EBin, EBoolOp, ECmp, EConst, ELoad, ENot, EUn,
                   EVar, Expr, Function, SAssign, SFor, SIf, SStore, SWhile,
@@ -84,7 +84,7 @@ def parse_function(func: Union[Callable, str],
     """
     params = dict(params or {})
     if callable(func):
-        source = textwrap.dedent(inspect.getsource(func))
+        source = textwrap.dedent(function_source(func))
     else:
         source = textwrap.dedent(func)
     try:

@@ -19,7 +19,6 @@ safe for concurrent writers (atomic rename) and trivially inspectable.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import os
 import tempfile
@@ -27,6 +26,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..obs.coverage import CoverageReport
+from ..util.loc import function_source
 from .report import ConfigurationMetrics, DesignMetrics
 from .verification import MemoryCheck, VerificationResult
 
@@ -38,9 +38,12 @@ _CACHE_VERSION = 2
 
 
 def _function_fingerprint(func) -> str:
-    """Source text of *func* — the compiler input the cache key guards."""
+    """Source text of *func* — the compiler input the cache key guards.
+
+    Read once per process (:func:`~repro.util.loc.function_source`), so
+    deriving a key per request costs a dict lookup, not a re-tokenize."""
     try:
-        return inspect.getsource(func)
+        return function_source(func)
     except (OSError, TypeError):
         # no retrievable source (REPL lambdas, builtins): fall back to
         # identity, which under-caches but never falsely hits

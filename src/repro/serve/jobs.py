@@ -130,15 +130,16 @@ def resolve_job(spec: JobSpec) -> ResolvedJob:
     """Build the case and derive the job's identities.
 
     Raises :class:`JobError` when the case name is unknown or the
-    sizing options don't fit its builder's signature — before anything
-    is queued, so a bad request never reaches a worker.
+    sizing options don't fit its builder (an unknown name, a zero or
+    misaligned size) — before anything is queued, so a bad request
+    never reaches a worker.
     """
     if spec.case not in CASE_BUILDERS:
         raise JobError(
             f"unknown case {spec.case!r} (known: {sorted(CASE_BUILDERS)})")
     try:
         case = suite_case(spec.case, **dict(spec.size))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise JobError(
             f"bad size options for {spec.case!r}: {exc}") from None
     key = case_key(case, seed=spec.seed, fsm_mode=spec.fsm_mode,

@@ -246,8 +246,9 @@ class ServeScheduler:
     def submit(self, spec: Union[JobSpec, dict]) -> Submission:
         """Admit one job; returns immediately with a Submission whose
         future resolves to the result payload.  Never raises on bad
-        requests — they resolve to an error payload with
-        ``served='invalid'``.
+        requests — anything but a :class:`JobSpec` is validated as wire
+        data (a ``null`` or a list included), and a bad request
+        resolves to an error payload with ``served='invalid'``.
 
         A dict spec may carry a ``trace`` context dict (as produced by
         :attr:`repro.obs.trace.Span.context`); the job's span becomes a
@@ -263,13 +264,17 @@ class ServeScheduler:
                               parent=parent)
         submitted_at = time.perf_counter()
         try:
-            if isinstance(spec, dict):
+            if not isinstance(spec, JobSpec):
                 spec = JobSpec.from_dict(spec)
             resolved = resolve_job(spec)
         except JobError as exc:
             self.counters["invalid"] += 1
-            name = spec.get("case", "?") if isinstance(spec, dict) \
-                else spec.case
+            if isinstance(spec, JobSpec):
+                name = spec.case
+            elif isinstance(spec, dict):
+                name = spec.get("case", "?")
+            else:
+                name = "?"
             payload = result_to_payload(
                 CaseResult(str(name), None, None, 0.0, error=str(exc)))
             future.set_result(payload)

@@ -1,9 +1,11 @@
-"""Shared utilities: bit-accurate values, memory files, line counting."""
+"""Shared utilities: bit-accurate values, memory files, line counting,
+source reading."""
 
 from .bitvector import BitVector, bv
 from .files import (MemoryImage, MemoryMismatch, compare_images,
                     load_memory_file, save_memory_file)
-from .loc import count_code_lines, count_lines, count_source_lines
+from .loc import (count_code_lines, count_lines, count_source_lines,
+                  function_source)
 
 __all__ = [
     "BitVector",
@@ -16,4 +18,5 @@ __all__ = [
     "count_lines",
     "count_code_lines",
     "count_source_lines",
+    "function_source",
 ]

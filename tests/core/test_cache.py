@@ -1,8 +1,11 @@
 """The artifact cache: keying, hit/miss behaviour, pass-only storage."""
 
-from repro.apps import suite_case
-from repro.core import ArtifactCache, CaseResult
-from repro.core.testsuite import _run_case
+import importlib.util
+import os
+
+from repro.apps import suite_case, threshold
+from repro.core import ArtifactCache, CaseResult, case_key
+from repro.core.testsuite import SuiteCase, _run_case
 
 
 def _case(**sizes):
@@ -39,6 +42,46 @@ class TestKeying:
                              backend="event") != \
             cache.key_for(large, seed=0, fsm_mode="generated",
                           backend="event")
+
+
+KERNEL_V1 = """\
+def kernel(pixels_in, pixels_out, n_pixels=32, cut=128):
+    for i in range(n_pixels):
+        if pixels_in[i] >= cut:
+            pixels_out[i] = 255
+        else:
+            pixels_out[i] = 0
+"""
+
+KERNEL_V2 = KERNEL_V1.replace("255", "200").replace("= 0", "= 17")
+
+
+def test_key_compile_and_golden_agree_after_an_edit(tmp_path):
+    """Editing the kernel's file under a running process changes
+    nothing it derives from the loaded function: the key, the compiled
+    design and the golden model all stay on the text first read."""
+    path = tmp_path / "edited_kernel.py"
+    path.write_text(KERNEL_V1)
+    spec = importlib.util.spec_from_file_location("edited_kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    case = SuiteCase(
+        name="edited", func=module.kernel,
+        arrays=threshold.threshold_arrays(32),
+        params=threshold.threshold_params(32),
+        inputs=lambda seed: threshold.threshold_inputs(32, seed=seed))
+    assert case.compile().source == KERNEL_V1
+    key = case_key(case, seed=0, fsm_mode="generated", backend="compiled")
+
+    path.write_text(KERNEL_V2)
+    mtime = path.stat().st_mtime_ns + 10 ** 10
+    os.utime(path, ns=(mtime, mtime))
+    assert case.compile().source == KERNEL_V1
+    assert case_key(case, seed=0, fsm_mode="generated",
+                    backend="compiled") == key
+    result = _run_case(case, seed=0, fsm_mode="generated",
+                       backend="compiled")
+    assert result.passed, result.error
 
 
 class TestRoundTrip:

@@ -1,10 +1,14 @@
 """Job model: wire validation and the derived identities."""
 
+import inspect
+import weakref
+
 import pytest
 
-from repro.apps import suite_case
+from repro.apps import fdct, suite_case
 from repro.core import case_key
 from repro.serve import JobError, JobSpec, resolve_job
+from repro.util import loc
 
 
 class TestFromDict:
@@ -48,6 +52,14 @@ class TestResolve:
     def test_bad_size_option(self):
         with pytest.raises(JobError, match="bad size options"):
             resolve_job(JobSpec(case="threshold", size={"bogus": 1}))
+
+    @pytest.mark.parametrize("case, size", [
+        ("threshold", {"n_pixels": 0}),  # builder rejects the value
+        ("fdct1", {"pixels": 100}),      # not a multiple of 64
+    ])
+    def test_size_the_builder_rejects(self, case, size):
+        with pytest.raises(JobError, match="bad size options"):
+            resolve_job(JobSpec(case=case, size=size))
 
     def test_key_is_the_artifact_cache_digest(self):
         spec = JobSpec(case="threshold", size={"n_pixels": 64}, seed=5)
@@ -96,3 +108,20 @@ class TestResolve:
         assert resolve_job(JobSpec(case="fir", backend="traced")).batchable
         assert not resolve_job(JobSpec(case="fir",
                                        backend="event")).batchable
+
+    def test_source_is_read_once_per_function(self, monkeypatch):
+        """Memo-hit submissions re-derive keys; neither that nor the
+        compile re-reads (re-tokenizes) the algorithm's source."""
+        monkeypatch.setattr(loc, "_SOURCES", weakref.WeakKeyDictionary())
+        reads = []
+        getsource = inspect.getsource
+
+        def counting(obj):
+            reads.append(obj)
+            return getsource(obj)
+
+        monkeypatch.setattr(inspect, "getsource", counting)
+        for seed in range(20):
+            resolved = resolve_job(JobSpec(case="fdct1", seed=seed))
+        resolved.case.compile()
+        assert reads == [fdct.fdct_kernel]

@@ -112,6 +112,36 @@ def test_invalid_job_is_an_error_result_not_a_dead_connection(harness):
         assert client.ping()  # connection survived the bad job
 
 
+def test_malformed_submits_are_invalid_results(harness):
+    """A submit whose job is missing, null, not an object, or sized
+    outside what its builder accepts resolves to an ``invalid`` result;
+    the connection (and the HTTP request) stays answerable."""
+    h = harness(http=True)
+    with h.client() as client:
+        client._send({"op": "submit", "id": "missing"})
+        client._send({"op": "submit", "id": "null", "job": None})
+        client._send({"op": "submit", "id": "list", "job": [1]})
+        client._send({"op": "submit", "id": "size",
+                      "job": {"case": "threshold",
+                              "size": {"n_pixels": 0}}})
+        events = client.collect(4)
+        assert sorted(events) == ["list", "missing", "null", "size"]
+        for event in events.values():
+            assert event["served"] == "invalid"
+            assert event["result"]["error"]
+        assert "must be an object" in events["null"]["result"]["error"]
+        assert "bad size options" in events["size"]["result"]["error"]
+        assert client.ping()
+    request = urllib.request.Request(
+        h.http_url("/jobs"), data=json.dumps({"jobs": [None]}).encode(),
+        method="POST")
+    with urllib.request.urlopen(request, timeout=30) as r:
+        assert r.status == 200
+        reply = json.load(r)
+    assert [x["served"] for x in reply["results"]] == ["invalid"]
+    assert reply["stats"]["invalid"] == 5
+
+
 def test_bad_line_and_unknown_op_keep_the_stream_alive(harness):
     h = harness()
     with h.client() as client:
