@@ -1,12 +1,12 @@
 """Content-hash artifact cache for suite verification results.
 
 The paper's scenario is re-running the whole benchmark suite after every
-compiler change.  Most changes affect only some designs; the rest would
-recompile and re-simulate to the exact same verdict.  The cache keys a
-case by everything that determines its outcome — the algorithm's source
-text, the memory specifications, the compile options, the stimulus seed
-and the execution options — so an unchanged case is answered from disk
-and only affected designs are re-run.
+compiler change.  The cache keys a case by everything that determines
+its outcome — the algorithm's source text, the memory specifications,
+the compile options, the stimulus seed, the execution options and the
+toolchain itself (:func:`~repro.core.kernelcache.toolchain_fingerprint`)
+— so a rerun with nothing changed is answered from disk, and any edit to
+the toolchain re-verifies every case.
 
 Only *passing* results are cached: failures must re-execute every time so
 their diagnostics (mismatch triples, error messages) stay live, and so a
@@ -27,14 +27,15 @@ from typing import Optional, Union
 
 from ..obs.coverage import CoverageReport
 from ..util.loc import function_source
+from .kernelcache import toolchain_fingerprint
 from .report import ConfigurationMetrics, DesignMetrics
 from .verification import MemoryCheck, VerificationResult
 
-__all__ = ["ArtifactCache", "case_key", "structure_key",
+__all__ = ["ArtifactCache", "case_key", "structure_key", "design_key",
            "result_to_payload", "result_from_payload"]
 
-#: bump when the cached payload layout or run semantics change
-_CACHE_VERSION = 2
+#: bump when the layout of :func:`result_to_payload` changes
+_PAYLOAD_VERSION = 2
 
 
 def _function_fingerprint(func) -> str:
@@ -53,9 +54,10 @@ def _function_fingerprint(func) -> str:
 
 def _structure_material(case) -> dict:
     """Everything that determines the *compiled structure* of a case —
-    the algorithm source plus the compile options, but not the stimulus
-    seed or the simulation backend."""
+    the algorithm source, the compile options and the toolchain, but not
+    the stimulus seed or the simulation backend."""
     return {
+        "toolchain": toolchain_fingerprint(),
         "name": case.name,
         "source": _function_fingerprint(case.func),
         "arrays": {
@@ -70,6 +72,11 @@ def _structure_material(case) -> dict:
     }
 
 
+def _digest(material: dict) -> str:
+    blob = json.dumps(material, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
 def case_key(case, *, seed: int, fsm_mode: str, backend: str,
              coverage: bool = False, batch: int = 0) -> str:
     """SHA-256 over everything that determines a case's outcome.
@@ -78,13 +85,12 @@ def case_key(case, *, seed: int, fsm_mode: str, backend: str,
     names its entries with it and the serve scheduler deduplicates and
     coalesces jobs by it, so both layers agree by construction on what
     "the same verification" means.  Any mutation of the design — a
-    changed source line, a resized array, a different compile option —
-    produces a different key, which is why dedup can never serve a
-    stale artifact.
+    changed source line, a resized array, a different compile option,
+    an edit anywhere in the toolchain — produces a different key, which
+    is why dedup can never serve a stale artifact.
     """
-    material = dict(_structure_material(case))
+    material = _structure_material(case)
     material.update({
-        "version": _CACHE_VERSION,
         "coverage": bool(coverage),
         "batch": int(batch),
         "max_cycles": case.max_cycles,
@@ -92,8 +98,7 @@ def case_key(case, *, seed: int, fsm_mode: str, backend: str,
         "fsm_mode": fsm_mode,
         "backend": backend,
     })
-    blob = json.dumps(material, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return _digest(material)
 
 
 def structure_key(case, *, fsm_mode: str = "generated") -> str:
@@ -105,10 +110,16 @@ def structure_key(case, *, fsm_mode: str = "generated") -> str:
     scheduler uses this to shard same-structure jobs onto the same warm
     worker and to group them into one batched dispatch.
     """
-    material = dict(_structure_material(case))
+    material = _structure_material(case)
     material["fsm_mode"] = fsm_mode
-    blob = json.dumps(material, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return _digest(material)
+
+
+def design_key(case) -> str:
+    """Digest of what the compiler is given for *case*, toolchain
+    included: the key of the compile stage
+    (:meth:`repro.core.testsuite.SuiteCase.compile`)."""
+    return _digest(_structure_material(case))
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +137,7 @@ def result_to_payload(result) -> dict:
     v = result.verification
     m = result.metrics
     payload = {
-        "version": _CACHE_VERSION,
+        "version": _PAYLOAD_VERSION,
         "case": result.case,
         "compile_seconds": result.compile_seconds,
         "error": result.error,
@@ -246,7 +257,7 @@ class ArtifactCache:
         except (OSError, ValueError):
             self.misses += 1
             return None
-        if payload.get("version") != _CACHE_VERSION \
+        if payload.get("version") != _PAYLOAD_VERSION \
                 or payload.get("metrics") is None \
                 or payload.get("verification") is None:
             self.misses += 1

@@ -22,30 +22,72 @@ version and the interpreter's bytecode magic, so a cache directory
 shared across Python versions or library upgrades degrades to misses,
 never to wrong code.  All disk writes are atomic (tempfile + rename),
 all reads treat any corruption as a miss.
+
+The same store also holds pickled objects (:meth:`KernelCache.get_object`),
+which is how the suite caches its compile stage: a case's
+:class:`~repro.compiler.pipeline.Design` keyed by what the compiler was
+given plus :func:`toolchain_fingerprint`.  Only this program writes
+them, into the cache directory it also ``exec``s kernels from.
 """
 
 from __future__ import annotations
 
 import base64
+import gc
 import hashlib
 import importlib.util
 import json
 import marshal
 import os
+import pickle
 import tempfile
 from pathlib import Path
 from types import CodeType
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["KernelCache", "default_cache", "set_default_cache",
            "digest_parts", "datapath_digest", "fsm_digest",
-           "batch_group_key"]
+           "batch_group_key", "toolchain_fingerprint"]
 
 #: bump when the payload schema changes
 _SCHEMA_VERSION = 1
 
 #: interpreter bytecode magic, base64 for JSON transport
 _MAGIC = base64.b64encode(importlib.util.MAGIC_NUMBER).decode("ascii")
+
+
+def _fingerprint_package(root: Path) -> str:
+    """SHA-256 over the relative path and bytes of every ``.py`` file
+    under *root*."""
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py"),
+                       key=lambda p: p.relative_to(root).as_posix()):
+        try:
+            data = path.read_bytes()
+        except OSError:
+            continue  # not a module: a dangling editor lock link, say
+        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0"
+                 .encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()
+
+
+#: the toolchain as this process loaded it, hashed once at import
+_TOOLCHAIN = _fingerprint_package(Path(__file__).resolve().parent.parent)
+
+
+def toolchain_fingerprint() -> str:
+    """Digest of the source of the whole ``repro`` package.
+
+    Cache and dedup keys fold it in, so an edit anywhere in the
+    toolchain — compiler, translators, kernels, golden runner — turns
+    every earlier verdict and compiled design into a miss.  It is taken
+    once, when this module is imported: a file edited afterwards cannot
+    relabel code the process has already loaded (the same rule as
+    :func:`repro.util.loc.function_source`), and fork workers inherit
+    it instead of hashing again.
+    """
+    return _TOOLCHAIN
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +244,44 @@ class KernelCache:
         self.disk_hits += 1
         self._memory[(kind, key)] = (payload, code)
         return payload, code
+
+    def get_object(self, kind: str, key: str) -> Any:
+        """The object :meth:`put_object` filed under *key*, or ``None``.
+
+        Every hit unpickles afresh, so callers may mutate what they get.
+        An entry that does not unpickle, or that names another key, is a
+        miss.
+        """
+        in_memory = (kind, key) in self._memory
+        payload, _ = self.get(kind, key)
+        if payload is None:
+            return None
+        # a design unpickles into thousands of objects at once; with the
+        # cyclic collector paused they load in about 60% of the time
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            if payload.get("key") != key:
+                raise ValueError(f"entry filed under {payload.get('key')}")
+            return pickle.loads(base64.b64decode(payload["pickle"]))
+        except Exception:  # noqa: BLE001 - any corruption is a miss
+            del self._memory[(kind, key)]
+            if in_memory:
+                self.memory_hits -= 1
+            else:
+                self.disk_hits -= 1
+            self.errors += 1
+            self.misses += 1
+            return None
+        finally:
+            if collecting:
+                gc.enable()
+
+    def put_object(self, kind: str, key: str, value: Any) -> None:
+        """File a pickle of *value* under *key*."""
+        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        self.put(kind, key, {"key": key,
+                             "pickle": base64.b64encode(blob).decode("ascii")})
 
     def put(self, kind: str, key: str, payload: dict,
             code: Optional[CodeType] = None) -> None:

@@ -6,19 +6,22 @@ the generated FSM code (``loJava FSM``), the number of datapath
 operators, and the simulation time.  :func:`collect_metrics` computes the
 same quantities for a compiled :class:`Design`; multi-configuration
 designs report one value per configuration, stacked like the paper's
-FDCT2 row.
+FDCT2 row.  The line counts are memoised on the design, so a design
+taken from the compile stage (:meth:`repro.core.testsuite.SuiteCase.compile`)
+arrives with them and prints no XML.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from ..compiler.pipeline import Design
+from ..compiler.pipeline import Configuration, Design
 from ..hdl.xmlio.datapath_xml import write_datapath
 from ..hdl.xmlio.fsm_xml import write_fsm
 from ..translate.to_python import fsm_to_python
 from ..util.loc import count_lines
+from .kernelcache import datapath_digest, fsm_digest
 
 __all__ = ["ConfigurationMetrics", "DesignMetrics", "collect_metrics",
            "format_table"]
@@ -54,6 +57,21 @@ class DesignMetrics:
         return sum(c.operators for c in self.configurations)
 
 
+def _line_counts(design: Design,
+                 config: Configuration) -> Tuple[int, int, int]:
+    """loXML FSM, loXML datapath and loGen FSM of *config*, memoised on
+    *design* by the configuration's structural digests (a mutated
+    datapath or FSM clears its digest, so the memo never goes stale)."""
+    memo = design.__dict__.setdefault("_line_count_memo", {})
+    key = (datapath_digest(config.datapath), fsm_digest(config.fsm))
+    counts = memo.get(key)
+    if counts is None:
+        counts = memo[key] = (count_lines(write_fsm(config.fsm)),
+                              count_lines(write_datapath(config.datapath)),
+                              count_lines(fsm_to_python(config.fsm)))
+    return counts
+
+
 def collect_metrics(design: Design,
                     simulation_seconds: Optional[float] = None,
                     cycles: Optional[int] = None,
@@ -69,11 +87,13 @@ def collect_metrics(design: Design,
         state_coverage=state_coverage,
     )
     for config in design.configurations:
+        lo_xml_fsm, lo_xml_datapath, lo_generated_fsm = \
+            _line_counts(design, config)
         metrics.configurations.append(ConfigurationMetrics(
             name=config.name,
-            lo_xml_fsm=count_lines(write_fsm(config.fsm)),
-            lo_xml_datapath=count_lines(write_datapath(config.datapath)),
-            lo_generated_fsm=count_lines(fsm_to_python(config.fsm)),
+            lo_xml_fsm=lo_xml_fsm,
+            lo_xml_datapath=lo_xml_datapath,
+            lo_generated_fsm=lo_generated_fsm,
             operators=config.datapath.operator_count(),
             states=config.fsm.state_count(),
         ))

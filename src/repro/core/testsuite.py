@@ -24,7 +24,9 @@ from ..compiler.spec import MemorySpec
 from ..obs.coverage import CoverageReport
 from ..obs.trace import span
 from ..util.files import MemoryImage
-from .cache import ArtifactCache
+from ..util.loc import function_source
+from .cache import ArtifactCache, design_key
+from .kernelcache import default_cache
 from .report import DesignMetrics, collect_metrics, format_table
 from .verification import (VerificationResult, verify_design,
                            verify_design_batch)
@@ -49,6 +51,29 @@ class SuiteCase:
     max_cycles: int = 50_000_000
 
     def compile(self) -> Design:
+        """The compiled design, taken from the compile stage of the
+        kernel cache when that cache persists.
+
+        The stage keys a design by :func:`~repro.core.cache.design_key`
+        (source, compile options and toolchain fingerprint) and stores
+        it together with its Table I line counts, so a warm rerun
+        neither compiles nor prints XML.  Every call returns a fresh
+        object.
+        """
+        cache = default_cache()
+        if cache.root is None:
+            # a memory-only cache dies with the process: pickling
+            # designs into it could only cost
+            return self._compile()
+        key = design_key(self)
+        design = cache.get_object("design", key)
+        if design is None:
+            design = self._compile()
+            collect_metrics(design)  # memoises the line counts it stores
+            cache.put_object("design", key, design)
+        return design
+
+    def _compile(self) -> Design:
         return compile_function(
             self.func, self.arrays, dict(self.params), name=self.name,
             word_width=self.word_width, opt_level=self.opt_level,
@@ -311,6 +336,13 @@ class TestSuite:
             jobs > 1 and len(pending) > 1 and not stop_on_failure
             and "fork" in multiprocessing.get_all_start_methods()
         )
+        if parallel:
+            # read the sources here, once: the fork workers inherit them
+            for index in pending:
+                try:
+                    function_source(self.cases[index].func)
+                except (OSError, TypeError):
+                    pass  # the worker's compile reports it
         run_span = span("suite.run", "suite", suite=self.name,
                         backend=backend, jobs=jobs, cases=len(self.cases),
                         cached=report.cache_hits)

@@ -25,22 +25,40 @@ class GoldenError(Exception):
 
 
 class MemView:
-    """Array façade over a :class:`MemoryImage` with hardware semantics."""
+    """Array façade over a :class:`MemoryImage` with hardware semantics.
+
+    The golden run indexes it once per array access, so reads and writes
+    touch the image's word list directly, in one frame, with the same
+    bounds check, sign extension and masking as
+    :meth:`MemoryImage.read_signed` / :meth:`MemoryImage.write`.  A write
+    to an image with watchers goes through :meth:`MemoryImage.write`, so
+    every watcher still sees it.
+    """
 
     def __init__(self, image: MemoryImage, signed: bool = True) -> None:
         self.image = image
         self.signed = signed
+        #: the sign bit, 0 for an unsigned view
+        self._sign = 1 << (image.width - 1) if signed else 0
 
     def __len__(self) -> int:
         return self.image.depth
 
     def __getitem__(self, index: int) -> int:
-        if self.signed:
-            return self.image.read_signed(index)
-        return self.image.read(index)
+        image = self.image
+        if not 0 <= index < image.depth:
+            image._check_address(index)  # raises the image's IndexError
+        word = image._words[index]
+        if word & self._sign:
+            return word - (self._sign << 1)
+        return word
 
     def __setitem__(self, index: int, value: int) -> None:
-        self.image.write(index, value)
+        image = self.image
+        if image._watchers or not 0 <= index < image.depth:
+            image.write(index, value)
+            return
+        image._words[index] = value & image._mask
 
     def __iter__(self):
         for index in range(len(self)):

@@ -201,7 +201,12 @@ class ServeScheduler:
     def _spawn(self, index: int) -> None:
         context = multiprocessing.get_context("fork")
         parent_conn, child_conn = context.Pipe()
-        process = context.Process(target=worker_main, args=(child_conn,),
+        # the parent-side ends the child inherits, its own included; it
+        # closes them, so a daemon killed outright leaves it at EOF
+        inherited = [parent_conn] + [worker.conn
+                                     for worker in self._workers]
+        process = context.Process(target=worker_main,
+                                  args=(child_conn, inherited),
                                   daemon=True,
                                   name=f"repro-serve-w{index}")
         process.start()

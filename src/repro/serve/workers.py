@@ -34,7 +34,7 @@ import dataclasses
 import signal
 import time
 import traceback
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..core.cache import result_to_payload
 from ..core.report import collect_metrics
@@ -158,13 +158,19 @@ def execute_jobs(spec_dicts: List[dict]) -> List[dict]:
     return entries
 
 
-def worker_main(conn) -> None:
+def worker_main(conn, inherited: Sequence = ()) -> None:
     """Child-process loop: receive dispatches until exit/EOF.
 
     SIGINT is ignored so a Ctrl-C aimed at the daemon can't kill a
     worker mid-result; shutdown arrives as an ``exit`` message or pipe
-    close, both of which exit cleanly.
+    close, both of which exit cleanly.  *inherited* are the daemon's
+    ends of the worker pipes that came along over ``fork``; they are
+    closed first, because while any copy of this worker's daemon end
+    stays open, ``recv`` never sees EOF and a daemon that dies by
+    SIGKILL leaves the worker running.
     """
+    for other in inherited:
+        other.close()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # not the main thread of the child

@@ -85,6 +85,53 @@ class TestCacheLayers:
         assert default_cache() is not cache
 
 
+class TestObjects:
+    """Pickled objects (the compile stage): fresh on every hit, and any
+    damage a miss."""
+
+    VALUE = {"words": [1, 2, 3], "name": "design"}
+
+    def test_round_trip_returns_fresh_objects(self, cache):
+        assert cache.get_object("design", "d1") is None
+        cache.put_object("design", "d1", self.VALUE)
+        first = cache.get_object("design", "d1")
+        first["words"].append(4)
+        assert cache.get_object("design", "d1") == self.VALUE
+        fresh = KernelCache(cache.root)
+        assert fresh.get_object("design", "d1") == self.VALUE
+        assert fresh.disk_hits == 1 and fresh.misses == 0
+
+    def _damaged(self, cache, damage):
+        cache.put_object("design", "d1", self.VALUE)
+        path = cache.root / "design" / "d1.json"
+        damage(path)
+        fresh = KernelCache(cache.root)
+        assert fresh.get_object("design", "d1") is None
+        assert (fresh.disk_hits, fresh.memory_hits, fresh.misses) \
+            == (0, 0, 1)
+        return fresh
+
+    def test_truncated_entry_is_a_miss(self, cache):
+        self._damaged(cache, lambda path: path.write_bytes(
+            path.read_bytes()[:40]))
+
+    def test_unpicklable_entry_is_a_miss(self, cache):
+        def damage(path):
+            entry = json.loads(path.read_text())
+            entry["pickle"] = "bm90IGEgcGlja2xl"
+            path.write_text(json.dumps(entry))
+
+        fresh = self._damaged(cache, damage)
+        assert fresh.errors == 1
+        # the bad entry left the memory layer: the next lookup misses too
+        assert fresh.get_object("design", "d1") is None
+
+    def test_foreign_entry_is_a_miss(self, cache):
+        cache.put_object("design", "other", {"not": "this one"})
+        self._damaged(cache, lambda path: path.write_bytes(
+            (cache.root / "design" / "other.json").read_bytes()))
+
+
 class TestDigests:
     def test_digest_parts_is_order_sensitive(self):
         assert digest_parts("a", "b") != digest_parts("b", "a")

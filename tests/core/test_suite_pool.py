@@ -8,12 +8,15 @@ dead worker (hard crash) raises a ``RuntimeError`` naming the cases
 that were in flight.
 """
 
+import inspect
 import multiprocessing
 import os
+import weakref
 
 import pytest
 
 import repro.core.testsuite as testsuite_module
+import repro.util.loc as loc_module
 from repro.compiler.spec import MemorySpec
 from repro.core.testsuite import CaseResult, SuiteCase, TestSuite, _pool_run
 
@@ -70,6 +73,37 @@ def test_dead_worker_raises_informative_error():
     assert "worker process died" in message
     assert "alpha" in message or "beta" in message
     assert "jobs=1" in message  # tells the user how to reproduce
+
+
+def _other_tiny(dst):
+    dst[1] = 2
+
+
+@fork_only
+def test_workers_inherit_the_source_reads(monkeypatch, tmp_path):
+    """The parent reads every pending case's source before the pool
+    forks, so no worker tokenizes a source file again."""
+    readers = tmp_path / "readers"
+    original = inspect.getsource
+
+    def recording_getsource(obj):
+        with open(readers, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return original(obj)
+
+    monkeypatch.setattr(loc_module, "_SOURCES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(inspect, "getsource", recording_getsource)
+    suite = TestSuite("pool")
+    suite.add(_make_case("alpha"))
+    beta = _make_case("beta")
+    beta.func = _other_tiny
+    suite.add(beta)
+
+    report = suite.run(jobs=2)
+
+    assert report.passed, report.summary()
+    pids = set(readers.read_text().split())
+    assert pids == {str(os.getpid())}
 
 
 def test_pool_run_survives_broken_suite_state(monkeypatch):

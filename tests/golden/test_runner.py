@@ -33,6 +33,55 @@ class TestMemView:
         assert len(view) == 3
         assert list(view) == [1, 2, 3]
 
+    @pytest.mark.parametrize("index", [-1, -4, 4, 99])
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_out_of_range_raises_the_image_error(self, index, signed):
+        image = MemoryImage(8, 4, name="buf")
+        image.watch(lambda address, value: None)
+        plain = MemoryImage(8, 4, name="buf")
+        with pytest.raises(IndexError) as expected:
+            image.read(index)
+        for target in (image, plain):
+            view = MemView(target, signed=signed)
+            with pytest.raises(IndexError) as read:
+                view[index]
+            with pytest.raises(IndexError) as write:
+                view[index] = 1
+            assert str(read.value) == str(write.value) \
+                == str(expected.value)
+        assert plain.words() == [0] * 4
+
+    @pytest.mark.parametrize("width", [1, 8, 13, 32])
+    def test_reads_match_the_image_accessors(self, width):
+        top = (1 << width) - 1
+        words = sorted({0, 1, top >> 1, (top >> 1) + 1, top})
+        image = MemoryImage(width, len(words), words=words)
+        signed, unsigned = MemView(image), MemView(image, signed=False)
+        for address in range(len(words)):
+            assert signed[address] == image.read_signed(address)
+            assert unsigned[address] == image.read(address)
+        assert signed[len(words) - 1] == -1
+        assert unsigned[len(words) - 1] == top
+
+    def test_writes_mask_to_the_width(self):
+        image = MemoryImage(12, 4)
+        view = MemView(image)
+        for address, value in enumerate([-1, 0x1ABC, -2048, 4095]):
+            view[address] = value
+        assert image.words() == [0xFFF, 0xABC, 0x800, 0xFFF]
+        assert list(view) == [-1, -1348, -2048, -1]
+
+    def test_watchers_see_every_write(self):
+        image = MemoryImage(8, 4)
+        seen = []
+        image.watch(lambda address, value: seen.append((address, value)))
+        view = MemView(image)
+        view[0] = 0x1FF
+        view[3] = -2
+        view[0] = 5
+        assert seen == [(0, 0xFF), (3, 0xFE), (0, 5)]
+        assert image.words() == [5, 0, 0, 0xFE]
+
 
 class TestRunGolden:
     ARRAYS = {

@@ -8,11 +8,18 @@ and asserts on what the daemon left behind.
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs.ledger import Ledger
 from repro.serve import ServeClient, ServeDaemon, ServeScheduler, \
     wait_for_socket
@@ -208,3 +215,58 @@ def test_shutdown_harvests_the_ledger(harness, tmp_path):
     assert run.passed
     assert len(cases) == 3
     assert all(c.passed for c in cases)
+
+
+def _children(pid):
+    """PIDs whose parent is *pid*, read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                stat = Path(f"/proc/{entry}/stat").read_text()
+            except OSError:
+                continue
+            if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+                found.append(int(entry))
+    return found
+
+
+def _running(pid):
+    """Alive and not a zombie waiting for its new parent to reap it."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads worker pids from /proc")
+def test_workers_exit_when_the_daemon_is_killed(tmp_path):
+    socket_path = tmp_path / "serve.sock"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, REPRO_KERNEL_CACHE="off",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--socket", str(socket_path), "--jobs", "2"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        wait_for_socket(socket_path, timeout=60)
+        workers = _children(daemon.pid)
+        assert len(workers) == 2
+        os.kill(daemon.pid, signal.SIGKILL)
+        daemon.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        for pid in [daemon.pid] + workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+        daemon.wait(timeout=10)
