@@ -40,9 +40,10 @@ Quickstart::
     assert result.passed
 """
 
+import importlib
+
 from .compiler import (CompileError, Design, MemorySpec,
                        UnsupportedConstructError, compile_function)
-from .cosim import CosimResult, CoupledSystem, Microprocessor
 from .core import (TestInfrastructure, TestSuite, SuiteCase, collect_metrics,
                    format_table, standard_flow, verify_design)
 from .golden import run_golden
@@ -54,6 +55,19 @@ from .translate import build_simulation, translate
 from .util import BitVector, MemoryImage, compare_images
 
 __version__ = "1.0.0"
+
+#: co-simulation names, imported from :mod:`repro.cosim` on first access
+#: (PEP 562): the verification path never needs them
+_LAZY_COSIM = ("CosimResult", "CoupledSystem", "Microprocessor")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_COSIM:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(".cosim", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "compile_function", "Design", "MemorySpec", "CompileError",

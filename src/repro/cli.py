@@ -287,12 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "or 'auto' for one per available CPU "
                                "(default 1: serial)")
     campaign.add_argument("--backend",
-                          choices=("event", "compiled", "traced",
-                                   "batched"),
+                          choices=("event", "compiled", "traced"),
                           default="compiled",
-                          help="simulation kernel (default: compiled; "
-                               "'batched' groups mem_flip faults into "
-                               "lockstep lanes)")
+                          help="simulation kernel (default: compiled)")
     campaign.add_argument("--kinds", metavar="LIST", default=None,
                           help="comma-separated fault kinds to draw "
                                "(default: stuck,reg_flip,mem_flip)")
@@ -920,7 +917,6 @@ def _triage_campaign_sdc(report, design, func, inputs, args,
         return
     take = min(args.triage_sdc, len(sdc))
     picks = random.Random(args.seed).sample(sdc, take)
-    backend = args.backend if args.backend != "batched" else "compiled"
     print(f"triage: {take}/{len(sdc)} sdc verdict(s) sampled "
           f"(seed {args.seed})")
     for result in picks:
@@ -928,7 +924,7 @@ def _triage_campaign_sdc(report, design, func, inputs, args,
         start = time.monotonic()
         try:
             triaged = triage_fault(design, func, fault, inputs,
-                                   backend=backend, app=args.case,
+                                   backend=args.backend, app=args.case,
                                    kind="campaign-sdc")
         except TriageError as exc:
             print(f"  triage: {fault.fault_id} skipped ({exc})")
@@ -970,8 +966,7 @@ def _cmd_campaign(args) -> int:
                       f"known: {list(FAULT_KINDS)}", file=sys.stderr)
                 return 2
         probe = run_injection(design, case.func, None, inputs,
-                              backend=args.backend
-                              if args.backend != "batched" else "compiled")
+                              backend=args.backend)
         if probe.verdict != "masked":
             print(f"error: fault-free baseline classifies as "
                   f"{probe.verdict!r} ({probe.note})", file=sys.stderr)

@@ -43,11 +43,12 @@ import pickle
 import tempfile
 from pathlib import Path
 from types import CodeType
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["KernelCache", "default_cache", "set_default_cache",
            "digest_parts", "datapath_digest", "fsm_digest",
-           "batch_group_key", "toolchain_fingerprint"]
+           "batch_group_key", "toolchain_fingerprint",
+           "kernel_fingerprint", "fsm_fingerprint"]
 
 #: bump when the payload schema changes
 _SCHEMA_VERSION = 1
@@ -56,24 +57,47 @@ _SCHEMA_VERSION = 1
 _MAGIC = base64.b64encode(importlib.util.MAGIC_NUMBER).decode("ascii")
 
 
-def _fingerprint_package(root: Path) -> str:
-    """SHA-256 over the relative path and bytes of every ``.py`` file
-    under *root*."""
-    h = hashlib.sha256()
+#: the source each code generator's output depends on, as path
+#: prefixes under the package (guarded by an import-closure test):
+#: the kernel generators with the operator library and the memory
+#: images their code binds to, and the FSM module generator with the
+#: object model it reads
+_KERNEL_SCOPE = ("sim/", "operators/", "util/files.py")
+_FSM_SCOPE = ("translate/to_python.py", "translate/engine.py",
+              "hdl/model/")
+
+
+def _fingerprint_scopes(root: Path, scopes) -> List[str]:
+    """One SHA-256 per scope (a tuple of path prefixes; ``""`` takes
+    every file) over the relative path and bytes of the ``.py`` files
+    under *root* that it takes, from one read of each file."""
+    hashes = [hashlib.sha256() for _ in scopes]
     for path in sorted(root.rglob("*.py"),
                        key=lambda p: p.relative_to(root).as_posix()):
         try:
             data = path.read_bytes()
         except OSError:
             continue  # not a module: a dangling editor lock link, say
-        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0"
-                 .encode("utf-8"))
-        h.update(data)
-    return h.hexdigest()
+        name = path.relative_to(root).as_posix()
+        header = f"{name}\0{len(data)}\0".encode("utf-8")
+        for h, prefixes in zip(hashes, scopes):
+            if name.startswith(prefixes):
+                h.update(header)
+                h.update(data)
+    return [h.hexdigest() for h in hashes]
 
 
-#: the toolchain as this process loaded it, hashed once at import
-_TOOLCHAIN = _fingerprint_package(Path(__file__).resolve().parent.parent)
+def _fingerprint_package(root: Path) -> str:
+    """SHA-256 over the relative path and bytes of every ``.py`` file
+    under *root*."""
+    return _fingerprint_scopes(root, [("",)])[0]
+
+
+#: the toolchain as this process loaded it, hashed once at import, and
+#: the code generators' share of it
+_TOOLCHAIN, _KERNEL_SOURCE, _FSM_SOURCE = _fingerprint_scopes(
+    Path(__file__).resolve().parent.parent,
+    [("",), _KERNEL_SCOPE, _FSM_SCOPE])
 
 
 def toolchain_fingerprint() -> str:
@@ -88,6 +112,26 @@ def toolchain_fingerprint() -> str:
     it instead of hashing again.
     """
     return _TOOLCHAIN
+
+
+def kernel_fingerprint() -> str:
+    """Digest of the source the simulation kernel generators depend on:
+    ``repro.sim``, ``repro.operators`` and the memory image.
+
+    Kernel-cache keys fold it in, together with the design digest that
+    captures everything the compiler produced, so an edit to a
+    generator misses every kernel while an edit elsewhere (the
+    compiler, say) misses none.  Taken at import, like
+    :func:`toolchain_fingerprint`.
+    """
+    return _KERNEL_SOURCE
+
+
+def fsm_fingerprint() -> str:
+    """Digest of the source generated FSM modules depend on:
+    ``translate/to_python.py`` and the modules it imports.  Cached FSM
+    bytecode is keyed by it and the FSM digest."""
+    return _FSM_SOURCE
 
 
 # ----------------------------------------------------------------------

@@ -18,31 +18,29 @@ golden execution:
     line, out-of-bounds write from a flipped address register, etc.
 
 A campaign elaborates its design once: every injection rewinds that
-one live elaboration to its post-elaboration state instead of building
-the hardware again (see :class:`_Testbench`).
+one live elaboration instead of building the hardware again, and a
+transient upset starts from the fault-free checkpoint before its window
+and stops as soon as its window closes without it striking (see
+:class:`_Testbench`).
 
 :func:`run_campaign` mirrors the test-suite fork pool: the design,
 its elaboration, golden images and faultload live in a module global
-that workers inherit over ``fork``, each task ships only a fault index,
+that workers inherit over ``fork``, each task ships only fault indices,
 workers never raise, and the ledger is touched only in the parent after
-the pool has drained.  With ``backend="batched"`` the ``mem_flip`` subset
-of the faultload — the only kind that needs no kernel changes, just
-different initial images — advances many injections per elaboration in
-lockstep lanes, falling back to serial classification whenever a lane
-times out (a hang poisons the whole batch's timeout signal).
+the pool has drained.  Tasks group the signal faults by kind, so a
+worker generates only the fault kernels of the kinds it is handed.
 """
 
 from __future__ import annotations
 
+import bisect
 import multiprocessing
 import time
 import traceback
-from concurrent.futures import (ProcessPoolExecutor,
-                                TimeoutError as FuturesTimeout,
-                                as_completed)
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..compiler.partitioning import SPILL_MEMORY
 from ..compiler.pipeline import Design
@@ -50,18 +48,25 @@ from ..core.verification import prepare_images
 from ..golden.runner import run_golden
 from ..obs.trace import span
 from ..rtg.context import ReconfigurationContext
-from ..rtg.executor import RtgBatchExecutor
-from ..sim.batched import BatchUnsupported
 from ..sim.errors import SimulationTimeout
 from ..translate.to_sim import build_simulation
 from ..util.files import MemoryImage, compare_images
-from .faultload import FaultDescriptor
+from .faultload import FAULT_KINDS, FaultDescriptor
 from .hooks import attach_fault
 
 __all__ = ["InjectionResult", "CampaignReport", "apply_mem_flip",
            "run_injection", "run_campaign", "VERDICTS"]
 
 VERDICTS = ("masked", "sdc", "hang", "crash")
+
+#: cycles between two checkpoints of a campaign's fault-free run.  A
+#: shorter stride adds chunk boundaries to the fault-free run (each
+#: costs a few hundred cycles' worth of time), a longer one adds the
+#: cycles a transient upset runs before its window (half a stride on
+#: average).  On fdct1 at 256 px (1317 cycles, compiled, 2-vCPU x86
+#: host, 14 seeded 200-fault plans) strides of 32, 64, 128, 256 and 512
+#: cost 61, 70, 55, 62 and 95 ms per campaign in those two parts.
+CHECKPOINT_STRIDE = 128
 
 
 @dataclass
@@ -170,6 +175,12 @@ class _Testbench:
     ``reads``/``writes`` counters are not restored; nothing in a
     campaign reads them.
 
+    That snapshot is checkpoint 0.  The fault-free run (:meth:`record`)
+    runs in chunks of :data:`CHECKPOINT_STRIDE` cycles and saves the
+    same state at every chunk boundary it passes before ``done``, so a
+    transient upset can start from the last checkpoint before its
+    window (:meth:`restore_before`) instead of from cycle 0.
+
     Only single-configuration designs qualify: no RTG transition may
     leave the start configuration.
     """
@@ -190,40 +201,82 @@ class _Testbench:
                 ref.datapath, ref.fsm, memories=self.context.memories,
                 fsm_mode=fsm_mode, backend=backend)
         sim = self.design.sim
-        controller = self.design.controller
-        self._signals = [(signal, signal.value)
-                         for signal in sim._signals.values()]
-        self._controller = (controller.state, controller.transitions,
-                            controller._idle, controller.invocations)
-        self._stats = sim.stats.as_dict()
-        self._now = sim.now
-        self._domains = [(domain, domain.cycles)
-                         for domain in sim._domains.values()]
-        self._words = [(image._words, list(image._words))
+        self._signals = list(sim._signals.values())
+        self._domains = list(sim._domains.values())
+        self._words = [image._words
                        for image in self.design.memories.values()]
         self._combinational = [component
                                for component in sim._components.values()
                                if hasattr(component, "evaluate")]
+        #: cycle of each checkpoint, ascending; checkpoint 0 first
+        self.checkpoints: List[int] = [0]
+        self._states = [self._snapshot()]
+        #: the fault-free run's cycle count, once it classified masked
+        #: (set by :func:`run_injection`); until then no upset stops early
+        self.fault_free_cycles: Optional[int] = None
 
-    def rewind(self) -> None:
-        """Return the live design to its post-elaboration state."""
+    def _snapshot(self) -> tuple:
+        sim = self.design.sim
+        controller = self.design.controller
+        return ([signal.value for signal in self._signals],
+                (controller.state, controller.transitions,
+                 controller._idle, controller.invocations),
+                sim.stats.as_dict(), sim.now,
+                [domain.cycles for domain in self._domains],
+                [list(words) for words in self._words])
+
+    def _restore(self, state: tuple) -> None:
+        values, control, stats, now, cycles, words = state
         # in place: compiled kernels are bound to these very lists
-        for words, saved in self._words:
-            words[:] = saved
-        for signal, value in self._signals:
+        for live, saved in zip(self._words, words):
+            live[:] = saved
+        for signal, value in zip(self._signals, values):
             signal.value = value
         controller = self.design.controller
         (controller.state, controller.transitions, controller._idle,
-         controller.invocations) = self._controller
+         controller.invocations) = control
         sim = self.design.sim
-        for name, value in self._stats.items():
+        for name, value in stats.items():
             setattr(sim.stats, name, value)
-        sim.now = self._now
-        for domain, cycles in self._domains:
-            domain.cycles = cycles
+        sim.now = now
+        for domain, count in zip(self._domains, cycles):
+            domain.cycles = count
             domain.rearm()  # enables were restored without their watchers
         sim._worklist.clear()
         sim._staged.clear()
+
+    def rewind(self) -> None:
+        """Return the live design to its post-elaboration state."""
+        self._restore(self._states[0])
+
+    def restore_before(self, cycle: int) -> int:
+        """Restore the last checkpoint taken before 1-based *cycle* runs
+        and return its cycle count (0 for the post-elaboration state)."""
+        index = max(bisect.bisect_left(self.checkpoints, cycle) - 1, 0)
+        self._restore(self._states[index])
+        return self.checkpoints[index]
+
+    def record(self, max_cycles: int) -> int:
+        """Run the fault-free design from its post-elaboration state to
+        ``done``, checkpointing at every chunk boundary on the way.
+
+        Returns the cycles used; raises :class:`SimulationTimeout`
+        after *max_cycles*.
+        """
+        self.rewind()
+        del self.checkpoints[1:], self._states[1:]
+        self.fault_free_cycles = None
+        ran = 0
+        while True:
+            chunk = min(CHECKPOINT_STRIDE, max_cycles - ran)
+            try:
+                return ran + self.design.run_to_done(max_cycles=chunk)
+            except SimulationTimeout:
+                ran += chunk
+                if ran >= max_cycles:
+                    raise
+            self.checkpoints.append(ran)
+            self._states.append(self._snapshot())
 
     def flip(self, fault: FaultDescriptor) -> None:
         """Apply a ``mem_flip`` to the live image, then re-derive every
@@ -275,6 +328,26 @@ def _classify(design: Design, context, golden_images, fault,
     return InjectionResult(fault, "masked", 0, 0.0)
 
 
+def _run_upset(sim_design, handle, window_end: int, start: int,
+               max_cycles: int) -> Optional[int]:
+    """Run a transient upset armed at checkpoint *start* through its
+    window's last cycle, and on to ``done`` only if it struck.
+
+    Returns the cycles used counted from cycle 0, or None when the
+    window closed without the upset striking: the rest of the run is
+    then the fault-free run.  Raises :class:`SimulationTimeout` after
+    *max_cycles*, also counted from cycle 0.
+    """
+    lead = max(min(window_end, max_cycles) - start, 0)
+    try:
+        return start + sim_design.run_to_done(max_cycles=lead)
+    except SimulationTimeout:
+        if not handle.fired:
+            return None
+    start += lead
+    return start + sim_design.run_to_done(max_cycles=max_cycles - start)
+
+
 def run_injection(design: Design, func: Callable,
                   fault: Optional[FaultDescriptor],
                   inputs: Optional[Mapping] = None,
@@ -292,9 +365,14 @@ def run_injection(design: Design, func: Callable,
     *fsm_mode*) may be supplied to spread their cost over a campaign;
     when omitted they are built here from the same inputs.  The run
     starts from the testbench rewound to its post-elaboration state.
-    Any failure to apply the fault (an unknown net or memory, a bit out
-    of range) classifies as ``crash``.  Raises :class:`ValueError` for
-    a design that is not single-configuration.
+    Once a fault-free run on the same testbench has classified
+    ``masked``, a ``reg_flip`` instead starts from the last fault-free
+    checkpoint before its window, and one that has not struck when its
+    window closes is ``masked`` with the fault-free cycle count — what
+    the run from cycle 0 would report, since the rest of it is the
+    fault-free run.  Any failure to apply the fault (an unknown net or
+    memory, a bit out of range) classifies as ``crash``.  Raises
+    :class:`ValueError` for a design that is not single-configuration.
     """
     if testbench is None:
         testbench = _Testbench(design, inputs, backend=backend,
@@ -302,6 +380,9 @@ def run_injection(design: Design, func: Callable,
     if golden_images is None:
         golden_images = _golden_images(design, func, inputs)
     sim_design = testbench.design
+    fault_free = testbench.fault_free_cycles
+    upset = (fault is not None and fault.kind == "reg_flip"
+             and fault_free is not None and fault_free <= max_cycles)
 
     mechanism = "none"
     handle = None
@@ -310,15 +391,35 @@ def run_injection(design: Design, func: Callable,
     started = time.perf_counter()
     with span("inject.run", "inject", design=design.name,
               fault=fault.fault_id if fault else "baseline"):
-        testbench.rewind()
+        start, armed = 0, fault
+        if upset:
+            # the window shifts with the run's start, so the kernel and
+            # the cycle hook count it from the checkpoint
+            start = testbench.restore_before(fault.cycle_lo)
+            armed = replace(fault, cycle_lo=fault.cycle_lo - start,
+                            cycle_hi=fault.cycle_hi - start)
+        elif fault is not None:
+            testbench.rewind()
         try:
-            if fault is not None and fault.kind == "mem_flip":
+            if fault is None:
+                cycles = testbench.record(max_cycles)
+            elif fault.kind == "mem_flip":
                 testbench.flip(fault)
                 mechanism = "image"
-            elif fault is not None:
-                handle = attach_fault(sim_design, fault)
+                cycles = sim_design.run_to_done(max_cycles=max_cycles)
+            else:
+                handle = attach_fault(sim_design, armed)
                 mechanism = handle.mechanism
-            cycles = sim_design.run_to_done(max_cycles=max_cycles)
+                if upset:
+                    ran = _run_upset(sim_design, handle, fault.cycle_hi,
+                                     start, max_cycles)
+                    if ran is None:
+                        verdict = InjectionResult(fault, "masked",
+                                                  fault_free, 0.0)
+                    else:
+                        cycles = ran
+                else:
+                    cycles = sim_design.run_to_done(max_cycles=max_cycles)
         except SimulationTimeout:
             verdict = InjectionResult(
                 fault, "hang", max_cycles, 0.0,
@@ -336,54 +437,11 @@ def run_injection(design: Design, func: Callable,
         verdict = _classify(design, testbench.context, golden_images,
                             fault, mismatch_limit)
         verdict.cycles = cycles
+        if fault is None and verdict.verdict == "masked":
+            testbench.fault_free_cycles = cycles
     verdict.seconds = seconds
     verdict.mechanism = mechanism
     return verdict
-
-
-# ----------------------------------------------------------------------
-# Batched mem_flip lanes
-# ----------------------------------------------------------------------
-def _run_mem_flip_batch(design: Design, faults: Sequence[FaultDescriptor],
-                        inputs, golden_images, *, max_cycles: int,
-                        fsm_mode: str,
-                        mismatch_limit: int) -> List[InjectionResult]:
-    """Advance one injection per lane through a single elaboration.
-
-    Falls back to serial :func:`run_injection` (batched backend) when
-    the design refuses the batch fast path or any lane hangs — the
-    batch executor reports a timeout for the whole group, so verdicts
-    must then be recovered one lane at a time.
-    """
-    contexts = []
-    for fault in faults:
-        base_images = prepare_images(design, inputs)
-        apply_mem_flip(base_images, fault)
-        contexts.append(ReconfigurationContext.from_rtg(
-            design.rtg, initial=base_images))
-    executor = RtgBatchExecutor(design.rtg, contexts, fsm_mode=fsm_mode,
-                                max_cycles_per_configuration=max_cycles)
-    started = time.perf_counter()
-    try:
-        batch_result = executor.run()
-    except (BatchUnsupported, SimulationTimeout):
-        return [run_injection(design, None, fault, inputs,
-                              backend="batched", max_cycles=max_cycles,
-                              golden_images=golden_images,
-                              fsm_mode=fsm_mode,
-                              mismatch_limit=mismatch_limit)
-                for fault in faults]
-    lane_seconds = (time.perf_counter() - started) / max(len(faults), 1)
-
-    results: List[InjectionResult] = []
-    for lane, fault in enumerate(faults):
-        result = _classify(design, contexts[lane], golden_images, fault,
-                           mismatch_limit)
-        result.cycles = batch_result.lanes[lane].total_cycles
-        result.seconds = lane_seconds
-        result.mechanism = "image"
-        results.append(result)
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +455,8 @@ _ACTIVE_CAMPAIGN: Optional[dict] = None
 
 
 def _pool_inject(index: int) -> InjectionResult:
-    """Worker entry point; must never raise (see testsuite._pool_run)."""
+    """Classify one fault in a worker; must never raise (see
+    testsuite._pool_run)."""
     try:
         c = _ACTIVE_CAMPAIGN
         return run_injection(c["design"], c["func"], c["faults"][index],
@@ -415,6 +474,40 @@ def _pool_inject(index: int) -> InjectionResult:
         return InjectionResult(fault, "crash", 0, 0.0,
                                note=f"{type(exc).__name__}: {exc}\n"
                                     f"{traceback.format_exc()}")
+
+
+def _pool_batch(indices: Sequence[int]) -> List[Tuple[int, InjectionResult]]:
+    """Worker entry point: classify *indices* in order until the
+    campaign's deadline passes; never raises."""
+    deadline = _ACTIVE_CAMPAIGN["deadline"] if _ACTIVE_CAMPAIGN else None
+    results = []
+    for index in indices:
+        if deadline is not None and time.perf_counter() > deadline:
+            break
+        results.append((index, _pool_inject(index)))
+    return results
+
+
+def _pool_batches(faults: Sequence[FaultDescriptor], pending: List[int],
+                  workers: int) -> List[List[int]]:
+    """Split *pending* into pool tasks: the signal faults one kind per
+    task, then the ``mem_flip`` faults in small chunks.
+
+    A worker generates the fault kernel of every kind it is handed, so
+    keeping each kind in one task spares the other workers that
+    codegen; a kind larger than an even share of the work is split into
+    shares so it cannot hold up the pool.  ``mem_flip`` faults need no
+    fault kernel, and their chunks even out the workers at the end.
+    """
+    share = -(-len(pending) // workers)
+    batches: List[List[int]] = []
+    for kind in FAULT_KINDS:
+        group = [index for index in pending if faults[index].kind == kind]
+        size = share if kind != "mem_flip" \
+            else max(1, len(group) // (workers * 4))
+        batches += [group[at:at + size]
+                    for at in range(0, len(group), size)]
+    return batches
 
 
 def run_campaign(design: Design, func: Callable,
@@ -437,15 +530,16 @@ def run_campaign(design: Design, func: Callable,
     :class:`_Testbench`); a design that is not single-configuration
     raises :class:`ValueError`.  The fault-free baseline runs first: it
     must classify as ``masked`` (anything else means the campaign's
-    verdicts would be meaningless) and its cycle count sets the hang
-    budget (``cycles × hang_factor``).  ``jobs`` > 1 fans injections over a
-    fork pool; ``backend="batched"`` additionally groups the
-    ``mem_flip`` faults into lockstep lanes.  ``time_budget`` (seconds,
-    measured from campaign start) stops scheduling new injections once
-    exceeded — already-running ones still land, so the nightly job
-    degrades to a shorter classified prefix instead of dying mid-pool.
-    ``ledger`` appends one ``inject`` run row plus one ``fault_runs``
-    row per verdict (schema v4) in the parent process only.
+    verdicts would be meaningless), its cycle count sets the hang
+    budget (``cycles × hang_factor``), and the checkpoints it leaves
+    let each ``reg_flip`` skip the cycles before its window.  ``jobs``
+    > 1 fans injections over a fork pool, one fault kind per task.
+    ``time_budget`` (seconds, measured from campaign start) stops
+    starting new injections once exceeded — already-running ones still
+    land, so the nightly job degrades to a shorter classified prefix
+    instead of dying mid-pool.  ``ledger`` appends one ``inject`` run
+    row plus one ``fault_runs`` row per verdict (schema v4) in the
+    parent process only.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -477,19 +571,6 @@ def run_campaign(design: Design, func: Callable,
     slots: List[Optional[InjectionResult]] = [None] * len(faults)
     pending = list(range(len(faults)))
 
-    # batched lockstep lanes for the mem_flip subset
-    if backend == "batched" and len(faults) > 1:
-        flips = [index for index in pending
-                 if faults[index].kind == "mem_flip"]
-        if len(flips) > 1:
-            lane_results = _run_mem_flip_batch(
-                design, [faults[index] for index in flips], inputs,
-                golden_images, max_cycles=budget, fsm_mode=fsm_mode,
-                mismatch_limit=8)
-            for index, result in zip(flips, lane_results):
-                slots[index] = result
-            pending = [index for index in pending if slots[index] is None]
-
     parallel = (
         jobs > 1 and len(pending) > 1
         and "fork" in multiprocessing.get_all_start_methods()
@@ -503,44 +584,22 @@ def run_campaign(design: Design, func: Callable,
                 "design": design, "func": func, "faults": faults,
                 "inputs": inputs, "backend": backend, "budget": budget,
                 "golden": golden_images, "fsm_mode": fsm_mode,
-                "testbench": testbench,
+                "testbench": testbench, "deadline": deadline,
             }
-            futures: Dict = {}
             try:
                 context = multiprocessing.get_context("fork")
                 workers = min(jobs, len(pending))
                 with ProcessPoolExecutor(max_workers=workers,
                                          mp_context=context) as pool:
+                    # each task checks the deadline before each fault,
+                    # so every task returns soon after it passes
+                    futures = [pool.submit(_pool_batch, batch)
+                               for batch in _pool_batches(faults, pending,
+                                                          workers)]
                     try:
-                        if deadline is None:
-                            for index, result in zip(
-                                    pending,
-                                    pool.map(
-                                        _pool_inject, pending,
-                                        chunksize=max(
-                                            1,
-                                            len(pending)
-                                            // (workers * 8)))):
+                        for future in futures:
+                            for index, result in future.result():
                                 slots[index] = result
-                        else:
-                            # per-task futures so the deadline can drop
-                            # whatever has not started yet
-                            futures = {pool.submit(_pool_inject, index):
-                                       index for index in pending}
-                            try:
-                                for future in as_completed(
-                                        futures,
-                                        timeout=max(
-                                            deadline
-                                            - time.perf_counter(), 0.0)):
-                                    slots[futures[future]] = \
-                                        future.result()
-                            except FuturesTimeout:
-                                for future in futures:
-                                    future.cancel()
-                        # leaving the with-block joins the pool, so
-                        # tasks that were already in flight when the
-                        # deadline hit finish now; harvest them below
                     except BrokenProcessPool as exc:
                         unfinished = [faults[index].fault_id
                                       for index in pending
@@ -549,12 +608,6 @@ def run_campaign(design: Design, func: Callable,
                             f"campaign worker process died while running "
                             f"fault(s) {unfinished[:8]}; rerun with "
                             f"jobs=1 to reproduce in-process") from exc
-                # the pool has joined: injections that were in flight
-                # when a deadline fired have finished — keep them
-                for future, index in futures.items():
-                    if future.done() and not future.cancelled() \
-                            and slots[index] is None:
-                        slots[index] = future.result()
             finally:
                 _ACTIVE_CAMPAIGN = None
         else:

@@ -82,12 +82,21 @@ class FaultHandle:
     """An attached fault; ``detach()`` restores the clean simulator."""
 
     def __init__(self, sim, *, mechanism: str,
-                 watcher=None, hook=None, spec=None) -> None:
+                 watcher=None, hook=None, spec=None, latch=None) -> None:
         self.sim = sim
         self.mechanism = mechanism  # "kernel" | "watcher" | "cycle-hook"
         self._watcher = watcher  # (signal, callback)
         self._hook = hook
         self._spec = spec
+        #: a transient flip's one-shot fired flag, shared with the
+        #: kernel or the cycle hook (None for a stuck-at)
+        self._latch = latch
+
+    @property
+    def fired(self) -> bool:
+        """Whether the fault has taken effect: a stuck-at always has, a
+        transient flip once it has struck."""
+        return self._latch is None or bool(self._latch[0])
 
     def detach(self) -> None:
         if self._spec is not None:
@@ -142,7 +151,9 @@ def attach_fault(design, fault: FaultDescriptor) -> FaultHandle:
         spec = kernel_spec(fault, signal)
         sim.set_fault_spec(spec)
         if sim._ensure_program() is not None:
-            return FaultHandle(sim, mechanism="kernel", spec=spec)
+            return FaultHandle(sim, mechanism="kernel", spec=spec,
+                               latch=spec.latch if spec.kind == "flip"
+                               else None)
         # outside the compiled subset: clear the spec (which also
         # clears the fallback reason) and fault the event kernel the
         # design will now run on
@@ -173,20 +184,21 @@ def attach_fault(design, fault: FaultDescriptor) -> FaultHandle:
     # hook time — after the edge — is the state recorded one call ago.
     controller = design.controller
     xor_mask = (1 << fault.bit) & signal.mask
-    box = {"cycle": 0, "fired": False, "prev": controller.state}
+    box = {"cycle": 0, "prev": controller.state}
+    latch = [0]
 
-    def upset(sim_, _sig=signal, _box=box, _state=fault.state,
+    def upset(sim_, _sig=signal, _box=box, _latch=latch, _state=fault.state,
               _lo=fault.cycle_lo, _hi=fault.cycle_hi, _x=xor_mask):
         _box["cycle"] += 1
         pre = _box["prev"]
         _box["prev"] = controller.state
-        if _box["fired"] or (_state is not None and pre != _state):
+        if _latch[0] or (_state is not None and pre != _state):
             return
         if not (_lo <= _box["cycle"] <= _hi):
             return
-        _box["fired"] = True
+        _latch[0] = 1
         _sig.value = (_sig.value ^ _x) & _sig.mask
         sim_._worklist.extend(_sig.sinks)
 
     sim._cycle_hooks.append(upset)
-    return FaultHandle(sim, mechanism="cycle-hook", hook=upset)
+    return FaultHandle(sim, mechanism="cycle-hook", hook=upset, latch=latch)

@@ -24,29 +24,52 @@ applies the same idea to the test infrastructure *itself*:
 
 Everything is pay-for-what-you-use: with no recorder installed,
 :func:`repro.obs.trace.span` returns a shared no-op object, and no
-coverage hooks or watchers exist unless a collector is attached.
+coverage hooks or watchers exist unless a collector is attached.  The
+same holds for imports: only tracing and coverage load with the
+package, which the verification path uses; every other name below is
+imported from its module on first access (PEP 562).
 """
+
+import importlib
 
 from .coverage import (ConfigurationCoverage, CoverageCollector,
                        CoverageReport, FsmCoverage, OperatorCoverage,
                        format_coverage)
-from .dashboard import export_json, export_prometheus, render_dashboard
-from .ledger import (LEDGER_ENV, Ledger, LedgerError, SCHEMA_VERSION,
-                     ledger_from_env)
-from .metrics import (Histogram, Metrics, campaign_metrics, flow_metrics,
-                      render_prometheus_histogram, serve_metrics,
-                      suite_metrics, verification_metrics)
-from .profile import (KernelProfiler, ProfileError, ProfileReport,
-                      profile_case)
-from .regress import (Finding, RegressionReport, Thresholds, compare_run)
 from .trace import (Span, TraceRecorder, active_recorder, current_context,
                     event, export_chrome_trace, install, new_trace_id,
                     recording, span, start_span, trace_context, uninstall)
-# triage pulls in sim/inject layers lazily; keep this import last
-from .triage import (Suspect, TriageError, TriageRecord, TriageResult,
-                     attach_to_ledger, locate_divergence,
-                     render_triage_html, triage_backends, triage_fault,
-                     triage_fuzz_entry)
+
+#: lazily imported name -> the submodule that defines it
+_LAZY = {
+    **dict.fromkeys(("export_json", "export_prometheus",
+                     "render_dashboard"), "dashboard"),
+    **dict.fromkeys(("LEDGER_ENV", "Ledger", "LedgerError",
+                     "SCHEMA_VERSION", "ledger_from_env"), "ledger"),
+    **dict.fromkeys(("Histogram", "Metrics", "campaign_metrics",
+                     "flow_metrics", "render_prometheus_histogram",
+                     "serve_metrics", "suite_metrics",
+                     "verification_metrics"), "metrics"),
+    **dict.fromkeys(("KernelProfiler", "ProfileError", "ProfileReport",
+                     "profile_case"), "profile"),
+    **dict.fromkeys(("Finding", "RegressionReport", "Thresholds",
+                     "compare_run"), "regress"),
+    **dict.fromkeys(("Suspect", "TriageError", "TriageRecord",
+                     "TriageResult", "attach_to_ledger",
+                     "locate_divergence", "render_triage_html",
+                     "triage_backends", "triage_fault",
+                     "triage_fuzz_entry"), "triage"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Span", "TraceRecorder", "recording", "span", "event", "start_span",

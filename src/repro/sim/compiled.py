@@ -55,11 +55,6 @@ class _Unsupported(Exception):
     """The design is outside the compiled subset; fall back."""
 
 
-#: bump whenever generated-code semantics change; part of the
-#: persistent kernel-cache key so stale kernels can never be loaded
-_CODEGEN_VERSION = 3
-
-
 # ----------------------------------------------------------------------
 # Transition classification
 # ----------------------------------------------------------------------
@@ -1259,27 +1254,36 @@ class CompiledSimulator(Simulator):
                 self.fallback_reason = str(exc)
         return self._program
 
-    def _load_or_build_program(self) -> CompiledProgram:
-        """Check the persistent kernel cache before generating code.
+    def _cache_key(self) -> Optional[str]:
+        """The kernel-cache key of the program this simulator needs.
 
-        The key covers everything codegen depends on: the structural
-        design digest, the kernel flavour, the coverage and profile
-        flags, the fault kind (see :func:`_fault_token`), the codegen
-        version and (inside the cache layer) the interpreter's bytecode
-        magic.  Designs without a digest (hand-built sims,
-        post-elaboration mutations) always build fresh.
+        It covers everything codegen depends on: the structural design
+        digest, the kernel flavour, the coverage and profile flags, the
+        fault kind (see :func:`_fault_token`) and the generators' own
+        source (:func:`~repro.core.kernelcache.kernel_fingerprint`);
+        the cache layer adds the interpreter's bytecode magic.  None
+        for designs without a digest (hand-built sims,
+        post-elaboration mutations), which always build fresh.
         """
-        from ..core.kernelcache import default_cache, digest_parts
+        from ..core.kernelcache import digest_parts, kernel_fingerprint
 
-        digest = self.design_digest
-        if not digest:
+        if not self.design_digest:
+            return None
+        return digest_parts("kernel", kernel_fingerprint(),
+                            self.design_digest, self._kernel_kind,
+                            int(bool(self.coverage_enabled)),
+                            int(bool(self.profile_enabled)),
+                            _fault_token(self.fault_spec))
+
+    def _load_or_build_program(self) -> CompiledProgram:
+        """Check the persistent kernel cache (see :meth:`_cache_key`)
+        before generating code."""
+        from ..core.kernelcache import default_cache
+
+        key = self._cache_key()
+        if key is None:
             return _build_program(self)
         cache = default_cache()
-        key = digest_parts("kernel-v%d" % _CODEGEN_VERSION, digest,
-                           self._kernel_kind,
-                           int(bool(self.coverage_enabled)),
-                           int(bool(self.profile_enabled)),
-                           _fault_token(self.fault_spec))
         payload, code = cache.get("kernel", key)
         if payload is not None and code is not None:
             program = _program_from_cache(self, payload, code)

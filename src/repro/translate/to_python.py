@@ -135,6 +135,15 @@ class GeneratedFsmBehavior:
 _BEHAVIOR_MEMO: Dict[str, GeneratedFsmBehavior] = {}
 
 
+def _fsm_key(fsm: Fsm) -> str:
+    """Memo and kernel-cache key of *fsm*'s generated module: the FSM
+    digest plus the generator's own source (see
+    :func:`~repro.core.kernelcache.fsm_fingerprint`)."""
+    from ..core.kernelcache import digest_parts, fsm_digest, fsm_fingerprint
+
+    return digest_parts("fsm-module", fsm_fingerprint(), fsm_digest(fsm))
+
+
 def compile_fsm(fsm: Fsm) -> GeneratedFsmBehavior:
     """Generate and load executable behaviour for *fsm*.
 
@@ -142,12 +151,13 @@ def compile_fsm(fsm: Fsm) -> GeneratedFsmBehavior:
     elaboration time for large FSMs, so behaviour objects are memoised
     per process (they are stateless) and the bytecode additionally
     persists in the kernel cache so fresh processes skip ``compile()``.
-    The memo key is the structural FSM digest — cheaper to compute than
-    regenerating the module source, which a memo hit skips entirely.
+    The memo key is the structural FSM digest with the generator's
+    fingerprint — cheaper to compute than regenerating the module
+    source, which a memo hit skips entirely.
     """
-    from ..core.kernelcache import default_cache, digest_parts, fsm_digest
+    from ..core.kernelcache import default_cache
 
-    key = digest_parts("fsm-module", fsm_digest(fsm))
+    key = _fsm_key(fsm)
     behavior = _BEHAVIOR_MEMO.get(key)
     if behavior is not None:
         return behavior

@@ -1,12 +1,18 @@
 """Tests for the campaign runner: classification, replay, pooling."""
 
+import itertools
 import multiprocessing
+import os
+import random
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
 
+import repro.sim.compiled as compiled_mod
 from repro.apps import CASE_BUILDERS, suite_case
 from repro.core import verify_design
+from repro.core.kernelcache import KernelCache, set_default_cache
 from repro.inject import (FaultDescriptor, FaultloadGenerator, run_campaign,
                           run_injection)
 from repro.inject import campaign as campaign_mod
@@ -45,6 +51,11 @@ def threshold():
 def fdct1():
     case = suite_case("fdct1", **SMALL_SIZES["fdct1"])
     return case, case.compile(), case.inputs(0)
+
+
+def _row(result):
+    return (result.fault.fault_id, result.verdict, result.cycles,
+            result.mechanism, result.note)
 
 
 @pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
@@ -151,12 +162,10 @@ class TestPool:
         pooled = run_campaign(design, case.func, faults, inputs,
                               backend="compiled", jobs=2)
         # the serial run warms the shared stuck/flip kernels, which the
-        # forked workers inherit and must bind to each fault's own target
-        def rows(report):
-            return [(r.fault.fault_id, r.verdict, r.cycles, r.mechanism)
-                    for r in report.results]
-
-        assert rows(serial) == rows(pooled)
+        # forked workers inherit and must bind to each fault's own target;
+        # they also inherit the fault-free checkpoints
+        assert [_row(r) for r in serial.results] \
+            == [_row(r) for r in pooled.results]
         assert campaign_mod._ACTIVE_CAMPAIGN is None
 
     @fork_only
@@ -310,6 +319,178 @@ class TestElaboration:
         assert mechanisms == {"kernel", "watcher", "cycle-hook", "image"}
 
 
+def _pre_edge_states(design, inputs, cycles):
+    """The fault-free run's FSM state before each cycle's edge, indexed
+    by 1-based cycle (what a ``reg_flip``'s pinned state is matched
+    against)."""
+    bench = campaign_mod._Testbench(design, inputs, backend="event",
+                                    fsm_mode="generated")
+    sim, controller = bench.design.sim, bench.design.controller
+    sim.settle()
+    states = [None]
+    for _ in range(cycles):
+        states.append(controller.state)
+        sim.step_cycle()
+    return states
+
+
+@pytest.fixture(scope="module")
+def boundary_plan(fdct1):
+    """Transient upsets placed around every checkpoint boundary of the
+    fdct1 fixture: windows that open one cycle before, on and one cycle
+    after a boundary, upsets that strike on their window's first cycle
+    and ones that strike on its last, and windows that open only after
+    ``done``.  The placed upsets are drawn until two per slot change the
+    run's outcome, so a window or a checkpoint off by one cycle shows.
+
+    Returns ``(fault-free cycles, faults)``.
+    """
+    case, design, inputs = fdct1
+    cycles = run_injection(design, case.func, None, inputs).cycles
+    states = _pre_edge_states(design, inputs, cycles)
+    # no fault-free run recorded on it: every injection starts at cycle 0
+    bench = campaign_mod._Testbench(design, inputs, backend="compiled",
+                                    fsm_mode="generated")
+    golden = campaign_mod._golden_images(design, case.func, inputs)
+    registers = FaultloadGenerator(design).space.registers
+    rng = random.Random(0)
+    flips = []
+
+    def strikes(fault):
+        result = run_injection(design, case.func, fault, inputs,
+                               golden_images=golden, testbench=bench)
+        return (result.verdict, result.cycles) != ("masked", cycles)
+
+    def place(tag, lo, hi, state):
+        drawn = (FaultDescriptor(fault_id=f"{tag}-{name}", kind="reg_flip",
+                                 target=name, bit=rng.randrange(width),
+                                 state=state, cycle_lo=lo, cycle_hi=hi)
+                 for name, width in rng.sample(registers, len(registers)))
+        placed = list(itertools.islice(filter(strikes, drawn), 2))
+        assert placed, f"no upset in slot {tag} changes the outcome"
+        flips.extend(placed)
+
+    stride = campaign_mod.CHECKPOINT_STRIDE
+    for boundary in range(stride, cycles, stride):
+        for at in (boundary - 1, boundary, boundary + 1):
+            place(f"first@{at}", at, at + 8, states[at])
+            # a window that holds its pinned state on its last cycle only
+            lo = at - 1
+            while lo > max(at - 64, 0) and states[lo] != states[at]:
+                lo -= 1
+            place(f"last@{at}", lo + 1, at, states[at])
+    flips += [
+        FaultDescriptor(fault_id="after-done", kind="reg_flip",
+                        target=registers[0][0], state=states[1],
+                        cycle_lo=cycles + 1, cycle_hi=cycles + 40),
+        FaultDescriptor(fault_id="any-state-after-done", kind="reg_flip",
+                        target=registers[0][0], state=None,
+                        cycle_lo=cycles + 2, cycle_hi=cycles + 3),
+    ]
+    return cycles, flips
+
+
+class TestCheckpoints:
+    """A campaign starts each ``reg_flip`` from the fault-free
+    checkpoint before its window and stops an upset that has not struck
+    when its window closes; every such run must report exactly what the
+    one-off run from cycle 0 reports."""
+
+    @pytest.mark.parametrize("backend", ["event", "oblivious", "compiled",
+                                         "traced"])
+    def test_chunked_fault_free_run_matches_one_run(self, fdct1, backend):
+        case, design, inputs = fdct1
+        bench = campaign_mod._Testbench(design, inputs, backend=backend,
+                                        fsm_mode="generated")
+        cycles = bench.record(10_000)
+        assert bench.checkpoints == list(
+            range(0, cycles, campaign_mod.CHECKPOINT_STRIDE))
+        whole = campaign_mod._Testbench(design, inputs, backend=backend,
+                                        fsm_mode="generated")
+        assert whole.design.run_to_done(max_cycles=10_000) == cycles
+        assert {name: image.words()
+                for name, image in bench.design.memories.items()} == \
+            {name: image.words()
+             for name, image in whole.design.memories.items()}
+
+    @pytest.mark.parametrize("backend", ["compiled", "traced", "event"])
+    def test_campaign_matches_one_off_runs(self, fdct1, boundary_plan,
+                                           backend):
+        case, design, inputs = fdct1
+        cycles, placed = boundary_plan
+        # two checkpoint boundaries, three windows and two slots each
+        assert cycles > 2 * campaign_mod.CHECKPOINT_STRIDE
+        assert len(placed) >= 2 * 3 * 2 + 2
+        faults = placed + FaultloadGenerator(
+            design, seed=21, max_cycle=cycles).generate(24)
+        report = run_campaign(design, case.func, faults, inputs,
+                              backend=backend, jobs=1)
+        assert report.baseline.cycles == cycles
+        assert len(report.results) == len(faults)
+        for result in report.results:
+            fresh = run_injection(design, case.func, result.fault, inputs,
+                                  backend=backend,
+                                  max_cycles=report.cycle_budget)
+            assert _row(result) == _row(fresh), result.fault.describe()
+
+    @fork_only
+    def test_each_fault_kernel_is_built_in_one_worker(self, threshold,
+                                                      tmp_path,
+                                                      monkeypatch):
+        """The pool hands the signal faults out one kind per task, so
+        with two workers no fault kernel is generated twice."""
+        case, design, inputs = threshold
+        baseline = run_injection(design, case.func, None, inputs,
+                                 backend="compiled")
+        faults = FaultloadGenerator(design, seed=23,
+                                    max_cycle=baseline.cycles).generate(30)
+        log = tmp_path / "builds.log"
+        original = compiled_mod._build_program
+
+        def logged(sim):
+            program = original(sim)
+            with open(log, "a") as sink:
+                sink.write(f"{os.getpid()} "
+                           f"{compiled_mod._fault_token(sim.fault_spec)}\n")
+            return program
+
+        monkeypatch.setattr(compiled_mod, "_build_program", logged)
+        previous = set_default_cache(KernelCache(None))
+        try:
+            report = run_campaign(design, case.func, faults, inputs,
+                                  backend="compiled", jobs=2)
+        finally:
+            set_default_cache(previous)
+        assert len(report.results) == len(faults)
+        builders = defaultdict(list)
+        for line in log.read_text().splitlines():
+            pid, _, kind = line.partition(" ")
+            builders[kind].append(int(pid))
+        assert builders["stuck"] and builders["flip"]
+        for kind in ("stuck", "flip"):
+            assert len(builders[kind]) == 1, (kind, builders)
+            assert builders[kind] != [os.getpid()]
+
+    def test_pool_batches_group_signal_faults_by_kind(self, threshold):
+        case, design, inputs = threshold
+        faults = FaultloadGenerator(design, seed=24,
+                                    max_cycle=100).generate(60)
+        pending = list(range(len(faults)))
+        batches = campaign_mod._pool_batches(faults, pending, 2)
+        assert sorted(index for batch in batches for index in batch) \
+            == pending
+        kinds = [{faults[index].kind for index in batch}
+                 for batch in batches]
+        assert kinds[:2] == [{"stuck"}, {"reg_flip"}]
+        assert all(kind == {"mem_flip"} for kind in kinds[2:])
+        assert len(kinds) > 4  # mem_flips come in small chunks
+        # a kind beyond an even share of the work is split into shares
+        stuck = [index for index in pending
+                 if faults[index].kind == "stuck"]
+        assert campaign_mod._pool_batches(faults, stuck, 2) \
+            == [stuck[:10], stuck[10:]]
+
+
 class TestTimeBudget:
     def test_zero_budget_classifies_nothing(self, threshold):
         case, design, inputs = threshold
@@ -331,23 +512,6 @@ class TestTimeBudget:
                               backend="compiled")
         assert len(report.results) == report.planned == 4
         assert "time budget" not in report.summary()
-
-
-class TestBatched:
-    def test_batched_mem_flips_match_serial(self, threshold):
-        case, design, inputs = threshold
-        baseline = run_injection(design, case.func, None, inputs,
-                                 backend="compiled")
-        faults = FaultloadGenerator(design, seed=6,
-                                    max_cycle=baseline.cycles) \
-            .generate(6, kinds=("mem_flip",))
-        serial = run_campaign(design, case.func, faults, inputs,
-                              backend="compiled")
-        batched = run_campaign(design, case.func, faults, inputs,
-                               backend="batched")
-        assert [r.verdict for r in serial.results] \
-            == [r.verdict for r in batched.results]
-        assert all(r.mechanism == "image" for r in batched.results)
 
 
 class TestLedgerRecording:

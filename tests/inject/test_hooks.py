@@ -152,6 +152,34 @@ class TestMechanisms:
             assert len(sim_design.sim._cycle_hooks) == before + 1
         assert len(sim_design.sim._cycle_hooks) == before
 
+    @pytest.mark.parametrize("backend", ["event", "compiled"])
+    def test_fired_reports_whether_a_flip_struck(self, design, backend):
+        """``FaultHandle.fired`` reads the kernel's one-shot latch or the
+        cycle hook's flag; a stuck-at is in force from the start."""
+        from repro.inject.campaign import _Testbench
+
+        bench = _Testbench(design, None, backend=backend,
+                           fsm_mode="generated")
+        sim_design = bench.design
+        name = next(name for name, _ in FaultloadGenerator(design)
+                    .space.registers)
+        first = sim_design.controller.state
+        mechanism = "kernel" if backend == "compiled" else "cycle-hook"
+        for lo, struck in ((1, True), (10**6, False)):
+            bench.rewind()
+            fault = FaultDescriptor(fault_id="f", kind="reg_flip",
+                                    target=name, bit=0, state=first,
+                                    cycle_lo=lo, cycle_hi=lo + 2)
+            with attach_fault(sim_design, fault) as handle:
+                assert handle.mechanism == mechanism
+                assert not handle.fired
+                sim_design.run_to_done(max_cycles=100_000)
+                assert handle.fired is struck
+        bench.rewind()
+        stuck = FaultDescriptor(fault_id="s", kind="stuck", target=name)
+        with attach_fault(sim_design, stuck) as handle:
+            assert handle.fired
+
     def test_fallbacks_survive_a_warm_cache(self, design, case,
                                             fresh_cache):
         """The shared stuck and flip kernels are bound to each fault at

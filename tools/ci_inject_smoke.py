@@ -18,9 +18,11 @@ Four gates, cheap enough for every push (fdct1, ~200 injections):
    artifacts, so a hang replays locally with
    ``repro inject fdct1 --replay hang-reproducers.json``.
 4. **Rewind fidelity** — a campaign runs every fault on one rewound
-   elaboration; every 8th fault is re-run on a fresh elaboration
-   (a one-off ``run_injection``) and must classify identically:
-   same verdict, cycles, mechanism and note.
+   elaboration, and starts each ``reg_flip`` from the fault-free
+   checkpoint before its window; every 8th fault and every
+   ``reg_flip`` is re-run on a fresh elaboration from cycle 0 (a
+   one-off ``run_injection``) and must classify identically: same
+   verdict, cycles, mechanism and note.
 
 Exit status 0 = all gates pass.
 """
@@ -37,7 +39,8 @@ SIZE = {"pixels": 256}
 CAMPAIGN_FAULTS = 200
 CAMPAIGN_SEED = 0
 JOBS = 4
-#: every REWIND_STRIDE-th campaign fault is re-run on a fresh elaboration
+#: every REWIND_STRIDE-th campaign fault, and every reg_flip, is re-run
+#: on a fresh elaboration
 REWIND_STRIDE = 8
 LEDGER = "inject-campaign.sqlite"
 HANGS = "hang-reproducers.json"
@@ -103,7 +106,9 @@ def rewind_gate(design, case, inputs, report):
         return (result.verdict, result.cycles, result.mechanism,
                 result.note)
 
-    sampled = report.results[::REWIND_STRIDE]
+    sampled = [result for index, result in enumerate(report.results)
+               if index % REWIND_STRIDE == 0
+               or result.fault.kind == "reg_flip"]
     differ = []
     for result in sampled:
         fresh = run_injection(design, case.func, result.fault, inputs,
