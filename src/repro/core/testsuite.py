@@ -10,11 +10,8 @@ metrics.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Mapping, Optional, Union
@@ -25,6 +22,7 @@ from ..obs.coverage import CoverageReport
 from ..obs.trace import span
 from ..util.files import MemoryImage
 from ..util.loc import function_source
+from ..util.pool import ForkPool
 from .cache import ArtifactCache, design_key
 from .kernelcache import default_cache
 from .report import DesignMetrics, collect_metrics, format_table
@@ -166,13 +164,12 @@ def run_case(case: SuiteCase, *, seed: int, fsm_mode: str = "generated",
     """Compile + verify one case; never raises (errors become results).
 
     This is the unit of work everything schedules: the suite runner's
-    serial loop and fork pool, and the serve workers
-    (:mod:`repro.serve`) all execute jobs through this one function, so
-    a verdict is the same object no matter which entry point produced
-    it.  ``batch`` > 1 verifies that many seeded stimulus sets
-    (``seed`` .. ``seed + batch - 1``) through one batched simulation
-    and returns a result whose verification quacks like a
-    :class:`~repro.core.verification.BatchVerificationResult`.
+    pool tasks and the serve workers (:mod:`repro.serve`) all execute
+    jobs through this one function, so a verdict is the same object no
+    matter which entry point produced it.  ``batch`` > 1 verifies that
+    many seeded stimulus sets (``seed`` .. ``seed + batch - 1``) through
+    one batched simulation and returns a result whose verification
+    quacks like a :class:`~repro.core.verification.BatchVerificationResult`.
     """
     started = time.perf_counter()
     case_span = span("suite.case", "suite", case=case.name, backend=backend)
@@ -220,38 +217,22 @@ def run_case(case: SuiteCase, *, seed: int, fsm_mode: str = "generated",
 
 
 # historical private name, still the indirection point the suite's
-# serial loop and pool workers call through (tests patch it)
+# pool tasks call through (tests and the benchmark's layer spans patch it)
 _run_case = run_case
 
 
-# Worker-side handle for the parallel runner.  SuiteCase carries a
-# stimulus-factory closure, which does not pickle; with the fork start
-# method the child inherits this module global instead, and the parent
-# only ships a case *index* per task.
-_ACTIVE_SUITE: Optional["TestSuite"] = None
+def _run_pending_case(state, index: int) -> CaseResult:
+    """Pool task: run case *index* of ``state = (cases, options)``.
 
-
-def _pool_run(args) -> CaseResult:
-    """Worker entry point; must never raise.
-
-    An exception escaping here would surface in the parent as an opaque
-    pickling/``BrokenProcessPool`` failure with the worker's traceback
-    lost, so every error — including harness-level ones such as a
-    missing ``_ACTIVE_SUITE`` — is folded into an error
-    :class:`CaseResult` carrying the original traceback text.
+    Any error, even one from outside :func:`run_case`, comes back as an
+    error :class:`CaseResult` with its traceback, so a worker never
+    raises one across the pool boundary.
     """
-    index, seed, fsm_mode, backend, coverage, batch = args
+    cases, options = state
     try:
-        return _run_case(_ACTIVE_SUITE.cases[index], seed=seed,
-                         fsm_mode=fsm_mode, backend=backend,
-                         coverage=coverage, batch=batch)
-    except BaseException as exc:  # noqa: BLE001 - worker boundary
-        name = f"case[{index}]"
-        try:
-            name = _ACTIVE_SUITE.cases[index].name
-        except Exception:  # noqa: BLE001 - _ACTIVE_SUITE may be unusable
-            pass
-        return CaseResult(name, None, None, 0.0,
+        return _run_case(cases[index], **options)
+    except Exception as exc:  # noqa: BLE001 - a task reports, never raises
+        return CaseResult(cases[index].name, None, None, 0.0,
                           error=f"{type(exc).__name__}: {exc}",
                           traceback=traceback.format_exc())
 
@@ -287,10 +268,10 @@ class TestSuite:
         :func:`verify_design_batch`); a case passes only if every lane
         passes.  Batched mode implies the batched backend and is
         mutually exclusive with ``coverage``.
-        ``jobs`` > 1 fans independent cases out over a process pool
-        (requires the ``fork`` start method; falls back to serial
-        elsewhere, and ``stop_on_failure`` always runs serially so the
-        early-exit semantics hold).  ``cache`` (an
+        ``jobs`` > 1 fans independent cases out over a
+        :class:`~repro.util.pool.ForkPool` (serial where ``fork`` is
+        missing, and always under ``stop_on_failure``, so the early-exit
+        semantics hold).  ``cache`` (an
         :class:`~repro.core.cache.ArtifactCache` or a directory path)
         answers unchanged passing cases from disk.  ``coverage=True``
         collects functional coverage per case and merges it into
@@ -332,60 +313,25 @@ class TestSuite:
                     continue
             pending.append(index)
 
-        parallel = (
-            jobs > 1 and len(pending) > 1 and not stop_on_failure
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-        if parallel:
-            # read the sources here, once: the fork workers inherit them
-            for index in pending:
-                try:
-                    function_source(self.cases[index].func)
-                except (OSError, TypeError):
-                    pass  # the worker's compile reports it
+        # read the sources here, once: fork workers inherit them
+        for index in pending:
+            try:
+                function_source(self.cases[index].func)
+            except (OSError, TypeError):
+                pass  # the case's compile reports it
+        options = dict(seed=seed, fsm_mode=fsm_mode, backend=backend,
+                       coverage=coverage, batch=batch)
         run_span = span("suite.run", "suite", suite=self.name,
                         backend=backend, jobs=jobs, cases=len(self.cases),
                         cached=report.cache_hits)
-        with run_span:
-            if parallel:
-                global _ACTIVE_SUITE
-                _ACTIVE_SUITE = self
-                try:
-                    context = multiprocessing.get_context("fork")
-                    workers = min(jobs, len(pending))
-                    with ProcessPoolExecutor(max_workers=workers,
-                                             mp_context=context) as pool:
-                        tasks = [(index, seed, fsm_mode, backend, coverage,
-                                  batch)
-                                 for index in pending]
-                        try:
-                            for index, result in zip(
-                                    pending, pool.map(_pool_run, tasks)):
-                                slots[index] = result
-                        except BrokenProcessPool as exc:
-                            # a worker died without returning (hard crash,
-                            # os._exit, OOM kill); name the cases still in
-                            # flight instead of surfacing the bare pool
-                            # error
-                            unfinished = [self.cases[index].name
-                                          for index in pending
-                                          if slots[index] is None]
-                            raise RuntimeError(
-                                f"suite worker process died while running "
-                                f"case(s) {unfinished}; rerun with jobs=1 "
-                                f"to reproduce in-process"
-                            ) from exc
-                finally:
-                    _ACTIVE_SUITE = None
-            else:
-                for index in pending:
-                    slots[index] = _run_case(self.cases[index], seed=seed,
-                                             fsm_mode=fsm_mode,
-                                             backend=backend,
-                                             coverage=coverage,
-                                             batch=batch)
-                    if stop_on_failure and not slots[index].passed:
-                        break
+        with run_span, ForkPool(1 if stop_on_failure else jobs,
+                                (self.cases, options)) as pool:
+            results = pool.map(_run_pending_case, pending,
+                               label=lambda index: [self.cases[index].name])
+            for index, result in zip(pending, results):
+                slots[index] = result
+                if stop_on_failure and not result.passed:
+                    break
 
         if cache is not None:
             for index in pending:
@@ -410,16 +356,11 @@ class TestSuite:
         report.wall_seconds = time.perf_counter() - suite_started
 
         if ledger is not None:
-            from ..obs.ledger import Ledger
-            owns = not isinstance(ledger, Ledger)
-            sink = Ledger(ledger) if owns else ledger
-            try:
+            from ..obs.ledger import ledger_sink
+            with ledger_sink(ledger) as sink:
                 sink.record_suite(
                     report, suite=self.name,
                     sizes={case.name: dict(case.params)
                            for case in self.cases},
                     cache=cache)
-            finally:
-                if owns:
-                    sink.close()
         return report

@@ -232,14 +232,9 @@ def verify_design(design: Design, func: Callable,
         probe_samples=probe_samples,
     )
     if ledger is not None:
-        from ..obs.ledger import Ledger
-        owns = not isinstance(ledger, Ledger)
-        sink = Ledger(ledger) if owns else ledger
-        try:
+        from ..obs.ledger import ledger_sink
+        with ledger_sink(ledger) as sink:
             sink.record_verification(result, size=design.params)
-        finally:
-            if owns:
-                sink.close()
     return result
 
 
@@ -435,12 +430,7 @@ def verify_design_batch(design: Design, func: Callable,
         fallback_reason=fallback_reason,
     )
     if ledger is not None:
-        from ..obs.ledger import Ledger
-        owns = not isinstance(ledger, Ledger)
-        sink = Ledger(ledger) if owns else ledger
-        try:
+        from ..obs.ledger import ledger_sink
+        with ledger_sink(ledger) as sink:
             sink.record_batch_verification(result, size=design.params)
-        finally:
-            if owns:
-                sink.close()
     return result

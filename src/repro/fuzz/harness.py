@@ -22,19 +22,18 @@ observe: final memory contents (against golden) and cycle counts
     a backend produced different memory contents than golden, or the
     backends disagree on the cycle count
 
-Campaigns fan iterations out over a fork-based process pool (the same
-machinery as :meth:`repro.core.TestSuite.run`), minimize every failure
+Campaigns fan iterations out over a :class:`~repro.util.pool.ForkPool`
+(the same pool as :meth:`repro.core.TestSuite.run`), minimize every failure
 with :mod:`repro.fuzz.reduce`, and write reproducers into the corpus
 directory for the regression suite to replay.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.partitioning import SPILL_MEMORY
@@ -47,6 +46,7 @@ from ..rtg.executor import RtgExecutor
 from ..sim import SIMULATOR_BACKENDS
 from ..sim.errors import SimulationTimeout
 from ..util.files import compare_images
+from ..util.pool import ForkPool
 from .generator import GeneratorConfig, generate, make_images
 from .ir import FuzzProgram
 
@@ -126,13 +126,6 @@ class CampaignReport:
     #: seeds whose program exercised at least one item no earlier seed
     #: had — the first step toward coverage-guided generation
     new_coverage_seeds: List[int] = field(default_factory=list)
-    #: one-time fork-pool spin-up cost, paid before the first wave
-    pool_startup_seconds: float = 0.0
-    #: dispatch waves served by that single pool
-    pool_waves: int = 0
-    #: spin-up cost a per-wave pool would have paid again on every
-    #: wave after the first — the measured value of pool reuse
-    pool_reuse_saved_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -158,12 +151,6 @@ class CampaignReport:
             lines.append(
                 f"  coverage: {len(self.coverage_items)} item(s), "
                 f"{len(self.new_coverage_seeds)} new-coverage seed(s)")
-        if self.pool_waves > 1:
-            lines.append(
-                f"  pool: {self.pool_waves} wave(s) on one pool, "
-                f"startup {self.pool_startup_seconds * 1e3:.0f}ms paid "
-                f"once (~{self.pool_reuse_saved_seconds * 1e3:.0f}ms "
-                f"re-spawn cost avoided)")
         for failure in self.failures:
             lines.append(f"  [FAIL] seed {failure.seed}: "
                          f"{failure.outcome.describe()}")
@@ -400,20 +387,10 @@ def run_wave_batched(programs: Sequence[FuzzProgram], *,
 # ----------------------------------------------------------------------
 # Campaigns
 # ----------------------------------------------------------------------
-# Worker-side state for the fork-based pool: GeneratorConfig carries no
-# closures, but shipping it once via a module global keeps the per-task
-# payload to a single integer seed (same pattern as core.testsuite).
-_WORKER_STATE: Optional[
-    Tuple[GeneratorConfig, Tuple[str, ...], int, int, bool]] = None
-
-
-def _worker_warmup(_index: int) -> None:
-    """No-op task that forces worker processes to exist (and be timed)."""
-    return None
-
-
-def _run_one_seed(case_seed: int) -> FuzzCaseResult:
-    config, backends, max_cycles, input_seed, collect = _WORKER_STATE
+def _run_one_seed(state, case_seed: int) -> FuzzCaseResult:
+    """Pool task: fuzz generator seed *case_seed* under ``state =
+    (config, backends, max_cycles, input_seed, collect)``."""
+    config, backends, max_cycles, input_seed, collect = state
     started = time.perf_counter()
     collector = CoverageCollector() if collect else None
     seed_span = span("fuzz.seed", "fuzz", seed=case_seed)
@@ -469,58 +446,24 @@ def run_campaign(iterations: int, *, seed: int = 0, jobs: int = 1,
     report = CampaignReport(seed=seed, jobs=jobs)
     started = time.perf_counter()
 
-    global _WORKER_STATE
-    _WORKER_STATE = (config, tuple(backends), max_cycles, input_seed,
-                     coverage)
-    parallel = (jobs > 1 and iterations > 1
-                and "fork" in multiprocessing.get_all_start_methods())
-    try:
-        if parallel:
-            context = multiprocessing.get_context("fork")
-            wave = max(jobs * 8, 16)
-            # one pool serves every wave: the fork spin-up cost is paid
-            # (and measured) exactly once, up front, instead of once
-            # per wave; waves remain as the time-budget check cadence
-            with ProcessPoolExecutor(max_workers=jobs,
-                                     mp_context=context) as pool:
-                spawn_started = time.perf_counter()
-                for _ in pool.map(_worker_warmup, range(jobs)):
-                    pass
-                report.pool_startup_seconds = (
-                    time.perf_counter() - spawn_started)
-                for base in range(0, iterations, wave):
-                    report.pool_waves += 1
-                    seeds = [seed + i for i in
-                             range(base, min(base + wave, iterations))]
-                    for result in pool.map(_run_one_seed, seeds,
-                                           chunksize=2):
-                        _absorb(report, result, on_progress)
-                    report.wall_seconds = time.perf_counter() - started
-                    if time_budget is not None \
-                            and report.wall_seconds >= time_budget:
-                        break
-                report.pool_reuse_saved_seconds = (
-                    report.pool_startup_seconds
-                    * max(0, report.pool_waves - 1))
-        else:
-            for i in range(iterations):
-                _absorb(report, _run_one_seed(seed + i), on_progress)
-                report.wall_seconds = time.perf_counter() - started
-                if time_budget is not None \
-                        and report.wall_seconds >= time_budget:
-                    break
-    finally:
-        _WORKER_STATE = None
+    state = (config, tuple(backends), max_cycles, input_seed, coverage)
+    # seeds go to the pool in waves, so a campaign stopped by its budget
+    # leaves at most one wave of seeds to cancel
+    wave = max(jobs * 8, 16)
+    waves = (range(seed + at, seed + min(at + wave, iterations))
+             for at in range(0, iterations, wave))
+    with ForkPool(jobs, state) as pool:
+        for result in chain.from_iterable(pool.map(_run_one_seed, seeds)
+                                          for seeds in waves):
+            _absorb(report, result, on_progress)
+            if time_budget is not None \
+                    and time.perf_counter() - started >= time_budget:
+                break
     report.wall_seconds = time.perf_counter() - started
     if ledger is not None:
-        from ..obs.ledger import Ledger
-        owns = not isinstance(ledger, Ledger)
-        sink = Ledger(ledger) if owns else ledger
-        try:
+        from ..obs.ledger import ledger_sink
+        with ledger_sink(ledger) as sink:
             sink.record_fuzz(report)
-        finally:
-            if owns:
-                sink.close()
     return report
 
 

@@ -23,24 +23,22 @@ transient upset starts from the fault-free checkpoint before its window
 and stops as soon as its window closes without it striking (see
 :class:`_Testbench`).
 
-:func:`run_campaign` mirrors the test-suite fork pool: the design,
-its elaboration, golden images and faultload live in a module global
-that workers inherit over ``fork``, each task ships only fault indices,
-workers never raise, and the ledger is touched only in the parent after
-the pool has drained.  Tasks group the signal faults by kind, so a
-worker generates only the fault kernels of the kinds it is handed.
+:func:`run_campaign` runs on the same :class:`~repro.util.pool.ForkPool`
+as the test suite: the design, its elaboration, golden images and
+faultload are the pool's state, which workers inherit over ``fork``;
+each task ships only fault indices, tasks never raise, and the ledger
+is touched only in the parent after the pool has drained.  Tasks group
+the signal faults by kind, so a worker generates only the fault kernels
+of the kinds it is handed.
 """
 
 from __future__ import annotations
 
 import bisect
-import multiprocessing
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..compiler.partitioning import SPILL_MEMORY
 from ..compiler.pipeline import Design
@@ -51,6 +49,7 @@ from ..rtg.context import ReconfigurationContext
 from ..sim.errors import SimulationTimeout
 from ..translate.to_sim import build_simulation
 from ..util.files import MemoryImage, compare_images
+from ..util.pool import ForkPool
 from .faultload import FAULT_KINDS, FaultDescriptor
 from .hooks import attach_fault
 
@@ -445,46 +444,33 @@ def run_injection(design: Design, func: Callable,
 
 
 # ----------------------------------------------------------------------
-# The campaign runner (fork-pool, mirroring core.testsuite)
+# The campaign runner
 # ----------------------------------------------------------------------
-# Worker-side handle: the design, its elaboration and the golden images
-# do not need to be pickled — with the fork start method the children
-# inherit this module global, and the parent ships only a fault index
-# per task.
-_ACTIVE_CAMPAIGN: Optional[dict] = None
+def _inject_batch(c: dict, indices: Sequence[int]) -> List[InjectionResult]:
+    """Pool task: classify the faults *indices* of campaign *c* in
+    order until its deadline passes.
 
-
-def _pool_inject(index: int) -> InjectionResult:
-    """Classify one fault in a worker; must never raise (see
-    testsuite._pool_run)."""
-    try:
-        c = _ACTIVE_CAMPAIGN
-        return run_injection(c["design"], c["func"], c["faults"][index],
-                             c["inputs"], backend=c["backend"],
-                             max_cycles=c["budget"],
-                             golden_images=c["golden"],
-                             fsm_mode=c["fsm_mode"],
-                             testbench=c["testbench"])
-    except BaseException as exc:  # noqa: BLE001 - worker boundary
-        fault = None
-        try:
-            fault = _ACTIVE_CAMPAIGN["faults"][index]
-        except Exception:  # noqa: BLE001 - campaign state may be unusable
-            pass
-        return InjectionResult(fault, "crash", 0, 0.0,
-                               note=f"{type(exc).__name__}: {exc}\n"
-                                    f"{traceback.format_exc()}")
-
-
-def _pool_batch(indices: Sequence[int]) -> List[Tuple[int, InjectionResult]]:
-    """Worker entry point: classify *indices* in order until the
-    campaign's deadline passes; never raises."""
-    deadline = _ACTIVE_CAMPAIGN["deadline"] if _ACTIVE_CAMPAIGN else None
+    An error from outside :func:`run_injection`'s own handler becomes a
+    ``crash`` verdict whose note carries the traceback, so a worker
+    never raises one across the pool boundary.
+    """
     results = []
     for index in indices:
-        if deadline is not None and time.perf_counter() > deadline:
+        if c["deadline"] is not None and time.perf_counter() > c["deadline"]:
             break
-        results.append((index, _pool_inject(index)))
+        fault = c["faults"][index]
+        try:
+            result = run_injection(c["design"], c["func"], fault,
+                                   c["inputs"], backend=c["backend"],
+                                   max_cycles=c["budget"],
+                                   golden_images=c["golden"],
+                                   fsm_mode=c["fsm_mode"],
+                                   testbench=c["testbench"])
+        except Exception as exc:  # noqa: BLE001 - a task reports
+            result = InjectionResult(fault, "crash", 0, 0.0,
+                                     note=f"{type(exc).__name__}: {exc}\n"
+                                          f"{traceback.format_exc()}")
+        results.append(result)
     return results
 
 
@@ -499,7 +485,7 @@ def _pool_batches(faults: Sequence[FaultDescriptor], pending: List[int],
     shares so it cannot hold up the pool.  ``mem_flip`` faults need no
     fault kernel, and their chunks even out the workers at the end.
     """
-    share = -(-len(pending) // workers)
+    share = max(1, -(-len(pending) // workers))
     batches: List[List[int]] = []
     for kind in FAULT_KINDS:
         group = [index for index in pending if faults[index].kind == kind]
@@ -532,14 +518,15 @@ def run_campaign(design: Design, func: Callable,
     must classify as ``masked`` (anything else means the campaign's
     verdicts would be meaningless), its cycle count sets the hang
     budget (``cycles × hang_factor``), and the checkpoints it leaves
-    let each ``reg_flip`` skip the cycles before its window.  ``jobs``
-    > 1 fans injections over a fork pool, one fault kind per task.
-    ``time_budget`` (seconds, measured from campaign start) stops
-    starting new injections once exceeded — already-running ones still
-    land, so the nightly job degrades to a shorter classified prefix
-    instead of dying mid-pool.  ``ledger`` appends one ``inject`` run
-    row plus one ``fault_runs`` row per verdict (schema v4) in the
-    parent process only.
+    let each ``reg_flip`` skip the cycles before its window.  The
+    faults run in the batches of :func:`_pool_batches`, one fault kind
+    per batch, which ``jobs`` > 1 fans over a
+    :class:`~repro.util.pool.ForkPool`.  ``time_budget`` (seconds,
+    measured from campaign start) stops starting new injections once
+    exceeded — already-running ones still land, so the nightly job
+    degrades to a shorter classified set instead of dying mid-pool.
+    ``ledger`` appends one ``inject`` run row plus one ``fault_runs``
+    row per verdict (schema v4) in the parent process only.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -569,68 +556,29 @@ def run_campaign(design: Design, func: Callable,
 
     faults = list(faults)
     slots: List[Optional[InjectionResult]] = [None] * len(faults)
-    pending = list(range(len(faults)))
-
-    parallel = (
-        jobs > 1 and len(pending) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
+    batches = _pool_batches(faults, list(range(len(faults))), jobs)
+    # the pool's workers inherit the design, its elaboration and the
+    # golden images; each task ships only fault indices
+    state = {"design": design, "func": func, "faults": faults,
+             "inputs": inputs, "backend": backend, "budget": budget,
+             "golden": golden_images, "fsm_mode": fsm_mode,
+             "testbench": testbench, "deadline": deadline}
     campaign_span = span("inject.campaign", "inject", app=name,
                          backend=backend, jobs=jobs, faults=len(faults))
-    with campaign_span:
-        if parallel:
-            global _ACTIVE_CAMPAIGN
-            _ACTIVE_CAMPAIGN = {
-                "design": design, "func": func, "faults": faults,
-                "inputs": inputs, "backend": backend, "budget": budget,
-                "golden": golden_images, "fsm_mode": fsm_mode,
-                "testbench": testbench, "deadline": deadline,
-            }
-            try:
-                context = multiprocessing.get_context("fork")
-                workers = min(jobs, len(pending))
-                with ProcessPoolExecutor(max_workers=workers,
-                                         mp_context=context) as pool:
-                    # each task checks the deadline before each fault,
-                    # so every task returns soon after it passes
-                    futures = [pool.submit(_pool_batch, batch)
-                               for batch in _pool_batches(faults, pending,
-                                                          workers)]
-                    try:
-                        for future in futures:
-                            for index, result in future.result():
-                                slots[index] = result
-                    except BrokenProcessPool as exc:
-                        unfinished = [faults[index].fault_id
-                                      for index in pending
-                                      if slots[index] is None]
-                        raise RuntimeError(
-                            f"campaign worker process died while running "
-                            f"fault(s) {unfinished[:8]}; rerun with "
-                            f"jobs=1 to reproduce in-process") from exc
-            finally:
-                _ACTIVE_CAMPAIGN = None
-        else:
-            for index in pending:
-                if deadline is not None \
-                        and time.perf_counter() > deadline:
-                    break
-                slots[index] = run_injection(
-                    design, func, faults[index], inputs, backend=backend,
-                    max_cycles=budget, golden_images=golden_images,
-                    fsm_mode=fsm_mode, testbench=testbench)
+    with campaign_span, ForkPool(jobs, state) as pool:
+        results = pool.map(
+            _inject_batch, batches,
+            label=lambda batch: [faults[i].fault_id for i in batch])
+        for batch, classified in zip(batches, results):
+            for index, result in zip(batch, classified):
+                slots[index] = result
 
     report.results = [result for result in slots if result is not None]
     report.wall_seconds = time.perf_counter() - wall_started
     campaign_span.set("verdicts", report.tally())
 
     if ledger is not None:
-        from ..obs.ledger import Ledger
-        owns = not isinstance(ledger, Ledger)
-        sink = Ledger(ledger) if owns else ledger
-        try:
+        from ..obs.ledger import ledger_sink
+        with ledger_sink(ledger) as sink:
             sink.record_injection_campaign(report, size=design.params)
-        finally:
-            if owns:
-                sink.close()
     return report

@@ -31,6 +31,7 @@ Prometheus textfile exporter), all reachable as ``python -m repro obs``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -41,12 +42,12 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 __all__ = ["SCHEMA_VERSION", "LedgerError", "Ledger", "RunRow", "CaseRow",
            "CoverageRow", "CacheRow", "FuzzRow", "FaultRow",
-           "ledger_from_env", "LEDGER_ENV"]
+           "ledger_from_env", "ledger_sink", "LEDGER_ENV"]
 
 #: current on-disk schema generation (see ``_MIGRATIONS`` for history)
 SCHEMA_VERSION = 4
@@ -1093,6 +1094,17 @@ class Ledger:
             except sqlite3.DatabaseError:
                 pass
         return len(stale)
+
+
+@contextlib.contextmanager
+def ledger_sink(ledger: Union[Ledger, str, Path]) -> Iterator[Ledger]:
+    """*ledger* itself when it is a :class:`Ledger`; otherwise a ledger
+    opened on that path for the ``with`` block and closed after it."""
+    if isinstance(ledger, Ledger):
+        yield ledger
+    else:
+        with Ledger(ledger) as sink:
+            yield sink
 
 
 def ledger_from_env(explicit: Optional[Union[str, Path]] = None,

@@ -394,13 +394,6 @@ def campaign_metrics(report) -> Metrics:
         coverage_items = getattr(report, "coverage_items", None)
         if coverage_items is not None:
             metrics.inc("coverage_items", len(coverage_items))
-    waves = getattr(report, "pool_waves", 0)
-    if waves:
-        metrics.inc("pool_waves", waves)
-        metrics.set_info("pool_startup_seconds",
-                         round(report.pool_startup_seconds, 4))
-        metrics.set_info("pool_reuse_saved_seconds",
-                         round(report.pool_reuse_saved_seconds, 4))
     return metrics
 
 

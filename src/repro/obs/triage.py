@@ -893,12 +893,11 @@ def attach_to_ledger(ledger, result: TriageResult, *,
     """
     if ledger is None:
         return None
-    from .ledger import Ledger
-    if not isinstance(ledger, Ledger):
-        ledger = Ledger(ledger)
+    from .ledger import ledger_sink
     extra = result.record.to_dict()
     if paths:
         extra["artifacts"] = {key: str(path)
                               for key, path in paths.items()}
-    return ledger.record_triage(extra, wall_seconds=wall_seconds,
-                                argv=list(argv) if argv else None)
+    with ledger_sink(ledger) as sink:
+        return sink.record_triage(extra, wall_seconds=wall_seconds,
+                                  argv=list(argv) if argv else None)

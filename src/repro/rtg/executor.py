@@ -62,6 +62,34 @@ class RtgRunResult:
         return [run.configuration for run in self.runs]
 
 
+def _control(rtg: Rtg, control_mode: str):
+    """The RTG's transition logic: generated Python or the interpreter."""
+    if control_mode == "generated":
+        return compile_rtg(rtg)
+    if control_mode == "interpreted":
+        return InterpretedRtgControl(rtg)
+    raise ValueError(
+        f"control_mode must be 'generated' or 'interpreted', "
+        f"got {control_mode!r}"
+    )
+
+
+def _resolve(ref: ConfigurationRef, base_dir: Optional[Path]):
+    """A configuration's datapath and FSM: attached, else loaded from
+    the XML files it names under *base_dir*."""
+    datapath = ref.datapath
+    fsm = ref.fsm
+    if datapath is None or fsm is None:
+        if base_dir is None:
+            raise RtgError(
+                f"configuration {ref.name!r} has no attached design "
+                f"and no base_dir to load XML from"
+            )
+        datapath = datapath or load_datapath(base_dir / ref.datapath_file)
+        fsm = fsm or load_fsm(base_dir / ref.fsm_file)
+    return datapath, fsm
+
+
 class RtgExecutor:
     """Executes an RTG over a :class:`ReconfigurationContext`."""
 
@@ -87,15 +115,7 @@ class RtgExecutor:
         #: when set, each configuration run dumps a VCD waveform
         #: ``<trace_dir>/<run#>_<configuration>.vcd``
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        if control_mode == "generated":
-            self.control = compile_rtg(rtg)
-        elif control_mode == "interpreted":
-            self.control = InterpretedRtgControl(rtg)
-        else:
-            raise ValueError(
-                f"control_mode must be 'generated' or 'interpreted', "
-                f"got {control_mode!r}"
-            )
+        self.control = _control(rtg, control_mode)
         #: observer hook: called with the live SimDesign before each run
         self.on_configure = None
         #: optional :class:`repro.obs.CoverageCollector`; attached to
@@ -104,24 +124,10 @@ class RtgExecutor:
         self.coverage = coverage
 
     # ------------------------------------------------------------------
-    def _resolve(self, ref: ConfigurationRef):
-        datapath = ref.datapath
-        fsm = ref.fsm
-        if datapath is None or fsm is None:
-            if self.base_dir is None:
-                raise RtgError(
-                    f"configuration {ref.name!r} has no attached design "
-                    f"and no base_dir to load XML from"
-                )
-            datapath = datapath or load_datapath(
-                self.base_dir / ref.datapath_file)
-            fsm = fsm or load_fsm(self.base_dir / ref.fsm_file)
-        return datapath, fsm
-
     def _configure(self, name: str) -> SimDesign:
         """Reconfiguration: elaborate fresh hardware on shared memories."""
-        ref = self.rtg.configurations[name]
-        datapath, fsm = self._resolve(ref)
+        datapath, fsm = _resolve(self.rtg.configurations[name],
+                                 self.base_dir)
         return build_simulation(datapath, fsm, memories=self.context.memories,
                                 fsm_mode=self.fsm_mode, backend=self.backend)
 
@@ -236,31 +242,9 @@ class RtgBatchExecutor:
         self.max_cycles = max_cycles_per_configuration
         self.max_reconfigurations = max_reconfigurations
         self.quantum = quantum
-        if control_mode == "generated":
-            self.control = compile_rtg(rtg)
-        elif control_mode == "interpreted":
-            self.control = InterpretedRtgControl(rtg)
-        else:
-            raise ValueError(
-                f"control_mode must be 'generated' or 'interpreted', "
-                f"got {control_mode!r}"
-            )
+        self.control = _control(rtg, control_mode)
         #: observer hook: called with each group's live SimDesign
         self.on_configure = None
-
-    def _resolve(self, ref: ConfigurationRef):
-        datapath = ref.datapath
-        fsm = ref.fsm
-        if datapath is None or fsm is None:
-            if self.base_dir is None:
-                raise RtgError(
-                    f"configuration {ref.name!r} has no attached design "
-                    f"and no base_dir to load XML from"
-                )
-            datapath = datapath or load_datapath(
-                self.base_dir / ref.datapath_file)
-            fsm = fsm or load_fsm(self.base_dir / ref.fsm_file)
-        return datapath, fsm
 
     def run(self) -> RtgBatchRunResult:
         result = RtgBatchRunResult(
@@ -284,8 +268,8 @@ class RtgBatchExecutor:
                             f"{self.max_reconfigurations} "
                             f"reconfigurations — runaway RTG?"
                         )
-                ref = self.rtg.configurations[name]
-                datapath, fsm = self._resolve(ref)
+                datapath, fsm = _resolve(self.rtg.configurations[name],
+                                         self.base_dir)
                 # scratch images: LaneBatch swaps each lane's words in
                 # and out of these, so the contexts keep ownership
                 scratch = {mem_name: MemoryImage(decl.width, decl.depth,

@@ -38,6 +38,7 @@ rather than per-event, as the counters' consumers expect).
 from __future__ import annotations
 
 import time
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .clock import ClockDomain
@@ -135,7 +136,7 @@ def _e_div(op, val, gen):
     # the div/rem family keeps its exact semantics (truncate/floor,
     # strict or counted zero divisors) by calling a bound helper that
     # wraps the component's own compute()
-    helper = gen.helper(_make_div_helper(op), op.name)
+    helper = gen.helper(op.name)
     return [(0, f"{val(op.y)} = {helper}({val(op.a)}, {val(op.b)})")]
 
 
@@ -364,41 +365,37 @@ def _op_output(op) -> Signal:
 class _Codegen:
     """Name registry for objects the generated module binds from ctx.
 
-    Each registry also records the *component name* that owns the bound
-    object, so a cached kernel can re-bind against a fresh elaboration
-    of the same design (see :func:`_program_from_cache`).
+    Each registry records the *component name* that owns a bound object,
+    so :func:`_bind_program` can bind the kernel to any elaboration of
+    the same design, the one it was generated from included.
     """
 
     def __init__(self) -> None:
-        self.mems: List[list] = []
         self.mem_owners: List[str] = []
         self._mem_index: Dict[int, str] = {}
-        self.comps: List[object] = []
+        self.comp_owners: List[str] = []
         self._comp_index: Dict[int, str] = {}
-        self.helpers: List[Callable] = []
         self.helper_owners: List[str] = []
 
     def mem(self, image, owner: str) -> str:
         name = self._mem_index.get(id(image))
         if name is None:
-            name = f"_m{len(self.mems)}"
+            name = f"_m{len(self.mem_owners)}"
             self._mem_index[id(image)] = name
-            self.mems.append(image._words)
             self.mem_owners.append(owner)
         return name
 
     def comp(self, component) -> str:
         name = self._comp_index.get(id(component))
         if name is None:
-            name = f"_c{len(self.comps)}"
+            name = f"_c{len(self.comp_owners)}"
             self._comp_index[id(component)] = name
-            self.comps.append(component)
+            self.comp_owners.append(component.name)
         return name
 
-    def helper(self, fn: Callable, owner: str) -> str:
-        self.helpers.append(fn)
+    def helper(self, owner: str) -> str:
         self.helper_owners.append(owner)
-        return f"_f{len(self.helpers) - 1}"
+        return f"_f{len(self.helper_owners) - 1}"
 
 
 class _StateIR:
@@ -454,9 +451,6 @@ class CompiledProgram:
         self._vectors: Dict[str, Dict[str, int]] = {}
         #: trace-fusion summary (traced backend only)
         self.fusion: Optional[dict] = None
-        #: set by a fresh build so the caller can persist the kernel
-        self.cache_payload: Optional[dict] = None
-        self.code = None
 
     def stop_states(self, signal: Signal) -> Optional[frozenset]:
         """States in which *signal* is high, or None if not a Moore line."""
@@ -621,12 +615,14 @@ def _transition_fns(behavior) -> Callable:
     return transition_fn
 
 
-def _build_program(sim: "CompiledSimulator") -> CompiledProgram:
+def _build_program(sim: "CompiledSimulator") -> Tuple[dict, CodeType]:
+    """Generate the kernel for *sim*'s elaboration and return the
+    artifact ``(payload, code)`` that the kernel cache stores and
+    :func:`_bind_program` binds; the payload carries the source."""
     facts = sim._design_facts()
     instrumented = bool(getattr(sim, "coverage_enabled", False))
     profiled = bool(getattr(sim, "profile_enabled", False))
     controller = facts.controller
-    domain = facts.domain
     behavior = facts.behavior
     names = facts.names
     sid = facts.sid
@@ -653,7 +649,7 @@ def _build_program(sim: "CompiledSimulator") -> CompiledProgram:
     if fault is not None and \
             getattr(sim, "_kernel_kind", "compiled") == "batched":
         raise _Unsupported("fault injection on batched kernels")
-    fault_ctx = _fault_runtime(fault, sim, facts)
+    _fault_runtime(fault, sim, facts)  # refuse an unreachable target now
     stuck = fault is not None and fault.kind == "stuck"
     flip = fault is not None and fault.kind == "flip"
 
@@ -873,11 +869,11 @@ def _build_program(sim: "CompiledSimulator") -> CompiledProgram:
     emit(1, '_sid = ctx["sid"]')
     emit(1, '_S = ctx["signals"]')
     emit(1, '_wo = ctx["write_oob"]')
-    for position in range(len(gen.mems)):
+    for position in range(len(gen.mem_owners)):
         emit(1, f'_m{position} = ctx["mems"][{position}]')
-    for position in range(len(gen.comps)):
+    for position in range(len(gen.comp_owners)):
         emit(1, f'_c{position} = ctx["comps"][{position}]')
-    for position in range(len(gen.helpers)):
+    for position in range(len(gen.helper_owners)):
         emit(1, f'_f{position} = ctx["helpers"][{position}]')
     for state_id in sorted(dynamic_fns):
         emit(1, f'_t{state_id} = ctx["transitions"][{state_id}]')
@@ -948,48 +944,13 @@ def _build_program(sim: "CompiledSimulator") -> CompiledProgram:
     emit(1, "return _run")
     source = "\n".join(out) + "\n"
 
-    namespace: Dict[str, object] = {}
     code = compile(source, f"<compiled-sim:{sim.name}>", "exec")
-    exec(code, namespace)
-    ctx = {
-        "sid": sid,
-        "signals": tracked,
-        "mems": gen.mems,
-        "comps": gen.comps,
-        "helpers": gen.helpers,
-        "transitions": dynamic_fns,
-        "write_oob": _write_oob,
-        "fault": fault_ctx,
-        "perf": time.perf_counter_ns,
-    }
-
-    program = CompiledProgram()
-    program.runner = namespace["_make"](ctx)
-    program.controller = controller
-    program.domain = domain
-    program.names = names
-    program.sid = sid
-    program.n_states = n_states
-    program.control_names = control_signals
-    program.eval_static = eval_static
-    program.edge_static = edge_static
-    program.comb_components = facts.comb_components
-    program.images = list({id(m.image): m.image
-                           for m in (*srams, *roms)}.values())
-    program.component_ids = facts.component_ids
-    program.instrumented = instrumented
-    program.profiled = profiled
-    program.state_active_ops = state_active_ops
-    program.source = source
-    program._vectors = vectors
-    program.fusion = fusion.summary if fusion is not None else None
-    program.code = code
-    program.cache_payload = {
+    payload = {
         "kind": "kernel",
         "names": names,
         "n_tracked": len(tracked),
         "mems": gen.mem_owners,
-        "comps": [c.name for c in gen.comps],
+        "comps": gen.comp_owners,
         "helpers": gen.helper_owners,
         "images": list({id(m.image): m.name
                         for m in (*srams, *roms)}.values()),
@@ -1000,10 +961,10 @@ def _build_program(sim: "CompiledSimulator") -> CompiledProgram:
         "instrumented": instrumented,
         "profiled": profiled,
         "fault_token": _fault_token(fault),
-        "fusion": program.fusion,
+        "fusion": fusion.summary if fusion is not None else None,
         "source": source,
     }
-    return program
+    return payload, code
 
 
 def _write_oob(comp, address):
@@ -1013,75 +974,59 @@ def _write_oob(comp, address):
     )
 
 
-def _program_from_cache(sim: "CompiledSimulator", payload: dict,
-                        code) -> Optional[CompiledProgram]:
-    """Re-bind a cached kernel against an elaboration of the same
-    design; any structural mismatch returns ``None`` (build fresh)."""
-    try:
-        facts = sim._design_facts()
-        fault_ctx = _fault_runtime(getattr(sim, "fault_spec", None),
-                                   sim, facts)
-    except _Unsupported:
-        return None
-    try:
-        if facts.names != payload["names"]:
-            return None
-        if len(facts.tracked) != payload["n_tracked"]:
-            return None
-        if payload["instrumented"] != bool(
-                getattr(sim, "coverage_enabled", False)):
-            return None
-        if payload.get("profiled", False) != bool(
-                getattr(sim, "profile_enabled", False)):
-            return None
-        if payload.get("fault_token", "") != _fault_token(
-                getattr(sim, "fault_spec", None)):
-            return None
-        by_name = sim._components
-        mems = [by_name[owner].image._words for owner in payload["mems"]]
-        comps = [by_name[owner] for owner in payload["comps"]]
-        helpers = [_make_div_helper(by_name[owner])
-                   for owner in payload["helpers"]]
-        images = [by_name[owner].image for owner in payload["images"]]
-        transition_fn = _transition_fns(facts.behavior)
-        dynamic_fns = {int(index): transition_fn(facts.names[int(index)])
-                       for index in payload["dynamic"]}
-        namespace: Dict[str, object] = {}
-        exec(code, namespace)
-        ctx = {
-            "sid": facts.sid,
-            "signals": facts.tracked,
-            "mems": mems,
-            "comps": comps,
-            "helpers": helpers,
-            "transitions": dynamic_fns,
-            "write_oob": _write_oob,
-            "fault": fault_ctx,
-            "perf": time.perf_counter_ns,
-        }
-        program = CompiledProgram()
-        program.runner = namespace["_make"](ctx)
-        program.controller = facts.controller
-        program.domain = facts.domain
-        program.names = facts.names
-        program.sid = facts.sid
-        program.n_states = len(facts.names)
-        program.control_names = facts.control_signals
-        program.eval_static = list(payload["eval_static"])
-        program.edge_static = list(payload["edge_static"])
-        program.comb_components = facts.comb_components
-        program.images = images
-        program.component_ids = facts.component_ids
-        program.instrumented = payload["instrumented"]
-        program.profiled = payload.get("profiled", False)
-        program.state_active_ops = [frozenset(active)
-                                    for active in payload["active_ops"]]
-        program.source = payload["source"]
-        program._vectors = facts.vectors
-        program.fusion = payload.get("fusion")
-        return program
-    except Exception:  # noqa: BLE001 - any mismatch falls back to a build
-        return None
+def _bind_program(sim: "CompiledSimulator", payload: dict,
+                  code) -> CompiledProgram:
+    """Bind a kernel artifact — the payload and code object a build
+    returns or the kernel cache holds — to *sim*'s elaboration.
+
+    Every program, fresh or cached, is bound here.  An artifact built
+    for another structure, other flags or another fault kind raises.
+    """
+    facts = sim._design_facts()
+    if (facts.names != payload["names"]
+            or len(facts.tracked) != payload["n_tracked"]
+            or payload["instrumented"] != bool(sim.coverage_enabled)
+            or payload["profiled"] != bool(sim.profile_enabled)
+            or payload["fault_token"] != _fault_token(sim.fault_spec)):
+        raise ValueError("kernel artifact does not fit this elaboration")
+    by_name = sim._components
+    transition_fn = _transition_fns(facts.behavior)
+    namespace: Dict[str, object] = {}
+    exec(code, namespace)
+    ctx = {
+        "sid": facts.sid,
+        "signals": facts.tracked,
+        "mems": [by_name[owner].image._words for owner in payload["mems"]],
+        "comps": [by_name[owner] for owner in payload["comps"]],
+        "helpers": [_make_div_helper(by_name[owner])
+                    for owner in payload["helpers"]],
+        "transitions": {int(index): transition_fn(facts.names[int(index)])
+                        for index in payload["dynamic"]},
+        "write_oob": _write_oob,
+        "fault": _fault_runtime(sim.fault_spec, sim, facts),
+        "perf": time.perf_counter_ns,
+    }
+    program = CompiledProgram()
+    program.runner = namespace["_make"](ctx)
+    program.controller = facts.controller
+    program.domain = facts.domain
+    program.names = facts.names
+    program.sid = facts.sid
+    program.n_states = len(facts.names)
+    program.control_names = facts.control_signals
+    program.eval_static = list(payload["eval_static"])
+    program.edge_static = list(payload["edge_static"])
+    program.comb_components = facts.comb_components
+    program.images = [by_name[owner].image for owner in payload["images"]]
+    program.component_ids = facts.component_ids
+    program.instrumented = payload["instrumented"]
+    program.profiled = payload["profiled"]
+    program.state_active_ops = [frozenset(active)
+                                for active in payload["active_ops"]]
+    program.source = payload["source"]
+    program._vectors = facts.vectors
+    program.fusion = payload["fusion"]
+    return program
 
 
 # ----------------------------------------------------------------------
@@ -1277,21 +1222,23 @@ class CompiledSimulator(Simulator):
 
     def _load_or_build_program(self) -> CompiledProgram:
         """Check the persistent kernel cache (see :meth:`_cache_key`)
-        before generating code."""
+        before generating code; a cached kernel that does not bind is a
+        miss."""
         from ..core.kernelcache import default_cache
 
         key = self._cache_key()
-        if key is None:
-            return _build_program(self)
-        cache = default_cache()
-        payload, code = cache.get("kernel", key)
-        if payload is not None and code is not None:
-            program = _program_from_cache(self, payload, code)
-            if program is not None:
-                return program
-        program = _build_program(self)
-        if program.cache_payload is not None and program.code is not None:
-            cache.put("kernel", key, program.cache_payload, program.code)
+        cache = default_cache() if key is not None else None
+        if cache is not None:
+            payload, code = cache.get("kernel", key)
+            if payload is not None and code is not None:
+                try:
+                    return _bind_program(self, payload, code)
+                except Exception:  # noqa: BLE001 - any mismatch: build
+                    pass
+        payload, code = _build_program(self)
+        program = _bind_program(self, payload, code)
+        if cache is not None:
+            cache.put("kernel", key, payload, code)
         return program
 
     # -- per-call safety checks ----------------------------------------

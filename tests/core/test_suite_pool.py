@@ -2,10 +2,10 @@
 
 Before the fix, an exception escaping a pool worker surfaced in the
 parent as an opaque ``BrokenProcessPool`` with the worker's traceback
-lost.  Now every worker-side error folds into an error
-:class:`CaseResult` carrying the original traceback, and a genuinely
-dead worker (hard crash) raises a ``RuntimeError`` naming the cases
-that were in flight.
+lost.  Now every task error folds into an error :class:`CaseResult`
+carrying the original traceback, and a genuinely dead worker (hard
+crash) raises a ``RuntimeError`` naming the cases that were in flight
+(``tests/util/test_pool.py`` checks that for every runner).
 """
 
 import inspect
@@ -18,7 +18,8 @@ import pytest
 import repro.core.testsuite as testsuite_module
 import repro.util.loc as loc_module
 from repro.compiler.spec import MemorySpec
-from repro.core.testsuite import CaseResult, SuiteCase, TestSuite, _pool_run
+from repro.core.testsuite import (CaseResult, SuiteCase, TestSuite,
+                                  _run_pending_case)
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -106,15 +107,14 @@ def test_workers_inherit_the_source_reads(monkeypatch, tmp_path):
     assert pids == {str(os.getpid())}
 
 
-def test_pool_run_survives_broken_suite_state(monkeypatch):
-    # even harness-level failures (no active suite) must come back as
-    # error results, not exceptions that would poison the pool protocol
-    monkeypatch.setattr(testsuite_module, "_ACTIVE_SUITE", None)
-    result = _pool_run((3, 0, "generated", "event", False, 0))
+def test_pool_run_survives_broken_suite_state():
+    # an error from outside run_case (here, a bad option) must come back
+    # as an error result, not an exception that would poison the pool
+    result = _run_pending_case(([_make_case("alpha")], {"no_such": 1}), 0)
     assert isinstance(result, CaseResult)
-    assert result.case == "case[3]"
-    assert "AttributeError" in result.error or "NoneType" in result.error
-    assert result.traceback is not None
+    assert result.case == "alpha"
+    assert "TypeError" in result.error
+    assert "no_such" in result.traceback
 
 
 def test_serial_error_also_records_traceback(monkeypatch):

@@ -145,15 +145,10 @@ class TestCampaign:
             run_campaign(1, jobs=0)
 
     def test_worker_state_round_trip(self):
-        import repro.fuzz.harness as harness_module
         from repro.fuzz.generator import GeneratorConfig
 
-        harness_module._WORKER_STATE = (GeneratorConfig(), ("event",),
-                                        10_000, 0, False)
-        try:
-            result = _run_one_seed(5)
-        finally:
-            harness_module._WORKER_STATE = None
+        result = _run_one_seed((GeneratorConfig(), ("event",), 10_000, 0,
+                                False), 5)
         assert result.seed == 5
         assert result.outcome.kind == "pass"
         assert result.program is None  # only failures ship the program

@@ -166,7 +166,6 @@ class TestPool:
         # they also inherit the fault-free checkpoints
         assert [_row(r) for r in serial.results] \
             == [_row(r) for r in pooled.results]
-        assert campaign_mod._ACTIVE_CAMPAIGN is None
 
     @fork_only
     def test_malformed_faults_classify_alike_in_both_modes(self, threshold):
@@ -195,14 +194,33 @@ class TestPool:
         assert not any("Traceback" in r.note
                        for r in serial.results + pooled.results)
 
-    def test_worker_never_raises(self):
-        """A broken worker state must come back as a crash verdict, not
-        an exception that would poison the whole pool."""
-        assert campaign_mod._ACTIVE_CAMPAIGN is None
-        result = campaign_mod._pool_inject(0)
-        assert result.verdict == "crash"
-        assert result.fault is None
-        assert "TypeError" in result.note or "Error" in result.note
+    def test_worker_never_raises(self, threshold, monkeypatch):
+        """An error from outside run_injection's own handler comes back
+        as a crash verdict carrying the traceback, in both modes, not
+        an exception that would stop the campaign or poison the pool."""
+        case, design, inputs = threshold
+        original = campaign_mod.run_injection
+
+        def broken(design, func, fault, *args, **kwargs):
+            if fault is not None and fault.fault_id == "boom":
+                raise KeyError("harness bug")
+            return original(design, func, fault, *args, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "run_injection", broken)
+        faults = [FaultDescriptor(fault_id=fault_id, kind="mem_flip",
+                                  target=next(iter(design.arrays)),
+                                  bit=0, word=0)
+                  for fault_id in ("ok", "boom")]
+        for jobs in (1, 2):
+            report = run_campaign(design, case.func, faults, inputs,
+                                  backend="compiled", jobs=jobs)
+            assert [r.fault.fault_id for r in report.results] \
+                == ["ok", "boom"]
+            assert report.results[0].verdict in ("masked", "sdc")
+            crash = report.results[1]
+            assert crash.verdict == "crash"
+            assert "KeyError: 'harness bug'" in crash.note
+            assert "Traceback" in crash.note
 
     def test_jobs_must_be_positive(self, threshold):
         case, design, inputs = threshold

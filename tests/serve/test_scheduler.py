@@ -15,10 +15,12 @@ import pytest
 
 from repro.apps import threshold
 from repro.apps.registry import CASE_BUILDERS
-from repro.core import ArtifactCache
+from repro.core import ArtifactCache, kernelcache
+from repro.core.kernelcache import KernelCache, set_default_cache
 from repro.core.testsuite import SuiteCase
 from repro.serve import ServeScheduler
 from repro.serve.jobs import JobSpec, resolve_job
+from repro.translate import to_python
 
 TINY = {"case": "threshold", "size": {"n_pixels": 32}}
 
@@ -117,6 +119,48 @@ class TestArtifactCache:
         assert second.served == "artifact"
         assert second_sched.stats()["executed"] == 0
         assert second.key == first.key
+
+    def test_edited_compiler_misses_verdicts_but_hits_kernels(
+            self, tmp_path, monkeypatch):
+        """A daemon restarted on an edited compiler re-executes a job it
+        answered before, while its workers still hit every kernel: the
+        persistent kernel cache gains the new design and nothing else."""
+        cache_dir = str(tmp_path / "cache")
+        kernels = tmp_path / "kernels"
+
+        def stored():
+            return {kind: len(list((kernels / kind).glob("*.json")))
+                    for kind in ("design", "kernel", "fsm")}
+
+        async def session():
+            scheduler = ServeScheduler(jobs=1, cache=cache_dir)
+            await scheduler.start()
+            sub = scheduler.submit(dict(TINY))
+            payload = await sub.future
+            await scheduler.shutdown()
+            return sub, payload
+
+        def restart():
+            # a new daemon process: no FSM memo, an empty memory layer
+            monkeypatch.setattr(to_python, "_BEHAVIOR_MEMO", {})
+            previous = set_default_cache(KernelCache(kernels))
+            try:
+                return run(session())
+            finally:
+                set_default_cache(previous)
+
+        first, _ = restart()
+        before = stored()
+        assert before["design"] >= 1 and before["kernel"] >= 1 \
+            and before["fsm"] >= 1
+        assert restart()[0].served == "artifact"
+        monkeypatch.setattr(kernelcache, "_TOOLCHAIN", "an edited compiler")
+        edited, payload = restart()
+        assert first.served == "queued"
+        assert edited.served == "queued"
+        assert edited.key != first.key
+        assert payload_passed(payload)
+        assert stored() == {**before, "design": before["design"] + 1}
 
     def test_batched_results_never_hit_the_disk_cache(self, tmp_path):
         """Lanes of a batched dispatch are memo-only: their payloads
