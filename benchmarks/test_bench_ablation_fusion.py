@@ -3,10 +3,11 @@
 Two ablations for the trace-fusing tier on top of the compiled kernel:
 
 * **fusion**: the same fdct1 design verified under the plain compiled
-  kernel (fusion off) and the traced kernel (fusion on), interleaved
-  best-of-N.  Outputs must be byte-identical; the traced kernel must
-  not be slower, and at full size must clear the 2x acceptance floor
-  asserted by ``test_bench_suite``.
+  kernel (fusion off) and the traced kernel started fused (fusion on,
+  at any size), interleaved best-of-N.  Outputs must be
+  byte-identical; the traced kernel must not be slower, and at full
+  size must clear the 2x acceptance floor asserted by
+  ``test_bench_suite``.
 
 * **codegen cache**: first traced elaboration against an empty
   :class:`KernelCache` pays trace discovery + code generation +
@@ -31,6 +32,7 @@ import pytest
 from repro.apps import suite_case
 from repro.core import verify_design
 from repro.core.kernelcache import KernelCache, set_default_cache
+from repro.sim import TracedSimulator
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -50,7 +52,9 @@ def _signature(result):
 
 
 @pytest.mark.benchmark(group="ablation-fusion")
-def test_fusion_on_off(report_writer):
+def test_fusion_on_off(report_writer, monkeypatch):
+    # quick-mode runs are too short to promote to fused code
+    monkeypatch.setattr(TracedSimulator, "promote_after", 0)
     case = suite_case("fdct1", pixels=PIXELS)
     design = case.compile()
     inputs = case.inputs(seed=0)

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.apps import standard_suite
+from repro.core.kernelcache import KernelCache, set_default_cache
 
 from _artifacts import write_bench_artifacts
 
@@ -77,13 +78,23 @@ def _run_once(backend, jobs=1):
 def _run_round_robin(backends):
     """Best-of-REPEATS per backend, backends interleaved within each
     round so slow drift in host load hits every backend equally (the
-    traced-vs-compiled ratio is the number that must not be skewed)."""
+    traced-vs-compiled ratio is the number that must not be skewed).
+
+    Each backend keeps a kernel cache of its own, so each is measured
+    as if it ran alone: the traced backend's generic tier is the
+    compiled kernel, which a shared cache would hand over from the
+    compiled run."""
     walls = {name: None for name in backends}
     sims = {name: {} for name in backends}
     reports = {}
+    caches = {name: KernelCache(None) for name in backends}
     for _ in range(REPEATS):
         for name in backends:
-            wall, run_sims, report = _run_once(name)
+            previous = set_default_cache(caches[name])
+            try:
+                wall, run_sims, report = _run_once(name)
+            finally:
+                set_default_cache(previous)
             if walls[name] is None or wall < walls[name]:
                 walls[name] = wall
             for case, seconds in run_sims.items():

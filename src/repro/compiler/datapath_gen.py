@@ -319,7 +319,10 @@ class _Binder:
                         unit = candidate
                         break
                 if unit is None:
-                    unit = {"ident": f"su{len(pool)}_{op.op}",
+                    # pools are per (op, width): one operator at two
+                    # widths (a 1-bit ``not`` and a word-wide ``~``)
+                    # fills two pools, so the width is in the name
+                    unit = {"ident": f"su{len(pool)}_{op.op}_w{width}",
                             "type": op.op, "width": width,
                             "ops": [], "states": set()}
                     pool.append(unit)

@@ -17,14 +17,37 @@ __all__ = ["random_words", "synthetic_image", "ramp_image",
            "write_stimulus_files", "load_stimulus_files"]
 
 
+def _randints(rng: random.Random, low: int, high: int,
+              count: int) -> List[int]:
+    """*count* draws of ``rng.randint(low, high)``, value for value.
+
+    ``randint`` takes the draw from ``getrandbits`` (``k`` bits, ``k``
+    the range size's bit length, redrawn while out of range); doing the
+    same inline skips its argument checks on every call, which made it
+    the suite's stimulus cost.
+    """
+    size = high - low + 1
+    if size <= 0 and count:
+        raise ValueError(f"empty range [{low}, {high}]")
+    getrandbits = rng.getrandbits
+    bits = size.bit_length()
+    words: List[int] = []
+    append = words.append
+    for _ in range(count):
+        draw = getrandbits(bits)
+        while draw >= size:
+            draw = getrandbits(bits)
+        append(low + draw)
+    return words
+
+
 def random_words(depth: int, width: int, *, seed: int,
                  low: int = 0, high: Optional[int] = None,
                  name: str = "mem") -> MemoryImage:
     """A memory of uniform random words in ``[low, high]`` (inclusive)."""
     if high is None:
         high = (1 << width) - 1
-    rng = random.Random(seed)
-    words = [rng.randint(low, high) for _ in range(depth)]
+    words = _randints(random.Random(seed), low, high, depth)
     return MemoryImage(width, depth, words=words, name=name)
 
 
@@ -36,13 +59,16 @@ def synthetic_image(pixels: int, *, seed: int, width: int = 16,
     A smooth gradient plus seeded noise: more realistic spectral content
     for DCT-style workloads than pure noise, still fully reproducible.
     """
-    rng = random.Random(seed)
+    noise = _randints(random.Random(seed), -24, 24, pixels)
+    steps = max(pixels - 1, 1)
+    base = max_value // 4
     words: List[int] = []
-    for index in range(pixels):
-        gradient = (index * max_value) // max(pixels - 1, 1)
-        noise = rng.randint(-24, 24)
-        words.append(min(max(gradient // 2 + noise + max_value // 4, 0),
-                         max_value))
+    append = words.append
+    for index, offset in enumerate(noise):
+        gradient = (index * max_value) // steps
+        value = gradient // 2 + offset + base
+        append(0 if value < 0 else max_value if value > max_value
+               else value)
     return MemoryImage(width, pixels, words=words, name=name)
 
 

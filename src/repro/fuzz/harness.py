@@ -199,6 +199,8 @@ def run_program(program: FuzzProgram, *,
         executor = RtgExecutor(design.rtg, context, backend=backend,
                                max_cycles_per_configuration=max_cycles,
                                coverage=coverage if position == 0 else None)
+        if backend == "traced":
+            executor.on_configure = _start_fused
         try:
             result = executor.run()
         except SimulationTimeout as exc:
@@ -228,6 +230,13 @@ def run_program(program: FuzzProgram, *,
         return Outcome("mismatch", detail=f"cycle divergence: {detail}")
 
     return Outcome("pass")
+
+
+def _start_fused(design) -> None:
+    """Run a traced elaboration on its fused program from cycle 0:
+    fuzz programs are far too short to promote, and the generic tier is
+    the compiled kernel, which the differential already covers."""
+    design.sim.promote_after = 0
 
 
 def _crash_detail(exc: Exception) -> str:

@@ -70,10 +70,14 @@ class KernelProfiler:
 
     def attach(self, design) -> None:
         from ..sim.compiled import CompiledSimulator
+        from ..sim.trace import TracedSimulator
 
         sim = design.sim
         if isinstance(sim, CompiledSimulator):
             sim.enable_profile()
+            if isinstance(sim, TracedSimulator):
+                # profile the fused traces, however short the run
+                sim.promote_after = 0
         else:
             self.fallbacks.append(
                 f"{self._name(design)}: backend {type(sim).__name__} "

@@ -33,6 +33,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from .compiled import _Unsupported
 from .signal import Signal
 from .trace import TracedSimulator
 
@@ -93,15 +94,22 @@ class BatchedSimulator(TracedSimulator):
 
     Single-stimulus behaviour is identical to :class:`TracedSimulator`
     — same fusion, same conservative fallbacks — which keeps every
-    existing differential net valid for this backend.  The batch engine
-    (:class:`LaneBatch`) drives instances of this class N lanes at a
-    time.
+    existing differential net valid for this backend, except that it
+    starts fused: lanes run the fused program from their first cycle.
+    The batch engine (:class:`LaneBatch`) drives instances of this
+    class N lanes at a time.
     """
 
     _kernel_kind = "batched"
+    promote_after = 0
 
     def __init__(self, name: str = "batched-sim", **kwargs) -> None:
         super().__init__(name, **kwargs)
+
+    def _load_or_build_program(self):
+        if self.fault_spec is not None:
+            raise _Unsupported("fault injection on batched kernels")
+        return super()._load_or_build_program()
 
 
 class _SignalColumns:

@@ -449,7 +449,10 @@ class CompiledProgram:
         self.empty_stop: frozenset = frozenset()
         self._stop_cache: Dict[int, Optional[frozenset]] = {}
         self._vectors: Dict[str, Dict[str, int]] = {}
-        #: trace-fusion summary (traced backend only)
+        #: the kernel kind it was generated as: ``compiled`` (the generic
+        #: per-state program) or a trace-fusing kind
+        self.kind = "compiled"
+        #: trace-fusion summary (trace-fusing kinds only)
         self.fusion: Optional[dict] = None
 
     def stop_states(self, signal: Signal) -> Optional[frozenset]:
@@ -615,10 +618,22 @@ def _transition_fns(behavior) -> Callable:
     return transition_fn
 
 
-def _build_program(sim: "CompiledSimulator") -> Tuple[dict, CodeType]:
-    """Generate the kernel for *sim*'s elaboration and return the
-    artifact ``(payload, code)`` that the kernel cache stores and
-    :func:`_bind_program` binds; the payload carries the source."""
+class _KernelPlan:
+    """The per-state analysis of one elaboration under one set of flags.
+
+    Everything the module assembly reads, fused or not: a traced
+    simulator keeps the plan of its generic build, so that promotion
+    fuses traces from it instead of analysing the design again.
+    """
+
+    __slots__ = ("facts", "instrumented", "profiled", "fault",
+                 "static_target", "dynamic_fns", "gen", "status_items",
+                 "eval_static", "edge_static", "settle_blocks",
+                 "edge_blocks", "state_active_ops", "state_ir")
+
+
+def _plan_program(sim: "CompiledSimulator") -> _KernelPlan:
+    """Analyse *sim*'s elaboration state by state (see :class:`_KernelPlan`)."""
     facts = sim._design_facts()
     instrumented = bool(getattr(sim, "coverage_enabled", False))
     profiled = bool(getattr(sim, "profile_enabled", False))
@@ -631,7 +646,6 @@ def _build_program(sim: "CompiledSimulator") -> Tuple[dict, CodeType]:
     registers = facts.registers
     srams = facts.srams
     roms = facts.roms
-    tracked = facts.tracked
     local = facts.local
 
     # --- fault instrumentation (see repro.inject) -----------------------
@@ -646,12 +660,8 @@ def _build_program(sim: "CompiledSimulator") -> Tuple[dict, CodeType]:
     # survives the edge); when it fires it spills the locals to _S,
     # XORs _S[_ft] and reloads them.
     fault = getattr(sim, "fault_spec", None)
-    if fault is not None and \
-            getattr(sim, "_kernel_kind", "compiled") == "batched":
-        raise _Unsupported("fault injection on batched kernels")
     _fault_runtime(fault, sim, facts)  # refuse an unreachable target now
     stuck = fault is not None and fault.kind == "stuck"
-    flip = fault is not None and fault.kind == "flip"
 
     try:
         topo = levelize(facts.comb_ops)
@@ -826,20 +836,66 @@ def _build_program(sim: "CompiledSimulator") -> Tuple[dict, CodeType]:
         state_ir.append(ir)
         eval_static[index] = len(live_ops)
 
-    # --- trace fusion (traced and batched backends) --------------------
+    plan = _KernelPlan()
+    plan.facts = facts
+    plan.instrumented = instrumented
+    plan.profiled = profiled
+    plan.fault = fault
+    plan.static_target = static_target
+    plan.dynamic_fns = dynamic_fns
+    plan.gen = gen
+    plan.status_items = status_items
+    plan.eval_static = eval_static
+    plan.edge_static = edge_static
+    plan.settle_blocks = settle_blocks
+    plan.edge_blocks = edge_blocks
+    plan.state_active_ops = state_active_ops
+    plan.state_ir = state_ir
+    return plan
+
+
+def _build_program(sim: "CompiledSimulator",
+                   plan: Optional[_KernelPlan] = None, *,
+                   fuse: bool = False) -> Tuple[dict, CodeType]:
+    """Generate the kernel for *sim*'s elaboration and return the
+    artifact ``(payload, code)`` that the kernel cache stores and
+    :func:`_bind_program` binds; the payload carries the source.
+
+    *plan* is the analysis of an earlier build of this elaboration
+    under the same flags (analysed afresh when ``None``).  With *fuse*,
+    hot FSM traces are fused into the dispatch loop
+    (:mod:`repro.sim.trace`).
+    """
+    if plan is None:
+        plan = _plan_program(sim)
+    facts = plan.facts
+    instrumented = plan.instrumented
+    profiled = plan.profiled
+    fault = plan.fault
+    stuck = fault is not None and fault.kind == "stuck"
+    flip = fault is not None and fault.kind == "flip"
+    names = facts.names
+    sid = facts.sid
+    tracked = facts.tracked
+    dynamic_fns = plan.dynamic_fns
+    gen = plan.gen
+    n_states = len(names)
+    settle_blocks = plan.settle_blocks
+    edge_blocks = plan.edge_blocks
+
+    # --- trace fusion --------------------------------------------------
     # fused trace bodies are built from the structured _StateIR, which
-    # cannot see raw injected fault lines — so fusion is disabled while
-    # a fault spec is active (traced degrades to plain compiled)
+    # cannot see raw injected fault lines — so a kernel with a fault
+    # spec never fuses
     fusion = None
-    if fault is None and \
-            getattr(sim, "_kernel_kind", "compiled") in ("traced", "batched"):
+    if fuse and fault is None:
         from .trace import build_fusion  # sibling module imports us back
 
         fusion = build_fusion(
-            state_ir=state_ir, names=names, sid=sid,
-            static_target=static_target, dynamic_fns=dynamic_fns,
+            state_ir=plan.state_ir, names=names, sid=sid,
+            static_target=plan.static_target, dynamic_fns=dynamic_fns,
             statuses=[(name, signal.width)
-                      for name, signal in status_items],
+                      for name, signal in plan.status_items],
             settle_blocks=settle_blocks, instrumented=instrumented,
             n_states=n_states, profiled=profiled)
 
@@ -953,11 +1009,11 @@ def _build_program(sim: "CompiledSimulator") -> Tuple[dict, CodeType]:
         "comps": gen.comp_owners,
         "helpers": gen.helper_owners,
         "images": list({id(m.image): m.name
-                        for m in (*srams, *roms)}.values()),
+                        for m in (*facts.srams, *facts.roms)}.values()),
         "dynamic": sorted(dynamic_fns),
-        "eval_static": eval_static,
-        "edge_static": edge_static,
-        "active_ops": [sorted(active) for active in state_active_ops],
+        "eval_static": plan.eval_static,
+        "edge_static": plan.edge_static,
+        "active_ops": [sorted(active) for active in plan.state_active_ops],
         "instrumented": instrumented,
         "profiled": profiled,
         "fault_token": _fault_token(fault),
@@ -1199,11 +1255,12 @@ class CompiledSimulator(Simulator):
                 self.fallback_reason = str(exc)
         return self._program
 
-    def _cache_key(self) -> Optional[str]:
-        """The kernel-cache key of the program this simulator needs.
+    def _cache_key(self, kind: Optional[str] = None) -> Optional[str]:
+        """The kernel-cache key of this simulator's *kind* program
+        (default: its own kernel kind).
 
         It covers everything codegen depends on: the structural design
-        digest, the kernel flavour, the coverage and profile flags, the
+        digest, the kernel kind, the coverage and profile flags, the
         fault kind (see :func:`_fault_token`) and the generators' own
         source (:func:`~repro.core.kernelcache.kernel_fingerprint`);
         the cache layer adds the interpreter's bytecode magic.  None
@@ -1215,30 +1272,49 @@ class CompiledSimulator(Simulator):
         if not self.design_digest:
             return None
         return digest_parts("kernel", kernel_fingerprint(),
-                            self.design_digest, self._kernel_kind,
+                            self.design_digest, kind or self._kernel_kind,
                             int(bool(self.coverage_enabled)),
                             int(bool(self.profile_enabled)),
                             _fault_token(self.fault_spec))
 
     def _load_or_build_program(self) -> CompiledProgram:
         """Check the persistent kernel cache (see :meth:`_cache_key`)
-        before generating code; a cached kernel that does not bind is a
-        miss."""
+        before generating code."""
+        program = self._cached_program(self._kernel_kind)
+        if program is None:
+            program = self._file_program(self._kernel_kind,
+                                         *_build_program(self))
+        return program
+
+    def _cached_program(self, kind: str) -> Optional[CompiledProgram]:
+        """The *kind* program the kernel cache holds for this
+        elaboration, bound to it; ``None`` on a miss (a cached kernel
+        that does not bind is a miss)."""
         from ..core.kernelcache import default_cache
 
-        key = self._cache_key()
-        cache = default_cache() if key is not None else None
-        if cache is not None:
-            payload, code = cache.get("kernel", key)
-            if payload is not None and code is not None:
-                try:
-                    return _bind_program(self, payload, code)
-                except Exception:  # noqa: BLE001 - any mismatch: build
-                    pass
-        payload, code = _build_program(self)
+        key = self._cache_key(kind)
+        if key is None:
+            return None
+        payload, code = default_cache().get("kernel", key)
+        if payload is None or code is None:
+            return None
+        try:
+            program = _bind_program(self, payload, code)
+        except Exception:  # noqa: BLE001 - any mismatch: build
+            return None
+        program.kind = kind
+        return program
+
+    def _file_program(self, kind: str, payload: dict,
+                      code: CodeType) -> CompiledProgram:
+        """Bind a fresh *kind* build and file it in the kernel cache."""
+        from ..core.kernelcache import default_cache
+
         program = _bind_program(self, payload, code)
-        if cache is not None:
-            cache.put("kernel", key, payload, code)
+        program.kind = kind
+        key = self._cache_key(kind)
+        if key is not None:
+            default_cache().put("kernel", key, payload, code)
         return program
 
     # -- per-call safety checks ----------------------------------------
@@ -1274,7 +1350,7 @@ class CompiledSimulator(Simulator):
             return super().run_until_high(signal, max_cycles=max_cycles,
                                           domain=domain)
         self.settle()
-        cycles, final = self._execute(program, start, stop, max_cycles)
+        cycles, final = self._run(program, start, stop, max_cycles)
         if final not in stop:
             raise SimulationTimeout(
                 f"condition not met within {max_cycles} cycles", max_cycles
@@ -1292,11 +1368,23 @@ class CompiledSimulator(Simulator):
         if start is None:
             return super().run_cycles(cycles, domain)
         self.settle()
-        self._execute(program, start, program.empty_stop, cycles)
+        self._run(program, start, program.empty_stop, cycles)
 
     # -- execution ------------------------------------------------------
+    def _run(self, program: CompiledProgram, start: int, stop: frozenset,
+             max_cycles: int) -> Tuple[int, int]:
+        """Run the fast path from *start* until a *stop* state or
+        *max_cycles*; returns ``(cycles, final state id)``."""
+        return self._execute(program, start, stop, max_cycles)
+
     def _execute(self, program: CompiledProgram, start: int,
-                 stop: frozenset, max_cycles: int) -> Tuple[int, int]:
+                 stop: frozenset, max_cycles: int, *,
+                 resync: bool = True) -> Tuple[int, int]:
+        """One call of *program*'s runner.  The controller, statistics
+        and locals are written back either way; without *resync* the
+        event-kernel invariants are left for the caller to restore
+        (:meth:`_resync`), so a second runner can take over as if the
+        first had kept going."""
         counts = [0] * program.n_states
         tcounts = ([0] * (program.n_states * program.n_states)
                    if program.instrumented else None)
@@ -1316,17 +1404,17 @@ class CompiledSimulator(Simulator):
                 program.runner(start, max_cycles, stop, counts, tcounts,
                                box)
         except BaseException:
-            self._post_run(program, box, counts, tcounts, pw,
-                           best_effort=True)
+            self._post_run(program, box, counts, tcounts, pw)
+            self._resync(program, best_effort=True)
             raise
-        self._post_run(program, box, counts, tcounts, pw,
-                       best_effort=False)
+        self._post_run(program, box, counts, tcounts, pw)
+        if resync:
+            self._resync(program)
         return box[1], box[0]
 
     def _post_run(self, program: CompiledProgram, box: List[int],
                   counts: List[int], tcounts: Optional[List[int]],
-                  pw: Optional[List[int]] = None,
-                  *, best_effort: bool) -> None:
+                  pw: Optional[List[int]] = None) -> None:
         final, cycles, transitions = box
         controller = program.controller
         controller.state = program.names[final]
@@ -1391,9 +1479,13 @@ class CompiledSimulator(Simulator):
         domain = program.domain
         domain.cycles += cycles
         self.now += domain.period * cycles
-        # restore the event-kernel invariants: arming reflects enables,
-        # and one full settle leaves every signal exactly as the event
-        # kernel would (also firing any lagging watchers)
+
+    def _resync(self, program: CompiledProgram, *,
+                best_effort: bool = False) -> None:
+        """Restore the event-kernel invariants after a fast-path run:
+        arming reflects enables, and one full settle leaves every signal
+        exactly as the event kernel would (also firing any lagging
+        watchers)."""
         for each in self._domains.values():
             each.rearm()
         self._worklist.clear()

@@ -141,3 +141,45 @@ class TestEquivalence:
         result = verify_design(design, kernel, inputs,
                                max_cycles=2_000_000)
         assert result.passed, f"{result.summary()}\n{source}"
+
+
+MIXED_ARRAYS = {
+    "src": MemorySpec(32, 4, role="input"),
+    "dst": MemorySpec(32, 4, role="output"),
+}
+
+
+def not_at_two_widths(src, dst):
+    """A 1-bit logical ``not`` next to a word-wide ``~``: both are
+    ``not`` units, in two width pools (a reduced fuzz program)."""
+    if (not (src[0] > 0)):
+        pass
+    else:
+        dst[0] = (~src[0])
+
+
+def and_at_two_widths(src, dst):
+    """A logical ``and`` condition next to a word-wide ``&`` index."""
+    if (src[0] > 0) and (src[1] > 2):
+        dst[(src[0] & 1)] = 5
+
+
+class TestOneOperatorAtTwoWidths:
+    """Shared units are pooled per (operator, width) and named after
+    both, so an operator used at two widths gets two distinct units."""
+
+    @pytest.mark.parametrize("backend", ["event", "compiled"])
+    @pytest.mark.parametrize("func", [not_at_two_widths, and_at_two_widths])
+    def test_verifies_against_golden(self, func, backend):
+        design = compile_function(func, MIXED_ARRAYS, sharing="all")
+        for words in ([0, 0, 0, 0], [5, 7, 1, 2], [0xFFFFFFFF, 3, 9, 4]):
+            result = verify_design(design, func, {"src": words},
+                                   backend=backend)
+            assert result.passed, result.summary()
+
+    def test_units_are_named_by_width(self):
+        design = compile_function(not_at_two_widths, MIXED_ARRAYS,
+                                  sharing="all")
+        units = {name for name in design.configurations[0].datapath.components
+                 if name.startswith("su")}
+        assert {"su0_not_w1", "su0_not_w32"} <= units

@@ -44,6 +44,42 @@ class TestStimulus:
         image = synthetic_image(256, seed=7)
         assert len(set(image.words())) > 10
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1234])
+    @pytest.mark.parametrize("width,low,high", [
+        (1, 0, None), (8, 0, None), (8, 5, 9), (16, 0, 1000),
+        (32, 0, None), (33, 0, None), (64, 7, (1 << 63) + 5),
+        (12, 3, 3)])
+    def test_random_words_are_randint_draws(self, seed, width, low, high):
+        """Word for word what one ``randint`` call per word draws."""
+        import random
+
+        rng = random.Random(seed)
+        top = (1 << width) - 1 if high is None else high
+        expected = [rng.randint(low, top) for _ in range(300)]
+        image = random_words(300, width, seed=seed, low=low, high=high)
+        assert image.words() == expected
+
+    @pytest.mark.parametrize("seed", [0, 3, 99])
+    @pytest.mark.parametrize("pixels,max_value", [
+        (1, 255), (2, 255), (64, 255), (1000, 255), (777, 4095), (50, 10)])
+    def test_synthetic_image_is_the_randint_formula(self, seed, pixels,
+                                                    max_value):
+        import random
+
+        rng = random.Random(seed)
+        expected = []
+        for index in range(pixels):
+            gradient = (index * max_value) // max(pixels - 1, 1)
+            noise = rng.randint(-24, 24)
+            expected.append(min(max(gradient // 2 + noise + max_value // 4,
+                                    0), max_value))
+        image = synthetic_image(pixels, seed=seed, max_value=max_value)
+        assert image.words() == expected
+
+    def test_random_words_refuse_an_empty_range(self):
+        with pytest.raises(ValueError):
+            random_words(4, 8, seed=0, low=9, high=5)
+
     def test_ramp(self):
         image = ramp_image(5, width=8, step=3)
         assert image.words() == [0, 3, 6, 9, 12]

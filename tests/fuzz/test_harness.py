@@ -23,6 +23,25 @@ def test_generated_program_passes():
     assert run_program(generate(0)).kind == "pass"
 
 
+def test_traced_runs_start_fused(monkeypatch):
+    """Fuzz programs are far too short to promote a traced elaboration,
+    so the harness starts it fused: otherwise ``traced`` would run the
+    compiled kernel a second time."""
+    from repro.fuzz import harness
+
+    sims = []
+    original = harness._start_fused
+
+    def spy(design):
+        original(design)
+        sims.append(design.sim)
+
+    monkeypatch.setattr(harness, "_start_fused", spy)
+    assert run_program(generate(0), backends=("event", "traced")).kind \
+        == "pass"
+    assert sims and all(sim.promoted_at == 0 for sim in sims)
+
+
 def test_compile_crash_classification():
     # 'y' is used before assignment: the frontend must reject, and the
     # harness must classify that as a compile crash (generator programs

@@ -10,7 +10,8 @@ from tests.sim.test_kernel import build_accumulator
 
 
 def _build_pair(name="fdct1", backend="traced", **sizes):
-    """Elaborate one app twice: event reference + traced kernel."""
+    """Elaborate one app twice: event reference + traced kernel, which
+    starts fused (its generic tier is the compiled kernel)."""
     sizes = sizes or {"pixels": 64}
     case = suite_case(name, **sizes)
     design = case.compile()
@@ -22,6 +23,7 @@ def _build_pair(name="fdct1", backend="traced", **sizes):
                            prepare_images(design, inputs))
     dut = build_simulation(config.datapath, config.fsm,
                            prepare_images(design, inputs), backend=backend)
+    dut.sim.promote_after = 0
     return ref, dut
 
 

@@ -3,10 +3,14 @@
 Two gates, cheap enough for every push:
 
 1. **Differential** — every registered app, compiled vs traced, must
-   produce identical cycle counts and memory contents.  On any
-   mismatch the generated (fused) kernel source for the offending
-   design is written under ``fused-kernels/`` so the CI artifact
-   upload captures exactly the code that diverged.
+   produce identical cycle counts and memory contents.  Each app runs
+   traced twice: fused from cycle 0, and promoted from the generic
+   program to the fused one in the middle of each configuration's run
+   (these runs are far too short to promote on their own).  On any
+   mismatch, or a run that did not promote where asked, the generated
+   (fused) kernel source for the offending design is written under
+   ``fused-kernels/`` so the CI artifact upload captures exactly the
+   code that diverged.
 2. **Performance** — on fdct1 (the acceptance anchor) the traced
    kernel must be at least as fast as the compiled kernel,
    min-over-repeats of interleaved runs so host noise cannot flip the
@@ -20,6 +24,7 @@ from pathlib import Path
 
 from repro.apps import CASE_BUILDERS, suite_case
 from repro.core import prepare_images, verify_design
+from repro.core.kernelcache import KernelCache, set_default_cache
 from repro.rtg import ReconfigurationContext, RtgExecutor
 
 SMALL_SIZES = {
@@ -40,18 +45,30 @@ PERF_REPEATS = 3
 DUMP_DIR = Path("fused-kernels")
 
 
-def _execute(design, inputs, backend, sims):
+def _execute(design, inputs, backend, sims, promote=()):
+    """Run *design*'s RTG; *promote* lists, per configuration run in
+    order, the cycle its traced elaboration promotes at.  Returns
+    ``((cycles, memories), per-run cycles)``."""
     images = prepare_images(design, inputs)
     context = ReconfigurationContext.from_rtg(design.rtg, initial=images)
     executor = RtgExecutor(design.rtg, context, backend=backend)
-    executor.on_configure = lambda d: sims.append(d.sim)
+    points = iter(promote)
+
+    def configure(sim_design):
+        cycle = next(points, None)
+        if cycle is not None:
+            sim_design.sim.promote_after = cycle
+        sims.append(sim_design.sim)
+
+    executor.on_configure = configure
     result = executor.run()
     memories = {name: tuple(context.memory(name).words())
                 for name in context.memories}
-    return result.total_cycles, memories
+    return (result.total_cycles, memories), \
+        [run.cycles for run in result.runs]
 
 
-def _dump_fused_sources(name, sims):
+def _dump_fused_sources(name, tag, sims):
     DUMP_DIR.mkdir(exist_ok=True)
     for index, sim in enumerate(sims):
         program = getattr(sim, "_program", None)
@@ -59,28 +76,38 @@ def _dump_fused_sources(name, sims):
         if source is None:
             source = f"# no generated program (fallback: " \
                      f"{getattr(sim, 'fallback_reason', None)})\n"
-        path = DUMP_DIR / f"{name}_cfg{index}_traced.py"
+        path = DUMP_DIR / f"{name}_cfg{index}_traced_{tag}.py"
         path.write_text(source)
         print(f"  fused kernel source -> {path}")
 
 
 def differential_gate():
     failed = []
+    previous = set_default_cache(None)
     for name in sorted(CASE_BUILDERS):
         case = suite_case(name, **SMALL_SIZES.get(name, {}))
         design = case.compile()
         inputs = case.inputs(0)
-        compiled = _execute(design, inputs, "compiled", [])
-        traced_sims = []
-        traced = _execute(design, inputs, "traced", traced_sims)
-        if compiled == traced:
-            print(f"[ok]   {name}: {compiled[0]} cycles, "
-                  f"memories identical")
-            continue
-        failed.append(name)
-        print(f"[FAIL] {name}: compiled/traced diverge "
-              f"(cycles {compiled[0]} vs {traced[0]})")
-        _dump_fused_sources(name, traced_sims)
+        compiled, runs = _execute(design, inputs, "compiled", [])
+        for tag, promote in (("at0", [0] * len(runs)),
+                             ("mid", [cycles // 2 for cycles in runs])):
+            # an empty cache: a fused program stored by the first run
+            # would make the second start fused
+            set_default_cache(KernelCache(None))
+            traced_sims = []
+            traced, _ = _execute(design, inputs, "traced", traced_sims,
+                                 promote)
+            promoted = [sim.promoted_at for sim in traced_sims]
+            if compiled == traced and promoted == promote:
+                print(f"[ok]   {name} promoted at {promote}: "
+                      f"{compiled[0]} cycles, memories identical")
+                continue
+            failed.append(f"{name} ({tag})")
+            print(f"[FAIL] {name}: compiled/traced diverge "
+                  f"(cycles {compiled[0]} vs {traced[0]}; promotion "
+                  f"asked at {promote}, came at {promoted})")
+            _dump_fused_sources(name, tag, traced_sims)
+    set_default_cache(previous)
     return failed
 
 
