@@ -186,10 +186,11 @@ def _fault_resync(sim) -> None:
     """Re-force a kernel stuck-at into the post-run signal view.
 
     The compiled/traced kernels apply stuck-at forcing inside the
-    generated code, but ``_post_run``'s clean settle recomputes
-    combinational nets without it.  Re-forcing the target and settling
-    its fanout makes the boundary view identical to the event kernel's
-    (where the watcher forces during settle).  No-op without a spec.
+    generated code, but the clean settle of
+    ``CompiledSimulator._resync`` recomputes combinational nets without
+    it.  Re-forcing the target and settling its fanout makes the
+    boundary view identical to the event kernel's (where the watcher
+    forces during settle).  No-op without a spec.
     """
     spec = getattr(sim, "fault_spec", None)
     if spec is None or spec.kind != "stuck":

@@ -618,22 +618,13 @@ def _transition_fns(behavior) -> Callable:
     return transition_fn
 
 
-class _KernelPlan:
-    """The per-state analysis of one elaboration under one set of flags.
-
-    Everything the module assembly reads, fused or not: a traced
-    simulator keeps the plan of its generic build, so that promotion
-    fuses traces from it instead of analysing the design again.
-    """
-
-    __slots__ = ("facts", "instrumented", "profiled", "fault",
-                 "static_target", "dynamic_fns", "gen", "status_items",
-                 "eval_static", "edge_static", "settle_blocks",
-                 "edge_blocks", "state_active_ops", "state_ir")
-
-
-def _plan_program(sim: "CompiledSimulator") -> _KernelPlan:
-    """Analyse *sim*'s elaboration state by state (see :class:`_KernelPlan`)."""
+def _build_program(sim: "CompiledSimulator", *,
+                   fuse: bool = False) -> Tuple[dict, CodeType]:
+    """Generate the kernel for *sim*'s elaboration and return the
+    artifact ``(payload, code)`` that the kernel cache stores and
+    :func:`_bind_program` binds; the payload carries the source.  With
+    *fuse*, hot FSM traces are fused into the dispatch loop
+    (:mod:`repro.sim.trace`)."""
     facts = sim._design_facts()
     instrumented = bool(getattr(sim, "coverage_enabled", False))
     profiled = bool(getattr(sim, "profile_enabled", False))
@@ -646,6 +637,7 @@ def _plan_program(sim: "CompiledSimulator") -> _KernelPlan:
     registers = facts.registers
     srams = facts.srams
     roms = facts.roms
+    tracked = facts.tracked
     local = facts.local
 
     # --- fault instrumentation (see repro.inject) -----------------------
@@ -662,6 +654,7 @@ def _plan_program(sim: "CompiledSimulator") -> _KernelPlan:
     fault = getattr(sim, "fault_spec", None)
     _fault_runtime(fault, sim, facts)  # refuse an unreachable target now
     stuck = fault is not None and fault.kind == "stuck"
+    flip = fault is not None and fault.kind == "flip"
 
     try:
         topo = levelize(facts.comb_ops)
@@ -836,53 +829,6 @@ def _plan_program(sim: "CompiledSimulator") -> _KernelPlan:
         state_ir.append(ir)
         eval_static[index] = len(live_ops)
 
-    plan = _KernelPlan()
-    plan.facts = facts
-    plan.instrumented = instrumented
-    plan.profiled = profiled
-    plan.fault = fault
-    plan.static_target = static_target
-    plan.dynamic_fns = dynamic_fns
-    plan.gen = gen
-    plan.status_items = status_items
-    plan.eval_static = eval_static
-    plan.edge_static = edge_static
-    plan.settle_blocks = settle_blocks
-    plan.edge_blocks = edge_blocks
-    plan.state_active_ops = state_active_ops
-    plan.state_ir = state_ir
-    return plan
-
-
-def _build_program(sim: "CompiledSimulator",
-                   plan: Optional[_KernelPlan] = None, *,
-                   fuse: bool = False) -> Tuple[dict, CodeType]:
-    """Generate the kernel for *sim*'s elaboration and return the
-    artifact ``(payload, code)`` that the kernel cache stores and
-    :func:`_bind_program` binds; the payload carries the source.
-
-    *plan* is the analysis of an earlier build of this elaboration
-    under the same flags (analysed afresh when ``None``).  With *fuse*,
-    hot FSM traces are fused into the dispatch loop
-    (:mod:`repro.sim.trace`).
-    """
-    if plan is None:
-        plan = _plan_program(sim)
-    facts = plan.facts
-    instrumented = plan.instrumented
-    profiled = plan.profiled
-    fault = plan.fault
-    stuck = fault is not None and fault.kind == "stuck"
-    flip = fault is not None and fault.kind == "flip"
-    names = facts.names
-    sid = facts.sid
-    tracked = facts.tracked
-    dynamic_fns = plan.dynamic_fns
-    gen = plan.gen
-    n_states = len(names)
-    settle_blocks = plan.settle_blocks
-    edge_blocks = plan.edge_blocks
-
     # --- trace fusion --------------------------------------------------
     # fused trace bodies are built from the structured _StateIR, which
     # cannot see raw injected fault lines — so a kernel with a fault
@@ -892,10 +838,10 @@ def _build_program(sim: "CompiledSimulator",
         from .trace import build_fusion  # sibling module imports us back
 
         fusion = build_fusion(
-            state_ir=plan.state_ir, names=names, sid=sid,
-            static_target=plan.static_target, dynamic_fns=dynamic_fns,
+            state_ir=state_ir, names=names, sid=sid,
+            static_target=static_target, dynamic_fns=dynamic_fns,
             statuses=[(name, signal.width)
-                      for name, signal in plan.status_items],
+                      for name, signal in status_items],
             settle_blocks=settle_blocks, instrumented=instrumented,
             n_states=n_states, profiled=profiled)
 
@@ -1009,11 +955,11 @@ def _build_program(sim: "CompiledSimulator",
         "comps": gen.comp_owners,
         "helpers": gen.helper_owners,
         "images": list({id(m.image): m.name
-                        for m in (*facts.srams, *facts.roms)}.values()),
+                        for m in (*srams, *roms)}.values()),
         "dynamic": sorted(dynamic_fns),
-        "eval_static": plan.eval_static,
-        "edge_static": plan.edge_static,
-        "active_ops": [sorted(active) for active in plan.state_active_ops],
+        "eval_static": eval_static,
+        "edge_static": edge_static,
+        "active_ops": [sorted(active) for active in state_active_ops],
         "instrumented": instrumented,
         "profiled": profiled,
         "fault_token": _fault_token(fault),

@@ -49,15 +49,15 @@ import re
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .compiled import (CompiledProgram, CompiledSimulator, _build_program,
-                       _KernelPlan, _plan_program, _StateIR)
+                       _StateIR)
 
 __all__ = ["TracedSimulator", "build_fusion", "PROMOTE_AFTER"]
 
-#: fast-path cycles an elaboration runs on the generic program before it
-#: promotes to fused traces: above every default-size app's run (at
-#: most ~2200 cycles), which fusion would not repay, and otherwise as
-#: low as possible, since the cycles before promotion run at the
-#: generic program's speed (docs/performance.md has the sweep)
+#: cycles an elaboration runs on the generic program before it promotes
+#: to fused traces: above every default-size app's run (at most ~2200
+#: cycles), which fusion would not repay, and otherwise as low as
+#: possible, since the cycles before promotion run at the generic
+#: program's speed (docs/performance.md has the sweep)
 PROMOTE_AFTER = 1 << 12
 #: most traces worth guarding in the outer loop; every generic cycle
 #: pays one int-compare per trace guard, so keep the set small
@@ -892,13 +892,15 @@ class TracedSimulator(CompiledSimulator):
     A tiered kernel.  An elaboration starts on the generic per-state
     program — the compiled kernel, filed under the ``compiled`` kernel
     key and shared with that backend — and switches to the fused
-    program once it has run :attr:`promote_after` cycles, so short runs
-    never pay for fusion.  It starts fused when the kernel cache already
-    holds the fused program.  A run that crosses the promotion point is
-    split there into two runner calls; the generic one writes its
-    locals back and the fused one takes over from them, so the run is
-    bit-identical to an unsplit one, statistics included.  A simulator
-    with a fault spec never promotes: fault kernels do not fuse.
+    program once its ``stats.cycles`` reach :attr:`promote_after`, so
+    short runs never pay for fusion (a campaign testbench that rewinds
+    the statistics rewinds the count with them).  It starts fused when
+    the kernel cache already holds the fused program.  A run that
+    crosses the promotion point is split there into two runner calls;
+    the generic one writes its locals back and the fused one takes over
+    from them, so the run is bit-identical to an unsplit one,
+    statistics included.  A simulator with a fault spec never promotes:
+    fault kernels do not fuse.
 
     Inherits every safety property of :class:`CompiledSimulator`: the
     same conservative fallback to the event kernel, the same entry/exit
@@ -908,70 +910,53 @@ class TracedSimulator(CompiledSimulator):
     """
 
     _kernel_kind = "traced"
-    #: fast-path cycles before promotion; ``0`` starts fused
+    #: cycles before promotion; ``0`` starts fused
     promote_after = PROMOTE_AFTER
 
     def __init__(self, name: str = "traced-sim", **kwargs) -> None:
         super().__init__(name, **kwargs)
-        #: fast-path cycles this elaboration has run
-        self.kernel_cycles = 0
-        #: ``kernel_cycles`` when fused code took over (None until then)
+        #: ``stats.cycles`` when fused code took over (None until then)
         self.promoted_at: Optional[int] = None
-        #: the analysis of a fresh generic build, which promotion fuses
-        self._plan: Optional[_KernelPlan] = None
-
-    def _invalidate_program(self) -> None:
-        super()._invalidate_program()
-        self._plan = None
 
     def _load_or_build_program(self) -> CompiledProgram:
         if self.fault_spec is not None:
             return self._generic_program()
         if self.promoted_at is not None \
-                or self.kernel_cycles >= self.promote_after:
+                or self.stats.cycles >= self.promote_after:
             return self._promote()
         program = self._cached_program(self._kernel_kind)
         if program is None:
             return self._generic_program()
-        self.promoted_at = self.kernel_cycles
+        self.promoted_at = self.stats.cycles
         return program
 
     def _generic_program(self) -> CompiledProgram:
         program = self._cached_program("compiled")
         if program is None:
-            plan = _plan_program(self)
-            program = self._file_program("compiled",
-                                         *_build_program(self, plan))
-            if self.fault_spec is None:
-                self._plan = plan
+            program = self._file_program("compiled", *_build_program(self))
         return program
 
     def _promote(self) -> CompiledProgram:
-        """Switch this elaboration to its fused program: fused from the
-        generic build's analysis when there is one (its fresh build
-        missed the fused key a moment ago), else from the kernel cache
-        or a fresh build."""
-        plan, self._plan = self._plan, None
-        program = self._cached_program(self._kernel_kind) \
-            if plan is None else None
+        """Switch this elaboration to its fused program, from the kernel
+        cache or a fresh build."""
+        program = self._cached_program(self._kernel_kind)
         if program is None:
             program = self._file_program(
-                self._kernel_kind, *_build_program(self, plan, fuse=True))
+                self._kernel_kind, *_build_program(self, fuse=True))
         if self.promoted_at is None:
-            self.promoted_at = self.kernel_cycles
+            self.promoted_at = self.stats.cycles
         self._program = program
         return program
 
     def _run(self, program: CompiledProgram, start: int, stop: frozenset,
              max_cycles: int) -> Tuple[int, int]:
         if program.kind == "compiled" and self.fault_spec is None:
-            left = self.promote_after - self.kernel_cycles
+            left = self.promote_after - self.stats.cycles
             if left <= 0:
                 program = self._promote()
             elif left < max_cycles:
                 ran, final = self._execute(program, start, stop, left,
                                            resync=False)
-                self.kernel_cycles += ran
                 if final in stop:
                     self._resync(program)
                     return ran, final
@@ -982,11 +967,8 @@ class TracedSimulator(CompiledSimulator):
                     raise
                 more, final = self._execute(fused, final, stop,
                                             max_cycles - ran)
-                self.kernel_cycles += more
                 return ran + more, final
-        cycles, final = self._execute(program, start, stop, max_cycles)
-        self.kernel_cycles += cycles
-        return cycles, final
+        return self._execute(program, start, stop, max_cycles)
 
     def fusion_report(self) -> Optional[dict]:
         """What fused for this elaboration (None when the design fell

@@ -8,7 +8,7 @@ installs a watcher.  It advances the simulator one cycle at a time with
 ``run_cycles(1)`` and samples the post-settle signal values at each
 cycle boundary.  The fast kernels fully resynchronise the signal/FSM
 state after every ``run_cycles`` exit (see
-``CompiledSimulator._post_run``), so the captured values are bit-exact
+``CompiledSimulator._resync``), so the captured values are bit-exact
 with what the event kernel would show — and the fast path stays armed,
 which is what makes cycle-accurate capture affordable on the compiled
 and traced backends.

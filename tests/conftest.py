@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.kernelcache import set_default_cache
+from repro.sim import TracedSimulator
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -22,3 +23,19 @@ def private_kernel_cache(tmp_path_factory):
         set_default_cache(None)
         yield
     set_default_cache(None)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def traced_starts_fused():
+    """Run every traced elaboration on its fused program from cycle 0.
+
+    Test runs are far too short to promote, and the generic tier is the
+    compiled kernel: left alone, every traced case would run the
+    compiled kernel a second time and no test would run fused code.
+    Forked pool workers inherit the setting; subprocesses do not.
+    tests/integration/test_traced_tiers.py puts the threshold back to
+    test the promotion itself.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TracedSimulator, "promote_after", 0)
+        yield

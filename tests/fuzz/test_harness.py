@@ -28,7 +28,11 @@ def test_traced_runs_start_fused(monkeypatch):
     so the harness starts it fused: otherwise ``traced`` would run the
     compiled kernel a second time."""
     from repro.fuzz import harness
+    from repro.sim import TracedSimulator
+    from repro.sim.trace import PROMOTE_AFTER
 
+    # the real threshold: tests/conftest.py starts every traced run fused
+    monkeypatch.setattr(TracedSimulator, "promote_after", PROMOTE_AFTER)
     sims = []
     original = harness._start_fused
 

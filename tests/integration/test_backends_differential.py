@@ -8,11 +8,6 @@ the oblivious backend ignores every event-driven optimisation.
 Whatever the kernel, the observable outcome — final memory contents,
 cycle counts, verification verdicts — must be bit-identical, or a kernel
 has changed the semantics it is supposed to merely accelerate.
-
-These runs are far too short to promote a traced elaboration to fused
-code, so the traced backend starts fused here: its generic tier is the
-compiled kernel, which would otherwise be compared with itself.
-(tests/integration/test_traced_tiers.py covers the promotion.)
 """
 
 import pytest
@@ -20,7 +15,7 @@ import pytest
 from repro.apps import CASE_BUILDERS, suite_case
 from repro.core import prepare_images, verify_design
 from repro.rtg import ReconfigurationContext, RtgExecutor
-from repro.sim import SIMULATOR_BACKENDS, TracedSimulator
+from repro.sim import SIMULATOR_BACKENDS
 
 SMALL_SIZES = {
     "fdct1": {"pixels": 64},
@@ -34,11 +29,6 @@ SMALL_SIZES = {
 }
 
 BACKENDS = sorted(SIMULATOR_BACKENDS)
-
-
-@pytest.fixture(autouse=True)
-def traced_starts_fused(monkeypatch):
-    monkeypatch.setattr(TracedSimulator, "promote_after", 0)
 
 
 def test_all_backends_registered():

@@ -17,10 +17,12 @@ from repro.apps import CASE_BUILDERS, suite_case
 from repro.core import prepare_images
 from repro.core.kernelcache import KernelCache, default_cache, \
     set_default_cache
-from repro.inject import FaultDescriptor, attach_fault, output_adjacent_nets
+from repro.inject import (FaultDescriptor, FaultloadGenerator, attach_fault,
+                          output_adjacent_nets, run_campaign)
+from repro.inject import campaign as campaign_mod
 from repro.obs import CoverageCollector
 from repro.rtg import ReconfigurationContext, RtgExecutor
-from repro.sim import SimulationTimeout
+from repro.sim import SimulationTimeout, TracedSimulator
 from repro.sim.trace import PROMOTE_AFTER
 from repro.translate import build_simulation
 
@@ -30,9 +32,11 @@ POINTS = ("inside", "first", "last", "before_done")
 
 
 @pytest.fixture(autouse=True)
-def fresh_kernel_cache():
-    """A fused program another test left in the cache would make these
-    runs start fused."""
+def tiered(monkeypatch):
+    """The real threshold (tests/conftest.py starts traced runs fused),
+    on an empty kernel cache: a fused program another test left in the
+    cache would make these runs start fused."""
+    monkeypatch.setattr(TracedSimulator, "promote_after", PROMOTE_AFTER)
     previous = set_default_cache(KernelCache(None))
     yield
     set_default_cache(previous)
@@ -251,3 +255,49 @@ def test_a_fault_spec_never_promotes():
     assert handle.mechanism == "kernel"
     sim_design.run_to_done()
     assert sim_design.sim.fusion_report() == {"promoted_at": None}
+
+
+def test_campaign_rewinds_do_not_add_up_to_a_promotion():
+    """A campaign testbench rewinds its elaboration, statistics
+    included, before every injection: runs each shorter than the
+    threshold never promote, however many of them it makes."""
+    design, inputs = _case("fdct1")
+    bench = campaign_mod._Testbench(design, inputs, backend="traced",
+                                    fsm_mode="generated")
+    cycles = bench.record(10_000)
+    for _ in range(PROMOTE_AFTER // cycles + 1):
+        bench.rewind()
+        assert bench.design.run_to_done(max_cycles=10_000) == cycles
+    assert bench.design.sim.fusion_report() == {"promoted_at": None}
+
+
+def test_a_campaign_promoted_mid_baseline_classifies_as_compiled(
+        monkeypatch):
+    """The baseline promotes its elaboration half way; the injections
+    then rewind it to checkpoints before the promotion and swap fault
+    kernels in and out.  Every fault still classifies as on
+    ``compiled``."""
+    design, inputs = _case("fdct1")
+    func = suite_case("fdct1", **SMALL_SIZES["fdct1"]).func
+    cycles = _elaborate("compiled").run_to_done()
+    faults = FaultloadGenerator(design, seed=5, max_cycle=cycles) \
+        .generate(40)
+    promoted = []
+    promote = TracedSimulator._promote
+
+    def spy(sim):
+        promoted.append(sim.stats.cycles)
+        return promote(sim)
+
+    monkeypatch.setattr(TracedSimulator, "promote_after", cycles // 2)
+    monkeypatch.setattr(TracedSimulator, "_promote", spy)
+    rows = {}
+    for backend in ("compiled", "traced"):
+        report = run_campaign(design, func, faults, inputs,
+                              backend=backend, jobs=1)
+        rows[backend] = [(result.fault.fault_id, result.verdict,
+                          result.cycles, result.mechanism, result.note)
+                         for result in report.results]
+    assert promoted[0] == cycles // 2
+    assert {row[1] for row in rows["traced"]} >= {"masked", "sdc"}
+    assert rows["traced"] == rows["compiled"]
