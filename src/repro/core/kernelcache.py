@@ -12,7 +12,8 @@ entirely and ``exec`` the cached code object.
 Two layers:
 
 * an in-process memo (reconfiguration loops re-elaborate the same
-  configuration many times within one run);
+  configuration many times within one run), which keeps the
+  :data:`MEMO_ENTRIES` most recently used entries;
 * a disk store under ``$REPRO_KERNEL_CACHE`` (default
   ``~/.cache/repro-kernels``), shared across processes.  Set
   ``REPRO_KERNEL_CACHE=off`` to keep the cache memory-only.
@@ -48,10 +49,18 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = ["KernelCache", "default_cache", "set_default_cache",
            "digest_parts", "datapath_digest", "fsm_digest",
            "batch_group_key", "toolchain_fingerprint",
-           "kernel_fingerprint", "fsm_fingerprint"]
+           "kernel_fingerprint", "fsm_fingerprint", "MEMO_ENTRIES",
+           "memo_get", "memo_put"]
 
 #: bump when the payload schema changes
 _SCHEMA_VERSION = 1
+
+#: entries a per-process memo keeps: the kernel cache's memory layer
+#: and the FSM behaviour memo each evict their least recently used
+#: entry past it.  A suite process holds at most 35 kernel-cache
+#: entries and 9 FSM modules, so only long-lived fuzz and serve workers
+#: evict; a persistent cache re-reads an evicted entry from disk
+MEMO_ENTRIES = 256
 
 #: interpreter bytecode magic, base64 for JSON transport
 _MAGIC = base64.b64encode(importlib.util.MAGIC_NUMBER).decode("ascii")
@@ -232,10 +241,36 @@ def batch_group_key(datapath, fsm, fsm_mode: str = "generated") -> str:
 
 
 # ----------------------------------------------------------------------
+# Bounded memos
+# ----------------------------------------------------------------------
+def memo_get(memo: dict, key) -> Any:
+    """``memo[key]``, or ``None``; a hit becomes the newest entry.
+
+    *memo* is a plain dict, whose insertion order is the recency order.
+    """
+    value = memo.pop(key, None)
+    if value is not None:
+        memo[key] = value
+    return value
+
+
+def memo_put(memo: dict, key, value) -> None:
+    """File *value* as *memo*'s newest entry and evict the least
+    recently used ones past :data:`MEMO_ENTRIES`."""
+    memo.pop(key, None)
+    memo[key] = value
+    while len(memo) > MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+
+
+# ----------------------------------------------------------------------
 # The cache
 # ----------------------------------------------------------------------
 class KernelCache:
     """Two-layer (memory + disk) store for generated-code payloads.
+
+    The memory layer keeps the :data:`MEMO_ENTRIES` most recently used
+    entries; the disk layer keeps everything.
 
     A payload is a JSON-serialisable dict; the associated code object is
     transported as marshalled bytes under the reserved ``"code"`` key.
@@ -260,7 +295,7 @@ class KernelCache:
 
     def get(self, kind: str, key: str
             ) -> Tuple[Optional[dict], Optional[CodeType]]:
-        cached = self._memory.get((kind, key))
+        cached = memo_get(self._memory, (kind, key))
         if cached is not None:
             self.memory_hits += 1
             return cached
@@ -286,7 +321,7 @@ class KernelCache:
             self.misses += 1
             return None, None
         self.disk_hits += 1
-        self._memory[(kind, key)] = (payload, code)
+        memo_put(self._memory, (kind, key), (payload, code))
         return payload, code
 
     def get_object(self, kind: str, key: str) -> Any:
@@ -332,7 +367,7 @@ class KernelCache:
         payload = dict(payload)
         payload["v"] = _SCHEMA_VERSION
         payload["magic"] = _MAGIC
-        self._memory[(kind, key)] = (payload, code)
+        memo_put(self._memory, (kind, key), (payload, code))
         self.stores += 1
         if self.root is None:
             return

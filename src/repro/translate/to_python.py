@@ -37,9 +37,15 @@ __all__ = ["fsm_to_python", "compile_fsm", "GeneratedFsmBehavior",
 def fsm_to_python(fsm: Fsm) -> str:
     """Emit an executable Python module for *fsm*.
 
-    The module contains the reset state, the final-state set, a
-    precomputed full output vector per state, and a ``next_state``
-    function compiled from the transition guards.
+    The module contains the reset state, the final-state set, the
+    outputs' defaults and each state's own assignments (what ``fsm.xml``
+    lists), and a ``next_state`` function compiled from the transition
+    guards.  The full output vector of every state is built from the two
+    tables when the module loads: spelling it out would make the module
+    states x outputs long, and ``compile()`` would pay for every entry.
+    Assignments are listed in output-declaration order, so the text
+    depends only on what :func:`~repro.core.kernelcache.fsm_digest`
+    hashes.
     """
     fsm.validate()
     lines: List[str] = [
@@ -56,14 +62,25 @@ def fsm_to_python(fsm: Fsm) -> str:
         lines.append(f"    {decl.name!r}: {decl.width},")
     lines.append("}")
     lines.append("")
-    lines.append("OUTPUT_VECTORS = {")
-    for state_name in fsm.states:
-        vector = fsm.output_vector(state_name)
-        lines.append(f"    {state_name!r}: {{")
-        for output, value in vector.items():
-            lines.append(f"        {output!r}: {value},")
+    lines.append("OUTPUT_DEFAULTS = {")
+    for decl in fsm.outputs.values():
+        lines.append(f"    {decl.name!r}: {decl.default},")
+    lines.append("}")
+    lines.append("")
+    lines.append("STATE_ASSIGNS = {")
+    for state in fsm.states.values():
+        if not state.assigns:
+            lines.append(f"    {state.name!r}: {{}},")
+            continue
+        lines.append(f"    {state.name!r}: {{")
+        for output in fsm.outputs:
+            if output in state.assigns:
+                lines.append(f"        {output!r}: {state.assigns[output]},")
         lines.append("    },")
     lines.append("}")
+    lines.append("")
+    lines.append("OUTPUT_VECTORS = {state: {**OUTPUT_DEFAULTS, **assigns}")
+    lines.append("                  for state, assigns in STATE_ASSIGNS.items()}")
     lines.append("")
     # one native transition function per state, dispatched through a
     # dict: O(1) per clock edge regardless of the FSM size (the reason
@@ -131,7 +148,9 @@ class GeneratedFsmBehavior:
 
 
 #: process-level behaviour memo — GeneratedFsmBehavior instances are
-#: immutable (pure dispatch tables), so identical sources share one
+#: immutable (pure dispatch tables), so identical sources share one;
+#: bounded like the kernel cache's memory layer
+#: (:data:`~repro.core.kernelcache.MEMO_ENTRIES`)
 _BEHAVIOR_MEMO: Dict[str, GeneratedFsmBehavior] = {}
 
 
@@ -147,18 +166,18 @@ def _fsm_key(fsm: Fsm) -> str:
 def compile_fsm(fsm: Fsm) -> GeneratedFsmBehavior:
     """Generate and load executable behaviour for *fsm*.
 
-    ``compile()`` and ``exec()`` of the generated module dominate
-    elaboration time for large FSMs, so behaviour objects are memoised
-    per process (they are stateless) and the bytecode additionally
-    persists in the kernel cache so fresh processes skip ``compile()``.
-    The memo key is the structural FSM digest with the generator's
-    fingerprint — cheaper to compute than regenerating the module
-    source, which a memo hit skips entirely.
+    Behaviour objects are stateless, so one per FSM is memoised per
+    process: reconfiguration loops and campaigns elaborate the same
+    configuration many times.  The bytecode also persists in the kernel
+    cache, so a fresh process skips ``compile()``.  The memo key is the
+    structural FSM digest with the generator's fingerprint — cheaper to
+    compute than regenerating the module source, which a memo hit skips
+    entirely.
     """
-    from ..core.kernelcache import default_cache
+    from ..core.kernelcache import default_cache, memo_get, memo_put
 
     key = _fsm_key(fsm)
-    behavior = _BEHAVIOR_MEMO.get(key)
+    behavior = memo_get(_BEHAVIOR_MEMO, key)
     if behavior is not None:
         return behavior
     source = fsm_to_python(fsm)
@@ -168,7 +187,7 @@ def compile_fsm(fsm: Fsm) -> GeneratedFsmBehavior:
         code = compile(source, "<generated-fsm>", "exec")
         cache.put("fsm", key, {"kind": "fsm"}, code)
     behavior = GeneratedFsmBehavior(source, code=code)
-    _BEHAVIOR_MEMO[key] = behavior
+    memo_put(_BEHAVIOR_MEMO, key, behavior)
     return behavior
 
 

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.core.kernelcache import (KernelCache, batch_group_key,
-                                    datapath_digest, default_cache,
-                                    digest_parts, fsm_digest,
-                                    set_default_cache)
+from repro.core.kernelcache import (MEMO_ENTRIES, KernelCache,
+                                    batch_group_key, datapath_digest,
+                                    default_cache, digest_parts,
+                                    fsm_digest, set_default_cache)
 from repro.hdl import Datapath, Fsm, Var
 
 
@@ -83,6 +83,35 @@ class TestCacheLayers:
         finally:
             set_default_cache(previous)
         assert default_cache() is not cache
+
+
+class TestBoundedMemory:
+    """The memory layer keeps the MEMO_ENTRIES most recently used
+    entries, so a long-lived fuzz or serve worker stops growing."""
+
+    def _fill(self, cache, count, start=0):
+        for index in range(start, start + count):
+            cache.put("kernel", f"k{index}", _payload(), _code())
+
+    def test_least_recently_used_entries_leave(self):
+        cache = KernelCache(None)
+        self._fill(cache, MEMO_ENTRIES)
+        assert cache.get("kernel", "k0")[0] is not None  # now the newest
+        self._fill(cache, 10, start=MEMO_ENTRIES)
+        assert len(cache._memory) == MEMO_ENTRIES
+        for index in (0, 11, MEMO_ENTRIES + 9):
+            assert cache.get("kernel", f"k{index}")[0] is not None
+        assert cache.get("kernel", "k1") == (None, None)
+        assert cache.get("kernel", "k10") == (None, None)
+        assert len(cache._memory) == MEMO_ENTRIES
+
+    def test_an_evicted_entry_comes_back_from_disk(self, cache):
+        self._fill(cache, MEMO_ENTRIES + 1)
+        assert len(cache._memory) == MEMO_ENTRIES
+        payload, code = cache.get("kernel", "k0")
+        assert payload["source"] == "x = 1" and code is not None
+        assert (cache.disk_hits, cache.misses) == (1, 0)
+        assert len(cache._memory) == MEMO_ENTRIES
 
 
 class TestObjects:

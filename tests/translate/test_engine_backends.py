@@ -1,12 +1,20 @@
 """Tests for the translation engine, dot backends and Python codegen."""
 
+import copy
+
 import pytest
 
+from repro.apps import CASE_BUILDERS, suite_case
+from repro.compiler.pipeline import compile_function
+from repro.core.kernelcache import (MEMO_ENTRIES, KernelCache, fsm_digest,
+                                    set_default_cache)
+from repro.fuzz.generator import generate
 from repro.hdl import Datapath, Fsm, Rtg
 from repro.translate import (GeneratedFsmBehavior, InterpretedFsmBehavior,
                              InterpretedRtgControl, TranslationEngine,
                              TranslationError, compile_fsm, compile_rtg,
-                             fsm_to_python, rtg_to_python, translate)
+                             fsm_to_python, rtg_to_python, to_python,
+                             translate)
 from repro.util.loc import count_lines
 
 from tests.hdl.test_datapath import build_sample
@@ -72,7 +80,54 @@ class TestDotBackends:
         assert '\\"' in dot
 
 
+def _fsms():
+    """(source, FSM): the hand-built sample, then every configuration of
+    the 8 apps and of fuzz seeds 0-49."""
+    yield "sample", build_fsm()
+    for name in CASE_BUILDERS:
+        for config in suite_case(name).compile().configurations:
+            yield name, config.fsm
+    for seed in range(50):
+        program = generate(seed)
+        design = compile_function(
+            program.source, program.arrays, dict(program.params),
+            name=program.name, word_width=program.word_width,
+            n_partitions=program.n_partitions)
+        for config in design.configurations:
+            yield f"fuzz seed {seed}", config.fsm
+
+
+def _reordered(fsm):
+    """A copy of *fsm* whose busiest state lists its assignments in
+    reverse insertion order: the same FSM, with the same digest."""
+    twin = copy.deepcopy(fsm)
+    state = max(twin.states.values(), key=lambda s: len(s.assigns))
+    assigns = list(state.assigns.items())
+    state.assigns.clear()
+    for output, value in reversed(assigns):
+        state.assign(output, value)
+    return twin
+
+
+def _listed(module):
+    """Entries of the output-default and per-state assignment tables of
+    the generated *module* text."""
+    namespace = {}
+    exec(module, namespace)
+    return len(namespace["OUTPUT_DEFAULTS"]) + sum(
+        map(len, namespace["STATE_ASSIGNS"].values()))
+
+
 class TestFsmCodegen:
+    @pytest.fixture
+    def fresh_fsm_cache(self, monkeypatch):
+        """An empty behaviour memo and memory-only kernel cache."""
+        monkeypatch.setattr(to_python, "_BEHAVIOR_MEMO", {})
+        cache = KernelCache(None)
+        previous = set_default_cache(cache)
+        yield cache
+        set_default_cache(previous)
+
     def test_generated_module_fields(self):
         behavior = compile_fsm(build_fsm())
         assert behavior.reset_state == "S_idle"
@@ -80,17 +135,55 @@ class TestFsmCodegen:
         assert behavior.output_widths["done"] == 1
         assert behavior.output_vectors["S_run"]["en_acc"] == 1
 
-    def test_generated_matches_interpreted(self):
-        fsm = build_fsm()
-        generated = compile_fsm(fsm)
-        interpreted = InterpretedFsmBehavior(fsm)
-        for state in fsm.states:
-            for st_lt in (0, 1):
-                env = {"st_lt": st_lt}
-                assert generated.next_state(state, env) == \
-                    interpreted.next_state(state, env)
-            assert generated.output_vectors[state] == \
-                interpreted.output_vectors[state]
+    def test_generated_matches_interpreted(self, fresh_fsm_cache):
+        for source, fsm in _fsms():
+            generated = compile_fsm(fsm)
+            interpreted = InterpretedFsmBehavior(fsm)
+            envs = (dict.fromkeys(fsm.inputs, 0),
+                    dict.fromkeys(fsm.inputs, 1))
+            for state in fsm.states:
+                for env in envs:
+                    assert generated.next_state(state, env) == \
+                        interpreted.next_state(state, env), source
+            # the same vectors in the same state and key order: the
+            # compiled kernels number states in this order
+            expected = {state: fsm.output_vector(state)
+                        for state in fsm.states}
+            assert [(state, list(vector.items())) for state, vector
+                    in generated.output_vectors.items()] == \
+                [(state, list(vector.items())) for state, vector
+                 in expected.items()], source
+            assert interpreted.output_vectors == expected, source
+
+            # the module lists what fsm.xml lists: each default once and
+            # each state's own assignments, not states x outputs
+            assert _listed(generated.source) == len(fsm.outputs) + sum(
+                len(state.assigns) for state in fsm.states.values()), source
+
+            # assignment order is not part of the FSM: the twin has the
+            # same digest, the same text and the same fsm cache entry
+            twin = _reordered(fsm)
+            assert fsm_digest(twin) == fsm_digest(fsm), source
+            assert fsm_to_python(twin) == generated.source, source
+            to_python._BEHAVIOR_MEMO.clear()
+            stores = fresh_fsm_cache.stores
+            assert compile_fsm(twin).source == generated.source, source
+            assert fresh_fsm_cache.stores == stores, source
+
+    def test_behaviour_memo_keeps_the_newest_entries(self, fresh_fsm_cache):
+        fsms = []
+        for index in range(MEMO_ENTRIES + 10):
+            fsm = Fsm(f"ctl{index}")
+            fsm.add_state("S_done", final=True)
+            fsms.append(fsm)
+        behaviors = [compile_fsm(fsm) for fsm in fsms[:MEMO_ENTRIES]]
+        assert compile_fsm(fsms[0]) is behaviors[0]  # now the newest
+        behaviors += [compile_fsm(fsm) for fsm in fsms[MEMO_ENTRIES:]]
+        assert len(to_python._BEHAVIOR_MEMO) == MEMO_ENTRIES
+        for index in (0, 11, MEMO_ENTRIES + 9):
+            assert compile_fsm(fsms[index]) is behaviors[index]
+        assert compile_fsm(fsms[1]) is not behaviors[1]
+        assert len(to_python._BEHAVIOR_MEMO) == MEMO_ENTRIES
 
     def test_unknown_state_raises(self):
         behavior = compile_fsm(build_fsm())
