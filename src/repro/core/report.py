@@ -6,9 +6,12 @@ the generated FSM code (``loJava FSM``), the number of datapath
 operators, and the simulation time.  :func:`collect_metrics` computes the
 same quantities for a compiled :class:`Design`; multi-configuration
 designs report one value per configuration, stacked like the paper's
-FDCT2 row.  The line counts are memoised on the design, so a design
-taken from the compile stage (:meth:`repro.core.testsuite.SuiteCase.compile`)
-arrives with them and prints no XML.
+FDCT2 row.  The XML columns count the lines the dialect writers would
+print from the element trees they build
+(:func:`~repro.hdl.xmlio.common.count_pretty_lines`), without printing
+them.  The line counts are memoised on the design, so a design taken
+from the compile stage (:meth:`repro.core.testsuite.SuiteCase.compile`)
+arrives with them and builds neither trees nor FSM code.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..compiler.pipeline import Configuration, Design
-from ..hdl.xmlio.datapath_xml import write_datapath
-from ..hdl.xmlio.fsm_xml import write_fsm
+from ..hdl.xmlio.common import count_pretty_lines
+from ..hdl.xmlio.datapath_xml import datapath_tree
+from ..hdl.xmlio.fsm_xml import fsm_tree
 from ..translate.to_python import fsm_to_python
 from ..util.loc import count_lines
 from .kernelcache import datapath_digest, fsm_digest
@@ -66,9 +70,10 @@ def _line_counts(design: Design,
     key = (datapath_digest(config.datapath), fsm_digest(config.fsm))
     counts = memo.get(key)
     if counts is None:
-        counts = memo[key] = (count_lines(write_fsm(config.fsm)),
-                              count_lines(write_datapath(config.datapath)),
-                              count_lines(fsm_to_python(config.fsm)))
+        counts = memo[key] = (
+            count_pretty_lines(fsm_tree(config.fsm)),
+            count_pretty_lines(datapath_tree(config.datapath)),
+            count_lines(fsm_to_python(config.fsm)))
     return counts
 
 

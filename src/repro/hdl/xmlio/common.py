@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 __all__ = ["XmlFormatError", "require_attr", "int_attr", "bool_attr",
-           "to_pretty_xml", "parse_root"]
+           "to_pretty_xml", "count_pretty_lines", "parse_root"]
 
 
 class XmlFormatError(ValueError):
@@ -52,6 +52,15 @@ def to_pretty_xml(root: ET.Element) -> str:
     """Serialise with indentation (line counts in Table I are meaningful)."""
     ET.indent(root, space="  ")
     return ET.tostring(root, encoding="unicode") + "\n"
+
+
+def count_pretty_lines(root: ET.Element) -> int:
+    """The non-blank lines :func:`to_pretty_xml` prints for *root*,
+    without printing it: one per element, plus a closing-tag line for
+    each element with children.  The dialects put attributes and no
+    text in their elements, and attribute values print with their line
+    breaks escaped."""
+    return sum(2 if len(element) else 1 for element in root.iter())
 
 
 def parse_root(source: Union[str, Path], expected_tag: str) -> ET.Element:

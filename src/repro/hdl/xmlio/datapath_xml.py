@@ -37,14 +37,14 @@ from ..model.datapath import Datapath
 from .common import (XmlFormatError, int_attr, parse_root, require_attr,
                      to_pretty_xml)
 
-__all__ = ["write_datapath", "read_datapath", "save_datapath",
-           "load_datapath"]
+__all__ = ["datapath_tree", "write_datapath", "read_datapath",
+           "save_datapath", "load_datapath"]
 
 _RESERVED_COMPONENT_ATTRS = ("name", "type", "width")
 
 
-def write_datapath(datapath: Datapath) -> str:
-    """Serialise to the XML dialect (pretty-printed)."""
+def datapath_tree(datapath: Datapath) -> ET.Element:
+    """The XML dialect's element tree for *datapath*."""
     root = ET.Element("datapath", name=datapath.name,
                       width=str(datapath.width))
 
@@ -89,7 +89,12 @@ def write_datapath(datapath: Datapath) -> str:
             ET.SubElement(status, "line", name=line.name,
                           **{"from": str(line.source)})
 
-    return to_pretty_xml(root)
+    return root
+
+
+def write_datapath(datapath: Datapath) -> str:
+    """Serialise to the XML dialect (pretty-printed)."""
+    return to_pretty_xml(datapath_tree(datapath))
 
 
 def read_datapath(source: Union[str, Path]) -> Datapath:

@@ -36,10 +36,11 @@ from ..model.fsm import Fsm
 from .common import (bool_attr, int_attr, parse_root, require_attr,
                      to_pretty_xml)
 
-__all__ = ["write_fsm", "read_fsm", "save_fsm", "load_fsm"]
+__all__ = ["fsm_tree", "write_fsm", "read_fsm", "save_fsm", "load_fsm"]
 
 
-def write_fsm(fsm: Fsm) -> str:
+def fsm_tree(fsm: Fsm) -> ET.Element:
+    """The XML dialect's element tree for *fsm*."""
     root = ET.Element("fsm", name=fsm.name, reset=fsm.reset_state or "")
 
     inputs = ET.SubElement(root, "inputs")
@@ -65,7 +66,12 @@ def write_fsm(fsm: Fsm) -> str:
                 t_attrs["when"] = transition.condition.to_text()
             ET.SubElement(element, "transition", t_attrs)
 
-    return to_pretty_xml(root)
+    return root
+
+
+def write_fsm(fsm: Fsm) -> str:
+    """Serialise to the XML dialect (pretty-printed)."""
+    return to_pretty_xml(fsm_tree(fsm))
 
 
 def read_fsm(source: Union[str, Path]) -> Fsm:

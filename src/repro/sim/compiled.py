@@ -15,7 +15,8 @@ to the paper's language-level setting:
   that the state's enabled sinks and the status lines actually read;
 * signal values live in Python **locals** inside the generated loop
   (the cheapest storage CPython offers), synced with the
-  :class:`~repro.sim.signal.Signal` objects at entry and exit.
+  :class:`~repro.sim.signal.Signal` objects at entry and exit, one
+  statement each way.
 
 The backend is *conservative*: any construct outside the supported
 subset — a foreign signal watcher (probe, VCD), a start/done handshake,
@@ -399,7 +400,8 @@ class _Codegen:
 
 
 class _StateIR:
-    """Structured per-state facts, consumed by the trace fuser.
+    """Structured per-state facts, consumed by the trace fuser (only a
+    fusing build records them).
 
     ``samples`` holds ``(reg_key, d_key, d_text, en_text, q_text,
     q_key)`` tuples — ``en_text`` is ``None`` for unconditional samples,
@@ -698,16 +700,26 @@ def _build_program(sim: "CompiledSimulator", *,
     settle_blocks: List[List[Tuple[int, str]]] = []
     edge_blocks: List[List[Tuple[int, str]]] = []
     state_active_ops: List[frozenset] = []
+    # fused trace bodies are built from the structured _StateIR, which
+    # cannot see raw injected fault lines — so a kernel with a fault
+    # spec never fuses, and only a fusing build records the IR
+    fusing = fuse and fault is None
     state_ir: List[_StateIR] = []
     always_armed = 1 + len(roms)  # controller + no-op ROM members
+    # (op, id of its output) in reverse topological order, for the
+    # per-state live-cone walks
+    cone_order = [(op, id(_op_output(op))) for op in reversed(topo)]
+    is_mem_read = (_T["Sram"], _T["Rom"])
 
     for index, state in enumerate(names):
         vector = vectors[state]
         val = make_val(vector)
         const_of = make_const_of(vector)
         dynamic = static_target[state] is None
-        ir = _StateIR(index, state)
-        ir.dynamic = dynamic
+        if fusing:
+            ir = _StateIR(index, state)
+            ir.dynamic = dynamic
+            state_ir.append(ir)
 
         # --- edge phase (state's constants, pre-edge values) ----------
         lines: List[Tuple[int, str]] = []
@@ -723,22 +735,23 @@ def _build_program(sim: "CompiledSimulator", *,
                 continue
             active_names.add(register.name)
             d, q = val(register.d), local[id(register.q)]
-            d_key = (None if id(register.d) in control_signals
-                     else id(register.d))
             roots.append(register.d)
             if enable is None or mode == 1:
                 armed += 1
                 if d == q:
                     continue
                 lines.append((0, f"_q{temp} = {d}"))
-                ir.samples.append(
-                    (id(register), d_key, d, None, q, id(register.q)))
+                en_text = None
             else:  # dynamic enable
                 armed += 1  # estimate: counted as armed
                 roots.append(enable)
-                lines.append((0, f"_q{temp} = {d} if {val(enable)} else {q}"))
+                en_text = val(enable)
+                lines.append((0, f"_q{temp} = {d} if {en_text} else {q}"))
+            if fusing:
+                d_key = (None if id(register.d) in control_signals
+                         else id(register.d))
                 ir.samples.append(
-                    (id(register), d_key, d, val(enable), q, id(register.q)))
+                    (id(register), d_key, d, en_text, q, id(register.q)))
             commits.append((0, f"{q} = _q{temp}"))
             if stuck:
                 commits.append((0, _stuck_force(q)))
@@ -758,27 +771,25 @@ def _build_program(sim: "CompiledSimulator", *,
                 (0, "else:"),
                 (1, f"_wo({comp}, {val(sram.addr)})"),
             ]
+            reads = (val(sram.addr), val(sram.din))
             if mode == 1:
                 armed += 1
-                lines.extend(block)
-                ir.sram_writes.append(
-                    (tuple(block), words,
-                     (val(sram.addr), val(sram.din))))
             else:  # dynamic write enable
                 roots.append(sram.we)
-                guarded = [(0, f"if {val(sram.we)}:")]
-                guarded.extend((ind + 1, text) for ind, text in block)
-                lines.extend(guarded)
-                ir.sram_writes.append(
-                    (tuple(guarded), words,
-                     (val(sram.addr), val(sram.din), val(sram.we))))
+                reads += (val(sram.we),)
+                block = [(0, f"if {val(sram.we)}:"),
+                         *((ind + 1, text) for ind, text in block)]
+            lines.extend(block)
+            if fusing:
+                ir.sram_writes.append((tuple(block), words, reads))
         # controller transition (pre-edge statuses)
         if dynamic:
             roots.extend(sig for _, sig in status_items)
             env = "{" + ", ".join(f"{name!r}: {val(sig)}"
                                   for name, sig in status_items) + "}"
-            ir.env_text = env
-            ir.env_tokens = tuple(val(sig) for _, sig in status_items)
+            if fusing:
+                ir.env_text = env
+                ir.env_tokens = tuple(val(sig) for _, sig in status_items)
             lines.append((0, f"_e = _t{index}({env})"))
             lines.append((0, f"if _e != {state!r}:"))
             lines.append((1, "_nt += 1"))
@@ -801,40 +812,35 @@ def _build_program(sim: "CompiledSimulator", *,
 
         # --- settle phase: live cone under this state's constants -----
         live = {id(sig) for sig in roots}
-        live_ops: set = set()
-        for op in reversed(topo):
-            if id(_op_output(op)) in live:
-                live_ops.add(id(op))
-                for sig in _op_inputs(op, const_of):
-                    live.add(id(sig))
-        block: List[Tuple[int, str]] = []
-        is_mem_read = (_T["Sram"], _T["Rom"])
-        for op in topo:
-            if id(op) in live_ops:
-                op_lines = _EMITTERS[type(op)](op, val, gen)
-                block.extend(op_lines)
-                if stuck:
-                    block.append(
-                        (0, _stuck_force(local[id(_op_output(op))])))
-                active_names.add(op.name)
-                in_keys = [id(sig) for sig in _op_inputs(op, const_of)
+        cone: List[tuple] = []
+        for op, out_id in cone_order:
+            if out_id in live:
+                inputs = _op_inputs(op, const_of)
+                cone.append((op, out_id, inputs))
+                live.update(map(id, inputs))
+        cone.reverse()  # back to topological order
+        block = []
+        for op, out_id, inputs in cone:
+            op_lines = _EMITTERS[type(op)](op, val, gen)
+            block.extend(op_lines)
+            if stuck:
+                block.append((0, _stuck_force(local[out_id])))
+            active_names.add(op.name)
+            if fusing:
+                in_keys = [id(sig) for sig in inputs
                            if id(sig) not in control_signals]
                 if type(op) in is_mem_read:
                     # reads also depend on the memory contents
                     in_keys.append(gen.mem(op.image, op.name))
-                ir.settle_ops.append((id(op), id(_op_output(op)),
-                                      tuple(in_keys), tuple(op_lines)))
+                ir.settle_ops.append((id(op), out_id, tuple(in_keys),
+                                      tuple(op_lines)))
         settle_blocks.append(block)
         state_active_ops.append(frozenset(active_names))
-        state_ir.append(ir)
-        eval_static[index] = len(live_ops)
+        eval_static[index] = len(cone)
 
     # --- trace fusion --------------------------------------------------
-    # fused trace bodies are built from the structured _StateIR, which
-    # cannot see raw injected fault lines — so a kernel with a fault
-    # spec never fuses
     fusion = None
-    if fuse and fault is None:
+    if fusing:
         from .trace import build_fusion  # sibling module imports us back
 
         fusion = build_fusion(
@@ -899,12 +905,15 @@ def _build_program(sim: "CompiledSimulator", *,
     if fusion is not None:
         for text in fusion.prelude:
             emit(1, text)
+    # one statement loads every tracked local, one stores them all back
+    targets = "".join(f"v{index}," for index in range(len(tracked)))
+    load_locals = f"({targets}) = [_x.value for _x in _S]"
+    store_locals = f"for _x, _v in zip(_S, ({targets})): _x.value = _v"
     emit(1, "def _run(s, max_cycles, stop, counts, tc, box%s):"
             % (", pw" if profiled else ""))
     if stuck:
         emit(2, "_S[_ft].value = (_S[_ft].value & _fa) | _fo")
-    for index, sig in enumerate(tracked):
-        emit(2, f"v{index} = _S[{index}].value")
+    emit(2, load_locals)
     emit(2, "n = 0")
     emit(2, "_nt = 0")
     if fusion is not None:
@@ -929,11 +938,9 @@ def _build_program(sim: "CompiledSimulator", *,
     if flip:
         emit(4, "if _ps == _fs and _fb[0] == 0 and _fc0 <= n <= _fc1:")
         emit(5, "_fb[0] = 1")
-        for index in range(len(tracked)):
-            emit(5, f"_S[{index}].value = v{index}")
+        emit(5, store_locals)
         emit(5, "_S[_ft].value = (_S[_ft].value ^ _fx) & _fm")
-        for index in range(len(tracked)):
-            emit(5, f"v{index} = _S[{index}].value")
+        emit(5, load_locals)
     emit_tree(4, state_ids, settle_blocks)
     if profiled:
         emit(4, "pw[_ps] += _pc() - _pt")
@@ -941,8 +948,7 @@ def _build_program(sim: "CompiledSimulator", *,
     emit(3, "box[0] = s")
     emit(3, "box[1] = n")
     emit(3, "box[2] = _nt")
-    for index in range(len(tracked)):
-        emit(3, f"_S[{index}].value = v{index}")
+    emit(3, store_locals)
     emit(1, "return _run")
     source = "\n".join(out) + "\n"
 

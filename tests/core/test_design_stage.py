@@ -134,7 +134,8 @@ def test_hit_neither_compiles_nor_prints_xml(stage, monkeypatch):
         raise AssertionError("a warm compile stage must not run this")
 
     monkeypatch.setattr(testsuite_module, "compile_function", refuse)
-    for name in ("write_fsm", "write_datapath", "fsm_to_python"):
+    # the line counts come with the hit: no XML tree, no FSM code
+    for name in ("fsm_tree", "datapath_tree", "fsm_to_python"):
         monkeypatch.setattr(report_module, name, refuse)
     set_default_cache(KernelCache(stage.root))
     assert collect_metrics(case.compile()) == expected

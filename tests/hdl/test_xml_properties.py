@@ -4,13 +4,23 @@ The dialects are the compiler/infrastructure contract; these properties
 assert ``read(write(x))`` preserves everything observable for FSMs and
 RTGs drawn from a structured random generator (names, widths, defaults,
 guards, finality, transition order — order matters because guards are
-evaluated first-match).
+evaluated first-match).  Table I's loXML columns count lines from the
+element trees instead of the printed text; the last tests hold the two
+counts equal.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hdl import (Fsm, Rtg, read_fsm, read_rtg, write_fsm, write_rtg)
+from repro.apps import CASE_BUILDERS, suite_case
+from repro.compiler.pipeline import compile_function
+from repro.fuzz.generator import generate
+from repro.hdl import (Fsm, Rtg, read_fsm, read_rtg, write_datapath,
+                       write_fsm, write_rtg)
 from repro.hdl.model.expressions import And, Const, Not, Or, Var
+from repro.hdl.xmlio.common import count_pretty_lines
+from repro.hdl.xmlio.datapath_xml import datapath_tree
+from repro.hdl.xmlio.fsm_xml import fsm_tree
+from repro.util.loc import count_lines
 
 _NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
 
@@ -126,3 +136,37 @@ def test_rtg_roundtrip_preserves_everything(rtg):
         reloaded = loaded.memories[name]
         assert (reloaded.width, reloaded.depth, reloaded.role) == \
             (decl.width, decl.depth, decl.role)
+
+
+def _printed_and_counted(config):
+    """(printed, counted) lines of the FSM and datapath documents."""
+    return ((count_lines(write_fsm(config.fsm)),
+             count_lines(write_datapath(config.datapath))),
+            (count_pretty_lines(fsm_tree(config.fsm)),
+             count_pretty_lines(datapath_tree(config.datapath))))
+
+
+def test_tree_line_counts_match_the_printed_apps():
+    """Every configuration of the 8 apps, both of fdct2's included."""
+    for name in CASE_BUILDERS:
+        for config in suite_case(name).compile().configurations:
+            printed, counted = _printed_and_counted(config)
+            assert counted == printed, (name, config.name)
+
+
+def test_tree_line_counts_match_the_printed_fuzz_designs():
+    for seed in range(50):
+        program = generate(seed)
+        design = compile_function(
+            program.source, program.arrays, dict(program.params),
+            name=program.name, word_width=program.word_width,
+            n_partitions=program.n_partitions)
+        for config in design.configurations:
+            printed, counted = _printed_and_counted(config)
+            assert counted == printed, (seed, config.name)
+
+
+@given(fsms())
+@settings(max_examples=30, deadline=None)
+def test_tree_line_count_matches_the_printed_fsm(fsm):
+    assert count_pretty_lines(fsm_tree(fsm)) == count_lines(write_fsm(fsm))

@@ -1,8 +1,11 @@
 """The compiled kernel: fast path, fallbacks, stats, exit invariants."""
 
+import re
+
 import pytest
 
 from repro.apps import suite_case
+from repro.inject.hooks import KernelFaultSpec
 from repro.sim import CompiledSimulator, Simulator, create_simulator
 from repro.translate import build_simulation
 
@@ -131,10 +134,69 @@ class TestFallbacks:
         assert dut.sim._facts is None
         program = dut.sim._ensure_program()
         assert program is not None
-        assert late in dut.sim._facts.tracked
-        # the kernel writes back one more tracked signal than before
-        assert f"_S[{tracked}].value = v{tracked}" in program.source
-        assert f"_S[{tracked + 1}]" not in program.source
+        signals = dut.sim._facts.tracked  # what the kernel binds as _S
+        assert len(signals) == tracked + 1 and signals[tracked] is late
+        # the kernel loads and stores one more tracked signal than
+        # before: a call that runs no cycle reads the added signal once
+        # and writes it back once (a kernel with too few or too many
+        # locals fails to unpack the signal list)
+        spy = _ValueSpy(late.value)
+        signals[tracked] = spy
+        try:
+            program.runner(0, 0, program.empty_stop,
+                           [0] * program.n_states, None, [0, 0, 0])
+        finally:
+            signals[tracked] = late
+        assert (spy.reads, spy.writes) == (1, 1)
+
+
+class _ValueSpy:
+    """Stands in for a signal and counts the kernel's reads and writes."""
+
+    def __init__(self, value):
+        self._value = value
+        self.reads = 0
+        self.writes = 0
+
+    @property
+    def value(self):
+        self.reads += 1
+        return self._value
+
+    @value.setter
+    def value(self, new):
+        self.writes += 1
+        self._value = new
+
+
+class TestKernelShape:
+    PER_SIGNAL = re.compile(r"_S\[\d+\]")
+
+    @pytest.mark.parametrize("backend, fault, moves", [
+        ("compiled", None, 1), ("traced", None, 1),
+        ("compiled", "stuck", 1), ("traced", "flip", 2),
+    ], ids=["generic", "fused", "stuck", "flip"])
+    def test_no_per_signal_load_or_store(self, backend, fault, moves):
+        """Kernel entry, exit and a flip's spill and reload each move
+        every tracked local in one statement."""
+        _, dut = _build_pair("fdct1", backend=backend, pixels=64)
+        sim = dut.sim
+        sim.promote_after = 0  # a fault-free traced kernel starts fused
+        if fault is not None:
+            facts = sim._design_facts()
+            sim.set_fault_spec(KernelFaultSpec(
+                fault, facts.registers[0].q.name, state=facts.names[1],
+                or_mask=1, xor_mask=1, hi=8))
+        program = sim._ensure_program()
+        assert program is not None, sim.fallback_reason
+        fused = backend == "traced" and fault is None
+        assert program.kind == ("traced" if fused else "compiled")
+        if fused:
+            assert program.fusion["traces"]
+        source = program.source
+        assert self.PER_SIGNAL.search(source) is None
+        assert source.count("[_x.value for _x in _S]") == moves
+        assert source.count("_x.value = _v") == moves
 
 
 class TestFactory:
