@@ -5,8 +5,8 @@ assert ``read(write(x))`` preserves everything observable for FSMs and
 RTGs drawn from a structured random generator (names, widths, defaults,
 guards, finality, transition order — order matters because guards are
 evaluated first-match).  Table I's loXML columns count lines from the
-element trees instead of the printed text; the last tests hold the two
-counts equal.
+element trees instead of the printed text; the last two tests hold the
+two counts equal.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -138,23 +138,12 @@ def test_rtg_roundtrip_preserves_everything(rtg):
             (decl.width, decl.depth, decl.role)
 
 
-def _printed_and_counted(config):
-    """(printed, counted) lines of the FSM and datapath documents."""
-    return ((count_lines(write_fsm(config.fsm)),
-             count_lines(write_datapath(config.datapath))),
-            (count_pretty_lines(fsm_tree(config.fsm)),
-             count_pretty_lines(datapath_tree(config.datapath))))
-
-
-def test_tree_line_counts_match_the_printed_apps():
-    """Every configuration of the 8 apps, both of fdct2's included."""
+def _configurations():
+    """(source, configuration) for every configuration of the 8 apps
+    (both of fdct2's) and of fuzz seeds 0-49."""
     for name in CASE_BUILDERS:
         for config in suite_case(name).compile().configurations:
-            printed, counted = _printed_and_counted(config)
-            assert counted == printed, (name, config.name)
-
-
-def test_tree_line_counts_match_the_printed_fuzz_designs():
+            yield name, config
     for seed in range(50):
         program = generate(seed)
         design = compile_function(
@@ -162,8 +151,15 @@ def test_tree_line_counts_match_the_printed_fuzz_designs():
             name=program.name, word_width=program.word_width,
             n_partitions=program.n_partitions)
         for config in design.configurations:
-            printed, counted = _printed_and_counted(config)
-            assert counted == printed, (seed, config.name)
+            yield f"fuzz seed {seed}", config
+
+
+def test_tree_line_counts_match_the_printed_documents():
+    for source, config in _configurations():
+        assert count_pretty_lines(fsm_tree(config.fsm)) \
+            == count_lines(write_fsm(config.fsm)), source
+        assert count_pretty_lines(datapath_tree(config.datapath)) \
+            == count_lines(write_datapath(config.datapath)), source
 
 
 @given(fsms())

@@ -6,11 +6,11 @@ except the table's Sim time column, which is cut from both sides
 because it is a wall-clock measurement.  A change that moves any other
 column (line counts, operators, states) must commit the new table.
 
-    python tools/ci_table1_check.py                  # vs git HEAD
-    python tools/ci_table1_check.py NEW.txt OLD.txt  # two files
+    python tools/ci_table1_check.py
 
-Exit status 0 = the tables agree; 1 = they differ (the masked lines
-are printed as a unified diff).
+The committed table is read with ``git show HEAD:``.  Exit status 0 =
+the tables agree; 1 = they differ (the masked lines are printed as a
+unified diff).
 """
 
 import difflib
@@ -36,13 +36,10 @@ def masked(text: str) -> list:
     return out
 
 
-def main(argv: list) -> int:
-    new = Path(argv[0] if argv else REPORT).read_text()
-    if len(argv) > 1:
-        old = Path(argv[1]).read_text()
-    else:
-        old = subprocess.run(["git", "show", f"HEAD:{REPORT}"], check=True,
-                             capture_output=True, text=True).stdout
+def main() -> int:
+    new = Path(REPORT).read_text()
+    old = subprocess.run(["git", "show", f"HEAD:{REPORT}"], check=True,
+                         capture_output=True, text=True).stdout
     diff = list(difflib.unified_diff(masked(old), masked(new), "committed",
                                      "regenerated", lineterm=""))
     if diff:
@@ -55,4 +52,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
