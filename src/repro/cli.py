@@ -45,6 +45,16 @@ SUITE_SIZES = {
 }
 
 
+class _Default(str):
+    """An option default that ``is`` tells apart from the same text
+    given on the command line."""
+
+
+#: ``suite --backend`` when none is given: ``event``, or ``traced``
+#: with ``--batch``
+_SUITE_BACKEND = _Default("event")
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -141,18 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME",
                        help="run only the named case(s); repeatable")
     suite.add_argument("--backend",
-                       choices=("event", "oblivious", "compiled", "traced",
-                                "batched"),
-                       default="event",
-                       help="simulation kernel (default: event; "
-                            "'traced' is fastest for one stimulus, "
-                            "'batched' amortizes over many, see "
+                       choices=("event", "oblivious", "compiled", "traced"),
+                       default=_SUITE_BACKEND,
+                       help="simulation kernel (default: event, or traced "
+                            "with --batch; 'traced' is fastest, see "
                             "docs/performance.md)")
     suite.add_argument("--batch", type=_positive_int, default=1,
                        metavar="N",
-                       help="verify N stimulus sets per case in one "
-                            "batched simulation (forces --backend "
-                            "batched; incompatible with --coverage)")
+                       help="verify N stimulus sets per case, one after "
+                            "another on one elaboration per configuration "
+                            "(incompatible with --coverage)")
     suite.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
                        help="run cases over N worker processes, or "
                             "'auto' for one per available CPU "
@@ -180,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="artifact directory (default: repro_out)")
     flow.add_argument("--seed", type=int, default=0)
     flow.add_argument("--backend",
-                      choices=("event", "oblivious", "compiled", "traced",
-                               "batched"),
+                      choices=("event", "oblivious", "compiled", "traced"),
                       default="event",
                       help="simulation kernel (default: event)")
     _add_obs_flags(flow)
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-max", type=_positive_int, default=8,
                        metavar="N",
                        help="max same-group jobs folded into one "
-                            "batched lockstep dispatch (default 8; "
+                            "batched dispatch (default 8; "
                             "1 disables batching)")
     serve.add_argument("--cache", metavar="DIR", nargs="?",
                        const=".repro-cache", default=None,
@@ -549,9 +556,11 @@ def _cmd_suite(args) -> int:
     batch = args.batch if args.batch > 1 else 0
     if batch and coverage:
         print("error: --batch and --coverage are mutually exclusive "
-              "(batched lanes share one kernel; per-lane coverage "
+              "(batched lanes share one elaboration; per-lane coverage "
               "is not collected)", file=sys.stderr)
         return 2
+    backend = "traced" if batch and args.backend is _SUITE_BACKEND \
+        else str(args.backend)
     suite = TestSuite("cli")
     for name in names:
         suite.add(suite_case(name, **SUITE_SIZES.get(name, {})))
@@ -562,7 +571,7 @@ def _cmd_suite(args) -> int:
         cache = ArtifactCache(args.cache) if args.cache else None
         with _tracing(args.trace):
             report = suite.run(seed=args.seed, fsm_mode=args.fsm_mode,
-                               backend=args.backend,
+                               backend=backend,
                                jobs=_resolve_jobs(args.jobs),
                                cache=cache, coverage=coverage,
                                batch=batch, ledger=ledger)
@@ -582,7 +591,7 @@ def _cmd_suite(args) -> int:
         print(format_coverage(report.coverage))
     if cache is not None:
         print(cache.summary())
-    if args.backend in ("compiled", "traced", "batched") or batch:
+    if backend in ("compiled", "traced"):
         from .core.kernelcache import default_cache
 
         print(default_cache().describe())

@@ -17,7 +17,6 @@ from .report import (ConfigurationMetrics, DesignMetrics, collect_metrics,
                      format_table)
 from .stimulus import (load_stimulus_files, ramp_image, random_words,
                        synthetic_image, write_stimulus_files)
-from .kernelcache import batch_group_key
 from .testsuite import (CaseResult, SuiteCase, SuiteReport, TestSuite,
                         run_case)
 from .verification import (BatchVerificationResult, MemoryCheck,
@@ -27,7 +26,7 @@ from .verification import (BatchVerificationResult, MemoryCheck,
 __all__ = [
     "TestInfrastructure",
     "verify_design", "VerificationResult", "MemoryCheck", "prepare_images",
-    "verify_design_batch", "BatchVerificationResult", "batch_group_key",
+    "verify_design_batch", "BatchVerificationResult",
     "TestSuite", "SuiteCase", "SuiteReport", "CaseResult", "run_case",
     "ArtifactCache", "case_key", "structure_key",
     "result_to_payload", "result_from_payload",

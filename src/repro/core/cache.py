@@ -105,10 +105,9 @@ def structure_key(case, *, fsm_mode: str = "generated") -> str:
     """Digest of the case's compiled structure only (no seed/backend).
 
     Jobs that share a structure key compile to the same design and so
-    elaborate to kernels sharing the same
-    :func:`repro.core.kernelcache.batch_group_key` — the serve
-    scheduler uses this to shard same-structure jobs onto the same warm
-    worker and to group them into one batched dispatch.
+    elaborate to the same kernels — the serve scheduler uses this to
+    shard same-structure jobs onto the same warm worker and to group
+    them into one batched dispatch.
     """
     material = _structure_material(case)
     material["fsm_mode"] = fsm_mode

@@ -48,9 +48,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["KernelCache", "default_cache", "set_default_cache",
            "digest_parts", "datapath_digest", "fsm_digest",
-           "batch_group_key", "toolchain_fingerprint",
-           "kernel_fingerprint", "fsm_fingerprint", "MEMO_ENTRIES",
-           "memo_get", "memo_put"]
+           "toolchain_fingerprint", "kernel_fingerprint",
+           "fsm_fingerprint", "MEMO_ENTRIES", "memo_get", "memo_put"]
 
 #: bump when the payload schema changes
 _SCHEMA_VERSION = 1
@@ -222,22 +221,6 @@ def fsm_digest(fsm) -> str:
     except AttributeError:
         pass
     return digest
-
-
-def batch_group_key(datapath, fsm, fsm_mode: str = "generated") -> str:
-    """Public grouping key: runs with equal keys share generated code.
-
-    Two (datapath, FSM) pairs with the same key elaborate to the same
-    kernel, so their stimulus sets can advance through **one** batch
-    (see :mod:`repro.sim.batched`) — this is how the fuzz harness folds
-    a wave's structurally-identical programs into shared batches.  The
-    key is derived from the same memoised structural digests the kernel
-    cache itself uses, so any model mutation that would invalidate the
-    cached kernel (the mutators clear ``_digest_memo``) changes the
-    group key too — stale grouping is impossible by construction.
-    """
-    return digest_parts("batch-group-v1", datapath_digest(datapath),
-                        fsm_digest(fsm), fsm_mode)
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,11 @@ designs report one value per configuration, stacked like the paper's
 FDCT2 row.  The XML columns count the lines the dialect writers would
 print from the element trees they build
 (:func:`~repro.hdl.xmlio.common.count_pretty_lines`), without printing
-them.  The line counts are memoised on the design, so a design taken
-from the compile stage (:meth:`repro.core.testsuite.SuiteCase.compile`)
-arrives with them and builds neither trees nor FSM code.
+them.  The generated FSM column reads the module text an elaboration
+in this process already generated, when there is one.  The line counts
+are memoised on the design, so a design taken from the compile stage
+(:meth:`repro.core.testsuite.SuiteCase.compile`) arrives with them and
+builds neither trees nor FSM code.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ..compiler.pipeline import Configuration, Design
 from ..hdl.xmlio.common import count_pretty_lines
 from ..hdl.xmlio.datapath_xml import datapath_tree
 from ..hdl.xmlio.fsm_xml import fsm_tree
-from ..translate.to_python import fsm_to_python
+from ..translate.to_python import fsm_module_source
 from ..util.loc import count_lines
 from .kernelcache import datapath_digest, fsm_digest
 
@@ -73,7 +75,7 @@ def _line_counts(design: Design,
         counts = memo[key] = (
             count_pretty_lines(fsm_tree(config.fsm)),
             count_pretty_lines(datapath_tree(config.datapath)),
-            count_lines(fsm_to_python(config.fsm)))
+            count_lines(fsm_module_source(config.fsm)))
     return counts
 
 

@@ -167,9 +167,10 @@ def run_case(case: SuiteCase, *, seed: int, fsm_mode: str = "generated",
     pool tasks and the serve workers (:mod:`repro.serve`) all execute
     jobs through this one function, so a verdict is the same object no
     matter which entry point produced it.  ``batch`` > 1 verifies that
-    many seeded stimulus sets (``seed`` .. ``seed + batch - 1``) through
-    one batched simulation and returns a result whose verification
-    quacks like a :class:`~repro.core.verification.BatchVerificationResult`.
+    many seeded stimulus sets (``seed`` .. ``seed + batch - 1``) on one
+    elaboration per configuration and returns a result whose
+    verification is a
+    :class:`~repro.core.verification.BatchVerificationResult`.
     """
     started = time.perf_counter()
     case_span = span("suite.case", "suite", case=case.name, backend=backend)
@@ -187,7 +188,7 @@ def run_case(case: SuiteCase, *, seed: int, fsm_mode: str = "generated",
                                for lane in range(batch)]
                 verification = verify_design_batch(
                     design, case.func, inputs_list, fsm_mode=fsm_mode,
-                    max_cycles=case.max_cycles,
+                    backend=backend, max_cycles=case.max_cycles,
                 )
                 case_span.set("batch", batch)
             else:
@@ -263,11 +264,11 @@ class TestSuite:
 
         ``backend`` selects the simulation kernel for all cases.
         ``batch`` > 1 verifies each case against that many stimulus
-        sets (seeds ``seed`` .. ``seed + batch - 1``) advanced in
-        lockstep through one elaboration per configuration (see
-        :func:`verify_design_batch`); a case passes only if every lane
-        passes.  Batched mode implies the batched backend and is
-        mutually exclusive with ``coverage``.
+        sets (seeds ``seed`` .. ``seed + batch - 1``) run one after
+        another on one elaboration per configuration, on ``backend``
+        (see :func:`verify_design_batch`); a case passes only if every
+        lane passes.  Batched mode is mutually exclusive with
+        ``coverage``.
         ``jobs`` > 1 fans independent cases out over a
         :class:`~repro.util.pool.ForkPool` (serial where ``fork`` is
         missing, and always under ``stop_on_failure``, so the early-exit
@@ -286,12 +287,10 @@ class TestSuite:
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if batch > 1:
-            if coverage:
-                raise ValueError(
-                    "coverage collection is per-run and not supported "
-                    "in batched mode")
-            backend = "batched"
+        if batch > 1 and coverage:
+            raise ValueError(
+                "coverage collection is per-run and not supported "
+                "in batched mode")
         if isinstance(cache, (str, Path)):
             cache = ArtifactCache(cache)
         report = SuiteReport(backend=backend, jobs=jobs)

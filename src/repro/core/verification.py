@@ -22,7 +22,6 @@ from ..obs.coverage import CoverageCollector, CoverageReport
 from ..obs.trace import span
 from ..rtg.context import ReconfigurationContext
 from ..rtg.executor import RtgBatchExecutor, RtgExecutor, RtgRunResult
-from ..sim.batched import BatchUnsupported
 from ..sim.probe import Probe
 from ..util.files import MemoryImage, MemoryMismatch, compare_images
 
@@ -129,6 +128,22 @@ def prepare_images(design: Design,
     return images
 
 
+def _checks(array_specs, golden_images, context, compare: str,
+            mismatch_limit: int) -> List[MemoryCheck]:
+    """Compare *context*'s memories with the golden images, word by
+    word: every array, or only output arrays for ``"outputs"``."""
+    checks: List[MemoryCheck] = []
+    for name, spec in array_specs.items():
+        if compare == "outputs" and spec.role != "output":
+            continue
+        mismatches = compare_images(golden_images[name],
+                                    context.memory(name),
+                                    limit=mismatch_limit)
+        checks.append(MemoryCheck(name, spec.role, words=spec.depth,
+                                  mismatches=mismatches))
+    return checks
+
+
 def verify_design(design: Design, func: Callable,
                   inputs: Optional[Mapping[str, Union[MemoryImage,
                                                       Sequence[int]]]] = None,
@@ -207,16 +222,9 @@ def verify_design(design: Design, func: Callable,
                 probe_samples.setdefault(name, []).extend(probe.samples)
     simulation_seconds = time.perf_counter() - started
 
-    checks: List[MemoryCheck] = []
     with span("verify.compare", "verify", design=design.name):
-        for name, spec in array_specs.items():
-            if compare == "outputs" and spec.role != "output":
-                continue
-            mismatches = compare_images(golden_images[name],
-                                        context.memory(name),
-                                        limit=mismatch_limit)
-            checks.append(MemoryCheck(name, spec.role, words=spec.depth,
-                                      mismatches=mismatches))
+        checks = _checks(array_specs, golden_images, context, compare,
+                         mismatch_limit)
 
     result = VerificationResult(
         design=design.name,
@@ -253,13 +261,7 @@ class BatchVerificationResult:
     golden_seconds: float
     #: wall-clock of the whole batch simulation, elaborations included
     simulation_seconds: float
-    lanes_converged: float = 1.0
-    rounds: int = 0
     elaborations: int = 0
-    #: False when the design refused the batch fast path and the lanes
-    #: ran serially (identical verdicts, no amortization)
-    batched: bool = True
-    fallback_reason: Optional[str] = None
     #: coverage is a per-run concern; batch runs don't collect it
     coverage: Optional[CoverageReport] = None
 
@@ -290,14 +292,11 @@ class BatchVerificationResult:
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        mode = "batched" if self.batched else \
-            f"serial fallback ({self.fallback_reason})"
         lines = [
             f"[{status}] {self.design}: batch of {self.batch_size} "
-            f"({mode}), sim {self.simulation_seconds:.3f}s "
+            f"({self.backend}), sim {self.simulation_seconds:.3f}s "
             f"({self.lane_seconds * 1000:.1f}ms/lane), "
-            f"golden {self.golden_seconds:.3f}s, "
-            f"converged {self.lanes_converged:.0%}"
+            f"golden {self.golden_seconds:.3f}s"
         ]
         for index, lane in enumerate(self.lanes):
             if not lane.passed:
@@ -316,30 +315,27 @@ def verify_design_batch(design: Design, func: Callable,
                         compare: str = "all",
                         fsm_mode: str = "generated",
                         control_mode: str = "generated",
+                        backend: str = "event",
                         max_cycles: int = 50_000_000,
                         mismatch_limit: int = 32,
                         ledger=None) -> BatchVerificationResult:
-    """Verify *design* against N stimulus sets with one elaboration.
+    """Verify *design* against N stimulus sets, elaborating each
+    configuration once.
 
-    Semantically equivalent to calling :func:`verify_design` once per
-    entry of *inputs_list* with ``backend="batched"`` — same golden
-    runs, same word-by-word comparisons, same verdicts — but the
-    simulation advances all sets in lockstep through a single
-    elaborated kernel (see :mod:`repro.sim.batched`), so the per-run
-    fixed costs (elaboration, codegen binding, settle, RTG dispatch)
-    are paid once per configuration instead of once per stimulus set.
-
-    Designs that cannot take the batch fast path (no Moore ``done``
-    line, foreign watchers, codegen fallback) are detected before any
-    lane runs and fall back to serial execution; the result then has
-    ``batched=False`` and carries the reason.
+    Equivalent to calling :func:`verify_design` once per entry of
+    *inputs_list* on the same *backend* — same golden runs, same
+    word-by-word comparisons, same verdicts and cycles — but the
+    stimulus sets run one after another on one elaboration per
+    configuration, rewound before each (see
+    :class:`~repro.rtg.RtgBatchExecutor`), so elaboration and kernel
+    binding are paid once per configuration instead of once per
+    stimulus set.
     """
     if compare not in ("all", "outputs"):
         raise ValueError(f"compare must be 'all' or 'outputs', got {compare!r}")
 
     array_specs = {name: spec for name, spec in design.arrays.items()
                    if name != SPILL_MEMORY}
-    backend = "batched"
 
     lane_base: List[Dict[str, MemoryImage]] = []
     lane_golden: List[Dict[str, MemoryImage]] = []
@@ -358,36 +354,13 @@ def verify_design_batch(design: Design, func: Callable,
 
     contexts = [ReconfigurationContext.from_rtg(design.rtg, initial=base)
                 for base in lane_base]
-    batched = True
-    fallback_reason = None
     started = time.perf_counter()
     with span("verify.simulate", "verify", design=design.name,
               backend=backend, batch=len(inputs_list)):
-        executor = RtgBatchExecutor(design.rtg, contexts,
-                                    fsm_mode=fsm_mode,
-                                    control_mode=control_mode,
-                                    max_cycles_per_configuration=max_cycles)
-        try:
-            batch_result = executor.run()
-            lane_rtg = batch_result.lanes
-            lanes_converged = batch_result.lanes_converged
-            rounds = batch_result.rounds
-            elaborations = batch_result.elaborations
-        except BatchUnsupported as exc:
-            # serial fallback: same backend class, one lane at a time
-            batched = False
-            fallback_reason = str(exc)
-            lane_rtg = []
-            for context in contexts:
-                serial = RtgExecutor(design.rtg, context,
-                                     fsm_mode=fsm_mode,
-                                     control_mode=control_mode,
-                                     backend=backend,
-                                     max_cycles_per_configuration=max_cycles)
-                lane_rtg.append(serial.run())
-            lanes_converged = 1.0
-            rounds = 0
-            elaborations = sum(len(result.runs) for result in lane_rtg)
+        batch_result = RtgBatchExecutor(
+            design.rtg, contexts, fsm_mode=fsm_mode,
+            control_mode=control_mode, backend=backend,
+            max_cycles_per_configuration=max_cycles).run()
     simulation_seconds = time.perf_counter() - started
     amortized = simulation_seconds / max(len(inputs_list), 1)
 
@@ -395,24 +368,17 @@ def verify_design_batch(design: Design, func: Callable,
     with span("verify.compare", "verify", design=design.name,
               batch=len(inputs_list)):
         for lane, context in enumerate(contexts):
-            checks: List[MemoryCheck] = []
-            for name, spec in array_specs.items():
-                if compare == "outputs" and spec.role != "output":
-                    continue
-                mismatches = compare_images(lane_golden[lane][name],
-                                            context.memory(name),
-                                            limit=mismatch_limit)
-                checks.append(MemoryCheck(name, spec.role, words=spec.depth,
-                                          mismatches=mismatches))
+            rtg_result = batch_result.lanes[lane]
             lanes.append(VerificationResult(
                 design=design.name,
-                checks=checks,
-                cycles=lane_rtg[lane].total_cycles,
-                reconfigurations=lane_rtg[lane].reconfigurations,
+                checks=_checks(array_specs, lane_golden[lane], context,
+                               compare, mismatch_limit),
+                cycles=rtg_result.total_cycles,
+                reconfigurations=rtg_result.reconfigurations,
                 golden_seconds=golden_seconds / max(len(inputs_list), 1),
                 simulation_seconds=amortized,
-                rtg_result=lane_rtg[lane],
-                evaluations=lane_rtg[lane].total_evaluations,
+                rtg_result=rtg_result,
+                evaluations=rtg_result.total_evaluations,
                 backend=backend,
             ))
 
@@ -423,11 +389,7 @@ def verify_design_batch(design: Design, func: Callable,
         lanes=lanes,
         golden_seconds=golden_seconds,
         simulation_seconds=simulation_seconds,
-        lanes_converged=lanes_converged,
-        rounds=rounds,
-        elaborations=elaborations,
-        batched=batched,
-        fallback_reason=fallback_reason,
+        elaborations=batch_result.elaborations,
     )
     if ledger is not None:
         from ..obs.ledger import ledger_sink

@@ -17,8 +17,7 @@ from .corpus import (CorpusEntry, entry_filename, load_corpus, load_entry,
                      save_entry)
 from .generator import GeneratorConfig, ProgramGenerator, generate, make_images
 from .harness import (DEFAULT_BACKENDS, DEFAULT_MAX_CYCLES, CampaignReport,
-                      FuzzCaseResult, Outcome, run_campaign, run_program,
-                      run_wave_batched)
+                      FuzzCaseResult, Outcome, run_campaign, run_program)
 from .ir import FuzzProgram
 from .reduce import ReductionResult, reduce_program
 
@@ -28,5 +27,5 @@ __all__ = [
     "GeneratorConfig", "Outcome", "ProgramGenerator", "ReductionResult",
     "entry_filename", "generate", "load_corpus", "load_entry",
     "make_images", "reduce_program", "run_campaign", "run_program",
-    "run_wave_batched", "save_entry",
+    "save_entry",
 ]

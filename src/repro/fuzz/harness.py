@@ -51,8 +51,7 @@ from .generator import GeneratorConfig, generate, make_images
 from .ir import FuzzProgram
 
 __all__ = ["Outcome", "FuzzCaseResult", "CampaignReport", "run_program",
-           "run_campaign", "run_wave_batched", "DEFAULT_BACKENDS",
-           "DEFAULT_MAX_CYCLES"]
+           "run_campaign", "DEFAULT_BACKENDS", "DEFAULT_MAX_CYCLES"]
 
 DEFAULT_BACKENDS: Tuple[str, ...] = tuple(sorted(SIMULATOR_BACKENDS))
 DEFAULT_MAX_CYCLES = 250_000
@@ -241,156 +240,6 @@ def _start_fused(design) -> None:
 
 def _crash_detail(exc: Exception) -> str:
     return "".join(traceback.format_exception_only(type(exc), exc)).strip()
-
-
-# ----------------------------------------------------------------------
-# Batched wave execution
-# ----------------------------------------------------------------------
-def _wave_group_key(design) -> Optional[str]:
-    """Grouping key for batched wave execution, or None if ungroupable.
-
-    Extends :func:`repro.core.kernelcache.batch_group_key` (one
-    configuration's kernel identity) over the whole RTG: two designs
-    with equal keys elaborate identical kernels through identical
-    reconfiguration control, so their stimulus sets can share batches.
-    """
-    from ..core.kernelcache import batch_group_key, digest_parts
-
-    rtg = design.rtg
-    parts: List[str] = ["wave-batch-v1", str(rtg.start),
-                        str(sorted(rtg.final_configurations))]
-    for name in sorted(rtg.configurations):
-        ref = rtg.configurations[name]
-        if ref.datapath is None or ref.fsm is None:
-            return None  # XML-backed configuration: not comparable here
-        parts.append(name)
-        parts.append(batch_group_key(ref.datapath, ref.fsm))
-    for transition in rtg.transitions:
-        condition = getattr(transition.condition, "to_python",
-                            lambda t=transition: str(t.condition))()
-        parts.append(f"{transition.source}->{transition.target}"
-                     f":{condition}")
-    for name in sorted(rtg.memories):
-        decl = rtg.memories[name]
-        parts.append(f"mem:{name}:{decl.width}x{decl.depth}")
-    return digest_parts(*parts)
-
-
-def run_wave_batched(programs: Sequence[FuzzProgram], *,
-                     input_seed: int = 0,
-                     max_cycles: int = DEFAULT_MAX_CYCLES,
-                     min_group: int = 2
-                     ) -> Tuple[List[Outcome], Dict[str, int]]:
-    """Run a wave of programs through the batched backend, folding
-    structurally-identical programs into shared batches.
-
-    Programs whose designs share a :func:`_wave_group_key` elaborate
-    the same kernel, so the wave runs them as one
-    :class:`~repro.rtg.RtgBatchExecutor` batch — each lane still
-    compared word-for-word against its *own* golden run.  Batching is
-    an optimization, never the failure oracle: any lane that does not
-    cleanly pass inside a batch (mismatch, timeout, crash, or an
-    unsupported design) is re-run serially through
-    :func:`run_program` with the batched backend for exact
-    classification.  Returns one :class:`Outcome` per program, in
-    order, plus wave statistics.
-    """
-    from ..rtg.executor import RtgBatchExecutor
-    from ..sim.batched import BatchUnsupported
-
-    outcomes: List[Optional[Outcome]] = [None] * len(programs)
-    designs = [None] * len(programs)
-    goldens: List[Optional[Dict[str, object]]] = [None] * len(programs)
-    groups: Dict[str, List[int]] = {}
-    serial: List[int] = []
-    stats = {"programs": len(programs), "batches": 0,
-             "batched_programs": 0, "serial_programs": 0,
-             "reruns": 0}
-
-    for index, program in enumerate(programs):
-        try:
-            designs[index] = compile_function(
-                program.source, program.arrays, dict(program.params),
-                name=program.name, word_width=program.word_width,
-                n_partitions=program.n_partitions,
-            )
-        except Exception as exc:  # noqa: BLE001 - classification boundary
-            outcomes[index] = Outcome("compile-crash",
-                                      detail=_crash_detail(exc),
-                                      exc_type=type(exc).__name__)
-            continue
-        inputs = make_images(program, input_seed)
-        golden = {name: image.copy() for name, image in inputs.items()}
-        try:
-            run_golden(program.func(), program.arrays, golden,
-                       dict(program.params))
-        except Exception as exc:  # noqa: BLE001 - classification boundary
-            outcomes[index] = Outcome("golden-crash",
-                                      detail=_crash_detail(exc),
-                                      exc_type=type(exc).__name__)
-            continue
-        goldens[index] = golden
-        key = _wave_group_key(designs[index])
-        if key is None:
-            serial.append(index)
-        else:
-            groups.setdefault(key, []).append(index)
-
-    def rerun(index: int) -> Outcome:
-        stats["reruns"] += 1
-        return run_program(programs[index], backends=("batched",),
-                           max_cycles=max_cycles, input_seed=input_seed)
-
-    for key in sorted(groups):
-        members = groups[key]
-        if len(members) < min_group:
-            serial.extend(members)
-            continue
-        design = designs[members[0]]
-        contexts = [ReconfigurationContext.from_rtg(
-            design.rtg,
-            initial={name: image.copy()
-                     for name, image
-                     in make_images(programs[index], input_seed).items()})
-            for index in members]
-        stats["batches"] += 1
-        stats["batched_programs"] += len(members)
-        try:
-            executor = RtgBatchExecutor(
-                design.rtg, contexts,
-                max_cycles_per_configuration=max_cycles)
-            executor.run()
-        except (BatchUnsupported, SimulationTimeout, Exception):  # noqa: B014
-            # batch-level failure: exact classification is the serial
-            # harness's job, one lane at a time
-            for index in members:
-                outcomes[index] = rerun(index)
-            continue
-        for slot, index in enumerate(members):
-            program = programs[index]
-            failed = False
-            for name in program.arrays:
-                if name == SPILL_MEMORY:
-                    continue
-                mismatches = compare_images(
-                    goldens[index][name],
-                    contexts[slot].memory(name), limit=4)
-                if mismatches:
-                    failed = True
-                    break
-            # a clean pass inside the batch is sound (the lane's own
-            # memories equal its own golden); anything else gets the
-            # serial harness's exact classification
-            outcomes[index] = rerun(index) if failed else Outcome("pass")
-
-    for index in serial:
-        stats["serial_programs"] += 1
-        outcomes[index] = run_program(programs[index],
-                                      backends=("batched",),
-                                      max_cycles=max_cycles,
-                                      input_seed=input_seed)
-
-    return [outcome or Outcome("pass") for outcome in outcomes], stats
 
 
 # ----------------------------------------------------------------------

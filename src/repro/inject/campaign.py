@@ -167,16 +167,13 @@ class _Testbench:
 
     Building the hardware costs more than a short injection runs, so a
     campaign elaborates its design once — in the parent, before the
-    fork pool starts, so every worker inherits it — and saves the state
-    right after elaboration: every signal value, the controller's
-    state and counters, the kernel's statistics, simulated time, each
-    clock domain's cycle count, and every memory's words.  SRAM
-    ``reads``/``writes`` counters are not restored; nothing in a
-    campaign reads them.
+    fork pool starts, so every worker inherits it — and keeps the
+    elaboration's :meth:`~repro.translate.to_sim.SimDesign.snapshot`
+    taken right after elaboration.
 
     That snapshot is checkpoint 0.  The fault-free run (:meth:`record`)
-    runs in chunks of :data:`CHECKPOINT_STRIDE` cycles and saves the
-    same state at every chunk boundary it passes before ``done``, so a
+    runs in chunks of :data:`CHECKPOINT_STRIDE` cycles and takes a
+    snapshot at every chunk boundary it passes before ``done``, so a
     transient upset can start from the last checkpoint before its
     window (:meth:`restore_before`) instead of from cycle 0.
 
@@ -199,60 +196,22 @@ class _Testbench:
             self.design = build_simulation(
                 ref.datapath, ref.fsm, memories=self.context.memories,
                 fsm_mode=fsm_mode, backend=backend)
-        sim = self.design.sim
-        self._signals = list(sim._signals.values())
-        self._domains = list(sim._domains.values())
-        self._words = [image._words
-                       for image in self.design.memories.values()]
-        self._combinational = [component
-                               for component in sim._components.values()
-                               if hasattr(component, "evaluate")]
         #: cycle of each checkpoint, ascending; checkpoint 0 first
         self.checkpoints: List[int] = [0]
-        self._states = [self._snapshot()]
+        self._states = [self.design.snapshot()]
         #: the fault-free run's cycle count, once it classified masked
         #: (set by :func:`run_injection`); until then no upset stops early
         self.fault_free_cycles: Optional[int] = None
 
-    def _snapshot(self) -> tuple:
-        sim = self.design.sim
-        controller = self.design.controller
-        return ([signal.value for signal in self._signals],
-                (controller.state, controller.transitions,
-                 controller._idle, controller.invocations),
-                sim.stats.as_dict(), sim.now,
-                [domain.cycles for domain in self._domains],
-                [list(words) for words in self._words])
-
-    def _restore(self, state: tuple) -> None:
-        values, control, stats, now, cycles, words = state
-        # in place: compiled kernels are bound to these very lists
-        for live, saved in zip(self._words, words):
-            live[:] = saved
-        for signal, value in zip(self._signals, values):
-            signal.value = value
-        controller = self.design.controller
-        (controller.state, controller.transitions, controller._idle,
-         controller.invocations) = control
-        sim = self.design.sim
-        for name, value in stats.items():
-            setattr(sim.stats, name, value)
-        sim.now = now
-        for domain, count in zip(self._domains, cycles):
-            domain.cycles = count
-            domain.rearm()  # enables were restored without their watchers
-        sim._worklist.clear()
-        sim._staged.clear()
-
     def rewind(self) -> None:
         """Return the live design to its post-elaboration state."""
-        self._restore(self._states[0])
+        self.design.restore(self._states[0])
 
     def restore_before(self, cycle: int) -> int:
         """Restore the last checkpoint taken before 1-based *cycle* runs
         and return its cycle count (0 for the post-elaboration state)."""
         index = max(bisect.bisect_left(self.checkpoints, cycle) - 1, 0)
-        self._restore(self._states[index])
+        self.design.restore(self._states[index])
         return self.checkpoints[index]
 
     def record(self, max_cycles: int) -> int:
@@ -275,16 +234,13 @@ class _Testbench:
                 if ran >= max_cycles:
                     raise
             self.checkpoints.append(ran)
-            self._states.append(self._snapshot())
+            self._states.append(self.design.snapshot())
 
     def flip(self, fault: FaultDescriptor) -> None:
         """Apply a ``mem_flip`` to the live image, then re-derive every
-        combinational value (SRAM and ROM read paths included) from
-        the flipped words, as elaborating on them would."""
+        combinational value from the flipped words."""
         apply_mem_flip(self.context.memories, fault)
-        sim = self.design.sim
-        sim._worklist.extend(self._combinational)
-        sim.settle()
+        self.design.resettle()
 
 
 def _golden_images(design: Design, func: Callable,

@@ -49,7 +49,7 @@ _BACKEND_HUES = {
     "compiled": "#eb6834",   # orange
     "oblivious": "#eda100",  # yellow
     "traced": "#1baf7a",     # aqua
-    "batched": "#c2418f",    # magenta
+    "batched": "#c2418f",    # magenta: rows of the retired batched kernel
 }
 _FALLBACK_HUE = "#4a3aa7"
 
@@ -249,9 +249,12 @@ def _trend_section(ledger: Ledger, history: int) -> str:
             size = ledger.latest_size(app, backend)
             if size is None:
                 continue
+            # a batch row times N stimulus sets: it has a section of
+            # its own, below
             rows = [row for row in
                     ledger.case_history(app, backend, size, limit=history)
-                    if row.sim_seconds is not None and not row.cached]
+                    if row.sim_seconds is not None and not row.cached
+                    and row.stimuli == 1]
             if not rows:
                 continue
             points = [(row.run_id, row.sim_seconds) for row in rows]
@@ -266,27 +269,27 @@ def _trend_section(ledger: Ledger, history: int) -> str:
 
 
 def _amortized_section(ledger: Ledger, history: int) -> str:
-    """Per-stimulus amortized cost of batched runs: sparklines over
-    ``lane_seconds`` (one card per app × size with batch history)."""
-    hue = _BACKEND_HUES["batched"]
+    """Per-stimulus amortized cost of batch runs
+    (:meth:`~repro.obs.ledger.Ledger.batch_rows`): ``lane_seconds``
+    sparklines, one card per app × backend at the size it was last
+    batched at."""
+    series: Dict[Tuple[str, str], List[CaseRow]] = {}
+    for row in ledger.batch_rows():
+        if row.lane_seconds is not None and not row.cached:
+            series.setdefault((row.app, row.backend), []).append(row)
     cards = []
-    for app in ledger.apps():
-        size = ledger.latest_size(app, "batched")
-        if size is None:
-            continue
-        rows = [row for row in
-                ledger.case_history(app, "batched", size, limit=history)
-                if row.lane_seconds is not None and not row.cached]
-        if not rows:
-            continue
+    for (app, backend), rows in sorted(series.items()):
+        rows = [row for row in rows if row.size == rows[-1].size]
+        rows = rows[-history:]
         points = [(row.run_id, row.lane_seconds) for row in rows]
         latest = rows[-1]
-        batch = latest.batch_size or 1
         cards.append(
             f'<div class="spark"><div class="name">'
-            f'<span><b>{_esc(app)}</b> · batch {batch}</span>'
+            f'<span><b>{_esc(app)}</b> · {_esc(backend)} · batch '
+            f'{latest.batch_size}</span>'
             f'<span>{_fmt_seconds(latest.lane_seconds)}/stim</span></div>'
-            f'{_sparkline(points, hue)}</div>')
+            f'{_sparkline(points, _BACKEND_HUES.get(backend, _FALLBACK_HUE))}'
+            f'</div>')
     if not cards:
         return ('<p class="mut">no batched runs recorded yet '
                 '(<code>repro suite --batch N</code>)</p>')

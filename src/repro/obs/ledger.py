@@ -95,10 +95,15 @@ class CaseRow:
     evaluations: Optional[int]
     passed: bool
     cached: bool
-    #: stimulus sets advanced in lockstep (None/1 = plain serial run)
+    #: stimulus sets run in one batch (None/1 = plain serial run)
     batch_size: Optional[int] = None
     #: amortized simulation seconds per stimulus set in a batched run
     lane_seconds: Optional[float] = None
+
+    @property
+    def stimuli(self) -> int:
+        """Stimulus sets this row times: its batch size, or 1."""
+        return self.batch_size or 1
 
 
 @dataclass
@@ -647,8 +652,6 @@ class Ledger:
                 passed=result.passed, backend=result.backend, argv=argv,
                 extra={"design": result.design,
                        "batch_size": result.batch_size,
-                       "batched": result.batched,
-                       "lanes_converged": result.lanes_converged,
                        "elaborations": result.elaborations})
             self._insert_case(
                 conn, run_id, app, result.backend, _size_key(size),
@@ -921,6 +924,13 @@ class Ledger:
         return [self._case_row(row) for row in self._conn.execute(
             "SELECT * FROM case_runs WHERE run_id = ? ORDER BY id",
             (run_id,))]
+
+    def batch_rows(self) -> List[CaseRow]:
+        """Every case row that times a batch of more than one stimulus
+        set, whatever its backend, oldest first."""
+        return [self._case_row(row) for row in self._conn.execute(
+            "SELECT * FROM case_runs WHERE batch_size > 1 "
+            "ORDER BY run_id, id")]
 
     def case_history(self, app: str, backend: str, size: str = "", *,
                      exclude_run: Optional[int] = None,

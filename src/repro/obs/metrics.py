@@ -285,7 +285,7 @@ def render_prometheus_histogram(
 def verification_metrics(result) -> Metrics:
     """Counters for one :class:`repro.core.VerificationResult` (or a
     :class:`~repro.core.BatchVerificationResult`, which additionally
-    reports batch size, convergence and amortized per-lane cost)."""
+    reports batch size, elaborations and amortized per-lane cost)."""
     metrics = Metrics("verification")
     metrics.set_info("design", result.design)
     metrics.set_info("backend", result.backend)
@@ -299,10 +299,7 @@ def verification_metrics(result) -> Metrics:
     batch_size = getattr(result, "batch_size", None)
     if batch_size is not None:
         metrics.set_info("batch_size", batch_size)
-        metrics.set_info("lanes_converged",
-                         round(result.lanes_converged, 4))
         metrics.set_info("lane_seconds", round(result.lane_seconds, 6))
-        metrics.set_info("batched", result.batched)
         metrics.inc("batch_lanes", batch_size)
         metrics.inc("elaborations", result.elaborations)
         metrics.inc("memories_checked",

@@ -26,7 +26,11 @@ Fault-injection campaigns (``inject``-kind runs, see
 :mod:`repro.inject`) are invisible to the perf gate in both directions:
 their case rows never enter a baseline history (a campaign's fault-free
 baseline timing is measured under campaign load, not bench conditions)
-and an inject run under comparison is never itself perf-gated.
+and an inject run under comparison is never itself perf-gated.  A row
+is judged only against rows that timed as many stimulus sets
+(``CaseRow.stimuli``): a batch row's ``sim_seconds`` covers its whole
+batch, so it never joins a single-run history, and a single run never
+joins a batch history.
 
 Exposed as ``python -m repro obs compare [--fail-on-regression]``; the
 CI workflow diffs each PR's quick-bench run against the committed
@@ -185,12 +189,15 @@ def compare_run(ledger: Ledger, *, run_id: Optional[int] = None,
         if case.sim_seconds is None or case.cached:
             continue
         subject = f"{case.app}/{case.backend}"
+        if case.stimuli > 1:
+            subject += f" x{case.stimuli}"
         history = [row.sim_seconds for row in source.case_history(
                        case.app, case.backend, case.size,
                        exclude_run=exclude,
                        exclude_kinds=("inject", "serve"),
                        limit=thresholds.history)
-                   if row.sim_seconds is not None and not row.cached]
+                   if row.sim_seconds is not None and not row.cached
+                   and row.stimuli == case.stimuli]
         if len(history) < thresholds.min_samples:
             report.skipped.append(subject)
             continue

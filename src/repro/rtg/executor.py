@@ -18,7 +18,7 @@ from ..hdl.model.rtg import ConfigurationRef, Rtg, RtgError
 from ..hdl.xmlio.datapath_xml import load_datapath
 from ..hdl.xmlio.fsm_xml import load_fsm
 from ..obs.trace import span
-from ..sim.batched import DEFAULT_QUANTUM, BatchUnsupported, LaneBatch
+from ..sim.batched import LaneBatch
 from ..sim.errors import SimulationTimeout
 from ..translate.to_python import InterpretedRtgControl, compile_rtg
 from ..translate.to_sim import SimDesign, build_simulation
@@ -186,12 +186,9 @@ class RtgExecutor:
 
 @dataclass
 class RtgBatchRunResult:
-    """Per-lane RTG results plus batch scheduling statistics."""
+    """Per-lane RTG results of one batch."""
 
     lanes: List[RtgRunResult] = field(default_factory=list)
-    #: LaneBatch scheduling rounds summed over every configuration group
-    rounds: int = 0
-    converged_rounds: int = 0
     #: elaborations performed (vs ``batch_size * runs`` for serial)
     elaborations: int = 0
 
@@ -199,29 +196,25 @@ class RtgBatchRunResult:
     def batch_size(self) -> int:
         return len(self.lanes)
 
-    @property
-    def lanes_converged(self) -> float:
-        if not self.rounds:
-            return 1.0
-        return self.converged_rounds / self.rounds
-
 
 class RtgBatchExecutor:
-    """Executes one RTG over N reconfiguration contexts in lockstep.
+    """Executes one RTG over N reconfiguration contexts, elaborating
+    each configuration once per group of lanes that enters it.
 
     Each context is an independent *lane*: its own stimulus memories,
     its own RTG trajectory.  Lanes whose next configuration matches are
-    grouped, the configuration is elaborated **once** on scratch
-    memories, and a :class:`~repro.sim.LaneBatch` advances the whole
-    group through that one design — amortizing elaboration, codegen
-    binding and settle across the group.  Lanes whose RTG guards pick
-    different successors simply land in different groups next round, so
-    control-flow divergence costs extra elaborations, never
-    correctness.
+    grouped, the configuration is elaborated **once** on *backend* over
+    scratch memories, and a :class:`~repro.sim.LaneBatch` runs the
+    group's lanes one after another on that elaboration, rewound before
+    each.  A lane's cycles, memories and trajectory are those of a
+    serial :class:`RtgExecutor` run on the same backend; lanes whose
+    RTG guards pick different successors simply land in different
+    groups next round.  A traced elaboration starts fused: a batch runs
+    many short runs on one elaboration, which repay the fused build.
 
-    Raises :class:`BatchUnsupported` before any lane state changes if
-    the design cannot take the batch fast path; callers fall back to
-    serial :class:`RtgExecutor` runs with identical semantics.
+    The name is kept from the lockstep executor this class replaced:
+    the end-to-end benchmark's per-layer spans wrap :meth:`run` under
+    it.
     """
 
     def __init__(self, rtg: Rtg,
@@ -230,18 +223,17 @@ class RtgBatchExecutor:
                  base_dir: Optional[Union[str, Path]] = None,
                  fsm_mode: str = "generated",
                  control_mode: str = "generated",
+                 backend: str = "event",
                  max_cycles_per_configuration: int = 50_000_000,
-                 max_reconfigurations: int = 10_000,
-                 quantum: int = DEFAULT_QUANTUM) -> None:
+                 max_reconfigurations: int = 10_000) -> None:
         rtg.validate()
         self.rtg = rtg
         self.contexts = list(contexts)
         self.base_dir = Path(base_dir) if base_dir is not None else None
         self.fsm_mode = fsm_mode
-        self.backend = "batched"
+        self.backend = backend
         self.max_cycles = max_cycles_per_configuration
         self.max_reconfigurations = max_reconfigurations
-        self.quantum = quantum
         self.control = _control(rtg, control_mode)
         #: observer hook: called with each group's live SimDesign
         self.on_configure = None
@@ -270,7 +262,7 @@ class RtgBatchExecutor:
                         )
                 datapath, fsm = _resolve(self.rtg.configurations[name],
                                          self.base_dir)
-                # scratch images: LaneBatch swaps each lane's words in
+                # scratch images: LaneBatch copies each lane's words in
                 # and out of these, so the contexts keep ownership
                 scratch = {mem_name: MemoryImage(decl.width, decl.depth,
                                                  name=mem_name)
@@ -280,18 +272,13 @@ class RtgBatchExecutor:
                     design = build_simulation(
                         datapath, fsm, memories=scratch,
                         fsm_mode=self.fsm_mode, backend=self.backend)
+                if self.backend == "traced":
+                    design.sim.promote_after = 0
                 result.elaborations += 1
                 if self.on_configure is not None:
                     self.on_configure(design)
-                done = design.done_signal
-                if done is None:
-                    raise BatchUnsupported(
-                        f"configuration {name!r} has no done output")
                 batch = LaneBatch(
-                    design.sim, done, design.memories,
-                    [self.contexts[lane].memories for lane in lanes],
-                    sample_signals=design.output_signals,
-                    quantum=self.quantum)
+                    design, [self.contexts[lane].memories for lane in lanes])
                 simulate = span("rtg.simulate", "rtg", configuration=name,
                                 backend=self.backend, batch=len(lanes))
                 try:
@@ -300,26 +287,22 @@ class RtgBatchExecutor:
                         simulate.set("cycles", sum(report.cycles))
                 finally:
                     design.release()
-                result.rounds += report.rounds
-                result.converged_rounds += report.converged_rounds
                 for slot, lane in enumerate(lanes):
                     if report.timed_out[slot]:
                         raise SimulationTimeout(
                             f"lane {lane} did not assert done within "
                             f"{self.max_cycles} cycles in configuration "
                             f"{name!r}")
-                    stats = {"evaluations": report.evaluations[slot],
-                             "fsm_transitions": report.transitions[slot]}
+                    stats = report.stats[slot]
                     result.lanes[lane].runs.append(ConfigurationRun(
                         configuration=name,
                         cycles=report.cycles[slot],
-                        evaluations=report.evaluations[slot],
+                        evaluations=stats["evaluations"],
                         final_state=report.final_states[slot],
                         stats=stats,
                     ))
-                    env = report.samples[slot]
                     next_configuration = self.control.next_configuration(
-                        name, env)
+                        name, report.samples[slot])
                     if next_configuration is not None:
                         result.lanes[lane].reconfigurations += 1
                     current[lane] = next_configuration

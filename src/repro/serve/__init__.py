@@ -4,7 +4,7 @@ Long-lived asyncio parent + forked worker pool answering
 compile+simulate+verify jobs over an NDJSON Unix socket (plus an
 optional HTTP shim), with request dedup/coalescing keyed by the
 artifact-cache content hash, structure-sharded work stealing, and
-adaptive batching through the lockstep kernel.  See
+batched dispatches of same-structure jobs on one elaboration.  See
 :doc:`docs/serving.md` for the protocol and policies.
 """
 

@@ -13,8 +13,9 @@ Three derived identities drive the scheduler:
   artifact cache" is literal: a job key is a cache filename.
 * **group key** — :func:`repro.core.cache.structure_key` plus the
   execution options minus the seed.  Jobs sharing a group compile to
-  the same design and differ only in stimulus, which is exactly the
-  precondition for one batched lockstep dispatch.
+  the same design and run on the same backend, differing only in
+  stimulus, which is exactly the precondition for one batched dispatch
+  on one elaboration.
 * **shard** — ``int(group_key, 16) % n_workers``: same-structure jobs
   land on the same worker, whose kernel cache is already warm for them.
 """
@@ -33,12 +34,6 @@ from ..sim.backends import SIMULATOR_BACKENDS
 __all__ = ["JobError", "JobSpec", "ResolvedJob", "resolve_job"]
 
 _FSM_MODES = ("generated", "interpreted")
-
-#: backends in the compiled-kernel family; only these are safe to fold
-#: into a batched dispatch (the batched kernel *is* this family, so the
-#: verdict is unchanged — an ``event``/``oblivious`` job must run the
-#: kernel it asked for)
-_BATCHABLE_BACKENDS = ("compiled", "traced", "batched")
 
 
 class JobError(ValueError):
@@ -119,7 +114,8 @@ class ResolvedJob:
     key: str
     #: structure + options minus seed (batch grouping / shard key)
     group: str
-    #: may this job be folded into a batched lockstep dispatch?
+    #: may this job be folded into a batched dispatch? (it needs a
+    #: seeded stimulus factory, one input set per lane)
     batchable: bool
 
     def shard(self, n_workers: int) -> int:
@@ -147,7 +143,5 @@ def resolve_job(spec: JobSpec) -> ResolvedJob:
     structure = structure_key(case, fsm_mode=spec.fsm_mode)
     group_blob = f"{structure}:{spec.backend}:{spec.fsm_mode}"
     group = hashlib.sha256(group_blob.encode("utf-8")).hexdigest()
-    batchable = (case.inputs is not None
-                 and spec.backend in _BATCHABLE_BACKENDS)
     return ResolvedJob(spec=spec, case=case, key=key, group=group,
-                      batchable=batchable)
+                       batchable=case.inputs is not None)

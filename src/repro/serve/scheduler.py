@@ -19,16 +19,15 @@ Idle workers first drain their own deque; an empty deque *steals* from
 the tail of the longest other deque (the head is the victim's warm,
 soon-to-run work; the tail is the coldest).  When a dispatch is taken,
 the scheduler gathers up to ``batch_max - 1`` more same-group jobs from
-the same deque into one batched lockstep dispatch — unless the group
-has previously refused the batch fast path, which the scheduler learns
-from the worker's ``batch_ok`` flag and never retries (adaptive
-batching).
+the same deque into one batched dispatch, which the worker runs on the
+jobs' own backend, one after another on one elaboration per
+configuration.
 
 Results are finalized in the parent: futures resolve, passing payloads
 enter the memo, singly-executed passes are written to the artifact
-cache (batched lanes are memo-only — their payloads carry batch-kernel
-timing, which must not masquerade on disk as a plain run of the
-requested backend), and one ledger row per job is accumulated for
+cache (batched lanes are memo-only — their ``simulation_seconds`` is a
+share of the batch, which must not masquerade on disk as a plain run),
+and one ledger row per job is accumulated for
 :meth:`repro.obs.Ledger.record_serve` at shutdown.
 
 Every job is telemetered end to end.  When a trace recorder is
@@ -68,8 +67,7 @@ _GATES = ("memo", "artifact", "coalesce", "queue")
 #: stats() keys exported as Prometheus gauges rather than counters
 _GAUGE_KEYS = frozenset({
     "workers", "batch_max", "inflight", "memo_entries",
-    "unbatchable_groups", "wall_seconds", "coalesce_rate",
-    "cache_served_rate",
+    "wall_seconds", "coalesce_rate", "cache_served_rate",
 })
 
 
@@ -175,7 +173,6 @@ class ServeScheduler:
                                               for _ in range(jobs)]
         self._inflight: Dict[str, _Queued] = {}
         self._memo: Dict[str, dict] = {}
-        self._unbatchable: set = set()
         self._dispatch_seq = 0
         self._started: Optional[float] = None
         self._respawns = 0
@@ -398,9 +395,7 @@ class ServeScheduler:
             self.counters["steals"] += 1
             self.counters["stolen_jobs"] += 1
         batch = [first]
-        if (self.batch_max > 1 and source
-                and first.resolved.batchable
-                and first.group not in self._unbatchable):
+        if self.batch_max > 1 and source and first.resolved.batchable:
             matches = [queued for queued in source
                        if queued.group == first.group]
             matches = matches[:self.batch_max - 1]
@@ -470,8 +465,6 @@ class ServeScheduler:
     def _finalize(self, queued: _Queued, entry: dict) -> None:
         payload = entry["payload"]
         self._inflight.pop(queued.key, None)
-        if not entry.get("batch_ok", True):
-            self._unbatchable.add(queued.group)
         passed = _payload_passed(payload)
         if passed:
             self._remember(queued.key, payload)
@@ -582,7 +575,6 @@ class ServeScheduler:
             "queue_depths": [len(dq) for dq in self._deques],
             "inflight": len(self._inflight),
             "memo_entries": len(self._memo),
-            "unbatchable_groups": len(self._unbatchable),
             "coalesce_rate": counters["coalesced"] / submitted,
             "cache_served_rate": served_without_execution / submitted,
             "histograms": {name: hist.as_dict()

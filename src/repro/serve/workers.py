@@ -20,12 +20,14 @@ A dispatch of one job runs :func:`repro.core.testsuite.run_case` — the
 same unit of work the suite runner schedules.  A dispatch of several
 jobs is a *batched* dispatch: the scheduler guarantees they share a
 group key (same structure, backend, fsm_mode; different seeds), so the
-worker compiles once and advances every stimulus set in lockstep
-through :func:`repro.core.verification.verify_design_batch`.  Any
-failure of the batch path degrades to per-job single execution with
-identical verdict semantics; the worker itself never raises — every
-outcome, including harness bugs, is folded into an error payload so the
-parent always gets one entry per job.
+worker compiles once and runs every stimulus set on the jobs' backend,
+one after another on one elaboration per configuration, through
+:func:`repro.core.verification.verify_design_batch`.  A batch that
+raises (a compile error, a lane that times out) is re-run one job at a
+time on the same backend, so each job gets its own verdict or error;
+the worker itself never raises — every outcome, including harness
+bugs, is folded into an error payload so the parent always gets one
+entry per job.
 """
 
 from __future__ import annotations
@@ -60,8 +62,7 @@ def _error_entry(name: str, error: str,
                  trace: Optional[str] = None) -> dict:
     result = CaseResult(name, None, None, 0.0, error=error,
                         traceback=trace)
-    return {"payload": result_to_payload(result),
-            "batch_size": 1, "batch_ok": True}
+    return {"payload": result_to_payload(result), "batch_size": 1}
 
 
 def _execute_single(spec_dict: dict) -> dict:
@@ -74,12 +75,12 @@ def _execute_single(spec_dict: dict) -> dict:
         return _error_entry(str(name), str(exc))
     result = run_case(resolved.case, seed=spec.seed,
                       fsm_mode=spec.fsm_mode, backend=spec.backend)
-    return {"payload": result_to_payload(result),
-            "batch_size": 1, "batch_ok": True}
+    return {"payload": result_to_payload(result), "batch_size": 1}
 
 
 def _execute_batch(spec_dicts: List[dict]) -> List[dict]:
-    """One compile, N lockstep lanes, one entry per job (in order)."""
+    """One compile, N lanes on one elaboration per configuration, one
+    entry per job (in order)."""
     specs = [JobSpec.from_dict(d) for d in spec_dicts]
     resolved = [resolve_job(s) for s in specs]
     case = resolved[0].case
@@ -89,6 +90,7 @@ def _execute_batch(spec_dicts: List[dict]) -> List[dict]:
     inputs_list = [r.case.inputs(r.spec.seed) for r in resolved]
     batch = verify_design_batch(design, case.func, inputs_list,
                                 fsm_mode=specs[0].fsm_mode,
+                                backend=specs[0].backend,
                                 max_cycles=case.max_cycles)
     base = collect_metrics(design, simulation_seconds=0.0, cycles=0,
                            backend=batch.backend)
@@ -99,8 +101,7 @@ def _execute_batch(spec_dicts: List[dict]) -> List[dict]:
             cycles=lane.cycles)
         result = CaseResult(case.name, lane, metrics, compile_share)
         entries.append({"payload": result_to_payload(result),
-                        "batch_size": len(specs),
-                        "batch_ok": batch.batched})
+                        "batch_size": len(specs)})
     return entries
 
 
@@ -132,8 +133,8 @@ def execute_jobs(spec_dicts: List[dict]) -> List[dict]:
                 span.finish()
             return entries
         for span in spans:
-            # the lockstep path refused; singles follow with their own
-            # spans, so this one records only the failed attempt
+            # the batch raised; singles follow with their own spans,
+            # so this one records only the failed attempt
             span.set("degraded", True)
             span.finish()
     entries = []

@@ -6,8 +6,8 @@ Public surface:
 * :class:`ObliviousSimulator` — evaluate-everything reference kernel
 * :class:`CompiledSimulator` — levelized, per-state-specialized kernel
 * :class:`TracedSimulator` — compiled kernel + hot FSM-loop trace fusion
-* :class:`BatchedSimulator` / :class:`LaneBatch` — N stimulus sets in
-  lockstep through one fused kernel (struct-of-arrays lane state)
+* :class:`LaneBatch` — N stimulus sets run in turn on one rewound
+  elaboration, on any backend
 * :data:`SIMULATOR_BACKENDS` / :func:`create_simulator` — select by name
 * :class:`Signal`, :class:`Combinational`, :class:`Sequential`,
   :class:`ClockDomain` — the structural model
@@ -30,8 +30,7 @@ from .wavecapture import WaveCapture, WaveSample
 # imports sim submodules — keep this import last so those are complete
 from .compiled import CompiledSimulator
 from .trace import TracedSimulator
-from .batched import (BatchedSimulator, BatchReport, BatchUnsupported,
-                      LaneBatch, probe_fast_path)
+from .batched import BatchReport, LaneBatch
 from .backends import SIMULATOR_BACKENDS, create_simulator
 
 __all__ = [
@@ -39,11 +38,8 @@ __all__ = [
     "ObliviousSimulator",
     "CompiledSimulator",
     "TracedSimulator",
-    "BatchedSimulator",
     "BatchReport",
-    "BatchUnsupported",
     "LaneBatch",
-    "probe_fast_path",
     "SIMULATOR_BACKENDS",
     "create_simulator",
     "levelize",

@@ -8,7 +8,6 @@ and cache keys as a plain string.
 
 from __future__ import annotations
 
-from .batched import BatchedSimulator
 from .compiled import CompiledSimulator
 from .kernel import Simulator
 from .oblivious import ObliviousSimulator
@@ -22,7 +21,6 @@ SIMULATOR_BACKENDS = {
     "oblivious": ObliviousSimulator,
     "compiled": CompiledSimulator,
     "traced": TracedSimulator,
-    "batched": BatchedSimulator,
 }
 
 

@@ -25,9 +25,10 @@ from ..hdl.model.fsm import Fsm
 from ..hdl.model.rtg import Rtg
 from .engine import register_translation
 
-__all__ = ["fsm_to_python", "compile_fsm", "GeneratedFsmBehavior",
-           "InterpretedFsmBehavior", "rtg_to_python", "compile_rtg",
-           "GeneratedRtgControl", "InterpretedRtgControl"]
+__all__ = ["fsm_to_python", "fsm_module_source", "compile_fsm",
+           "GeneratedFsmBehavior", "InterpretedFsmBehavior",
+           "rtg_to_python", "compile_rtg", "GeneratedRtgControl",
+           "InterpretedRtgControl"]
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +190,14 @@ def compile_fsm(fsm: Fsm) -> GeneratedFsmBehavior:
     behavior = GeneratedFsmBehavior(source, code=code)
     memo_put(_BEHAVIOR_MEMO, key, behavior)
     return behavior
+
+
+def fsm_module_source(fsm: Fsm) -> str:
+    """The module text :func:`compile_fsm` generates for *fsm*: taken
+    from the behaviour memo when an elaboration in this process already
+    loaded it, generated otherwise (nothing is compiled either way)."""
+    behavior = _BEHAVIOR_MEMO.get(_fsm_key(fsm))
+    return behavior.source if behavior is not None else fsm_to_python(fsm)
 
 
 class InterpretedFsmBehavior:

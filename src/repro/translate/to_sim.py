@@ -193,21 +193,76 @@ class SimDesign:
     def run_to_done(self, max_cycles: int = 10_000_000) -> int:
         """Run until the design asserts ``done``; returns cycles used."""
         try:
-            done = self.done_signal
-            if done is not None:
-                # signal-based form: identical semantics to the generic
-                # predicate, but backends that compile the design (the
-                # CompiledSimulator) can recognise a Moore control line
-                # and run their specialized loop
-                return self.sim.run_until_high(done, max_cycles=max_cycles)
-            return self.sim.run_until(lambda: self.done,
-                                      max_cycles=max_cycles)
+            return self._run_until_done(max_cycles)
         except SimulationTimeout:
             raise SimulationTimeout(
                 f"design {self.datapath.name!r} did not finish within "
                 f"{max_cycles} cycles (state {self.controller.state!r})",
                 max_cycles,
             ) from None
+
+    def _run_until_done(self, max_cycles: int) -> int:
+        """The kernel call of :meth:`run_to_done`; raises the kernel's
+        own :class:`SimulationTimeout`."""
+        done = self.done_signal
+        if done is not None:
+            # signal-based form: identical semantics to the generic
+            # predicate, but backends that compile the design (the
+            # CompiledSimulator) can recognise a Moore control line and
+            # run their specialized loop
+            return self.sim.run_until_high(done, max_cycles=max_cycles)
+        return self.sim.run_until(lambda: self.done, max_cycles=max_cycles)
+
+    def snapshot(self) -> tuple:
+        """The live state of this elaboration, for :meth:`restore`.
+
+        It holds every signal value, the controller's state and
+        counters, the kernel's statistics, simulated time, each clock
+        domain's cycle count and every memory's words.  SRAM
+        ``reads``/``writes`` counters are not saved.
+        """
+        sim = self.sim
+        controller = self.controller
+        return ([signal.value for signal in sim._signals.values()],
+                (controller.state, controller.transitions,
+                 controller._idle, controller.invocations),
+                sim.stats.as_dict(), sim.now,
+                [domain.cycles for domain in sim._domains.values()],
+                [list(image._words) for image in self.memories.values()])
+
+    def restore(self, state: tuple) -> None:
+        """Return this elaboration to a :meth:`snapshot` of it, so the
+        next run behaves as it did from there; the statistics rewind
+        too, so a traced kernel's promotion count does not add up over
+        rewound runs."""
+        values, control, stats, now, cycles, words = state
+        sim = self.sim
+        # in place: compiled kernels are bound to these very lists
+        for image, saved in zip(self.memories.values(), words):
+            image._words[:] = saved
+        for signal, value in zip(sim._signals.values(), values):
+            signal.value = value
+        controller = self.controller
+        (controller.state, controller.transitions, controller._idle,
+         controller.invocations) = control
+        for name, value in stats.items():
+            setattr(sim.stats, name, value)
+        sim.now = now
+        for domain, count in zip(sim._domains.values(), cycles):
+            domain.cycles = count
+            domain.rearm()  # enables were restored without their watchers
+        sim._worklist.clear()
+        sim._staged.clear()
+
+    def resettle(self) -> None:
+        """Re-derive every combinational value (SRAM and ROM read paths
+        included) from the memory words, as elaborating on them would;
+        call it after writing the bound images directly."""
+        sim = self.sim
+        sim._worklist.extend(component
+                             for component in sim._components.values()
+                             if hasattr(component, "evaluate"))
+        sim.settle()
 
     def memory(self, name: str) -> MemoryImage:
         try:

@@ -69,6 +69,21 @@ class TestSuiteCommand:
         assert "2 cached" in capsys.readouterr().out
 
 
+    def test_batch_runs_traced_unless_a_backend_is_given(self, capsys):
+        assert main(["suite", "--case", "popcount", "--batch", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "backend=traced" in out
+        assert "(batch of 2," in out
+        assert main(["suite", "--case", "popcount", "--batch", "2",
+                     "--backend", "event"]) == 0
+        assert "backend=event" in capsys.readouterr().out
+
+    def test_batch_refuses_coverage(self, capsys):
+        assert main(["suite", "--case", "popcount", "--batch", "2",
+                     "--coverage"]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
+
 class TestTable1Command:
     def test_compile_only(self, capsys):
         assert main(["table1"]) == 0

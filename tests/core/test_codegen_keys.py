@@ -78,8 +78,7 @@ def _closure(*files: str):
 
 
 @pytest.mark.parametrize("generators,scope", [
-    (("sim/compiled.py", "sim/trace.py", "sim/batched.py"),
-     kernelcache._KERNEL_SCOPE),
+    (("sim/compiled.py", "sim/trace.py"), kernelcache._KERNEL_SCOPE),
     (("translate/to_python.py",), kernelcache._FSM_SCOPE),
 ], ids=["kernel", "fsm"])
 def test_scope_covers_the_generators_import_closure(generators, scope):

@@ -135,7 +135,7 @@ def test_hit_neither_compiles_nor_prints_xml(stage, monkeypatch):
 
     monkeypatch.setattr(testsuite_module, "compile_function", refuse)
     # the line counts come with the hit: no XML tree, no FSM code
-    for name in ("fsm_tree", "datapath_tree", "fsm_to_python"):
+    for name in ("fsm_tree", "datapath_tree", "fsm_module_source"):
         monkeypatch.setattr(report_module, name, refuse)
     set_default_cache(KernelCache(stage.root))
     assert collect_metrics(case.compile()) == expected

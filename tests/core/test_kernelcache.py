@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.core.kernelcache import (MEMO_ENTRIES, KernelCache,
-                                    batch_group_key, datapath_digest,
-                                    default_cache, digest_parts,
-                                    fsm_digest, set_default_cache)
+                                    datapath_digest, default_cache,
+                                    digest_parts, fsm_digest,
+                                    set_default_cache)
 from repro.hdl import Datapath, Fsm, Var
 
 
@@ -232,58 +232,3 @@ class TestDigests:
         before = fsm_digest(fsm)
         fsm.mark_final("s0")
         assert fsm_digest(fsm) != before
-
-
-class TestBatchGroupKey:
-    """batch_group_key decides which stimulus sets may share one
-    lockstep kernel — a stale or insensitive key would batch lanes
-    onto the wrong generated code."""
-
-    def _model(self):
-        dp = Datapath("d", width=16)
-        dp.add_component("add0", "add", 16)
-        dp.add_net("n0", "add0.o", ["r0.d"])
-        fsm = Fsm("f")
-        fsm.add_input("st")
-        fsm.add_output("en_r0")
-        s0 = fsm.add_state("s0")
-        s0.assign("en_r0", 1)
-        s0.transition("s1")
-        fsm.add_state("s1", final=True)
-        return dp, fsm
-
-    def test_stable_across_equal_models(self):
-        dp1, fsm1 = self._model()
-        dp2, fsm2 = self._model()
-        assert batch_group_key(dp1, fsm1) == batch_group_key(dp2, fsm2)
-        assert batch_group_key(dp1, fsm1) == batch_group_key(dp1, fsm1)
-
-    def test_sensitive_to_fsm_mode(self):
-        dp, fsm = self._model()
-        assert batch_group_key(dp, fsm, "generated") != \
-            batch_group_key(dp, fsm, "interpreted")
-
-    def test_datapath_mutation_changes_key(self):
-        """Mutators clear the digest memo, so a model edited after a
-        key was computed can never silently reuse the old group."""
-        dp, fsm = self._model()
-        before = batch_group_key(dp, fsm)
-        dp.add_component("mul0", "mul", 16)
-        assert batch_group_key(dp, fsm) != before
-
-    def test_fsm_mutation_changes_key(self):
-        dp, fsm = self._model()
-        before = batch_group_key(dp, fsm)
-        fsm.states["s0"].assign("en_r0", 0)
-        assert batch_group_key(dp, fsm) != before
-        after = batch_group_key(dp, fsm)
-        fsm.states["s0"].transition("s0", Var("st"))
-        assert batch_group_key(dp, fsm) != after
-
-    def test_distinct_from_kernel_digests(self):
-        """The group key is its own namespace: it must not collide
-        with the raw datapath/fsm digests a kernel cache key uses."""
-        dp, fsm = self._model()
-        key = batch_group_key(dp, fsm)
-        assert key != datapath_digest(dp)
-        assert key != fsm_digest(fsm)

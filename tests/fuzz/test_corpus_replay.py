@@ -44,13 +44,12 @@ def test_replay(entry):
 
 
 def test_replay_includes_optimized_backends():
-    """The default replay above must keep exercising the trace-fusing
-    and batched kernels — dropping either from the registry would
+    """The default replay above must keep exercising the compiled and
+    trace-fusing kernels — dropping either from the registry would
     shrink the net."""
     from repro.fuzz.harness import DEFAULT_BACKENDS
 
-    assert "traced" in DEFAULT_BACKENDS
-    assert "batched" in DEFAULT_BACKENDS
+    assert {"compiled", "traced"} <= set(DEFAULT_BACKENDS)
 
 
 @pytest.mark.parametrize(
@@ -66,41 +65,3 @@ def test_replay_traced_only(entry):
     assert outcome.kind == expected, (
         f"{entry.path.name} classifies as {outcome.describe()} through "
         f"the traced backend (recorded kind: {entry.kind})")
-
-
-@pytest.mark.parametrize(
-    "entry", CORPUS,
-    ids=[entry.path.stem for entry in CORPUS])
-def test_replay_batched_only(entry):
-    """Every reproducer classifies identically when the hardware side
-    runs on the batched backend (as a single lane)."""
-    outcome = run_program(entry.program, input_seed=entry.input_seed,
-                          backends=("event", "batched"))
-    expected = entry.kind if entry.xfail else "pass"
-    assert outcome.kind == expected, (
-        f"{entry.path.name} classifies as {outcome.describe()} through "
-        f"the batched backend (recorded kind: {entry.kind})")
-
-
-def test_replay_corpus_as_wave_batch():
-    """The whole corpus replayed through the wave batcher: programs
-    with structurally identical designs share one lockstep simulation,
-    the rest run serially — and every classification must match the
-    plain per-program replay.  A mismatch here would be exactly the
-    kind of divergence the fuzzer would ddmin into this directory."""
-    from repro.fuzz import run_wave_batched
-
-    programs = [entry.program for entry in CORPUS]
-    seeds = {entry.input_seed for entry in CORPUS}
-    # the wave API takes one stimulus seed for the whole wave; the
-    # checked-in corpus uses a single seed today — revisit if that
-    # ever diversifies
-    assert len(seeds) == 1, f"corpus mixes input seeds {seeds}"
-    outcomes, stats = run_wave_batched(programs, input_seed=seeds.pop(),
-                                       min_group=2)
-    assert stats["programs"] == len(CORPUS)
-    for entry, outcome in zip(CORPUS, outcomes):
-        expected = entry.kind if entry.xfail else "pass"
-        assert outcome.kind == expected, (
-            f"{entry.path.name} classifies as {outcome.describe()} "
-            f"through the wave batcher (recorded kind: {entry.kind})")

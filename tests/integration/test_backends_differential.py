@@ -2,9 +2,7 @@
 
 The compiled backend rewrites each design into specialized straight-line
 code; the traced backend further fuses hot FSM loops into single guarded
-blocks; the batched backend reuses those fused kernels to advance many
-stimulus sets in lockstep (here it runs single-stimulus, as one lane);
-the oblivious backend ignores every event-driven optimisation.
+blocks; the oblivious backend ignores every event-driven optimisation.
 Whatever the kernel, the observable outcome — final memory contents,
 cycle counts, verification verdicts — must be bit-identical, or a kernel
 has changed the semantics it is supposed to merely accelerate.
@@ -34,8 +32,7 @@ BACKENDS = sorted(SIMULATOR_BACKENDS)
 def test_all_backends_registered():
     """The differential net must keep covering every kernel tier; a
     registry regression would silently shrink this whole module."""
-    assert set(BACKENDS) >= {"event", "oblivious", "compiled", "traced",
-                             "batched"}
+    assert set(BACKENDS) >= {"event", "oblivious", "compiled", "traced"}
 
 
 def _execute(design, inputs, backend):

@@ -1,24 +1,28 @@
-"""Batched execution differential: batch-of-N must equal N serial runs.
+"""Batched execution differential: batch-of-N must equal N fresh runs.
 
-The batched backend advances N independent stimulus sets through one
-generated kernel, swapping struct-of-arrays signal columns and memory
-words between lanes.  That machinery is pure bookkeeping: every lane
-must produce bit-for-bit the cycles and memory contents a serial run of
-the same stimulus produces — under *every* registered backend, since
-they are all proven equal to each other elsewhere.  The divergence case
-matters most: ``popcount``'s cycle count is data-dependent, so lanes
-drift apart across quantum boundaries and the cohort partitioning has
-to keep them straight.
+A batch runs N independent stimulus sets one after another on one
+elaboration per configuration, rewinding it to its post-elaboration
+snapshot and copying each lane's memory words in and out.  That
+machinery is pure bookkeeping: every lane must produce bit-for-bit the
+cycles and memory contents a fresh run of the same stimulus produces on
+the same backend — under *every* registered backend.  Data-dependent
+run lengths matter most: ``popcount``'s cycle count depends on its
+input, so a lane that inherited anything from the lane before it would
+show.
 """
 
 import pytest
 
 from repro.apps import CASE_BUILDERS, suite_case
 from repro.core import prepare_images, verify_design_batch
+from repro.hdl import Fsm, parse_condition
 from repro.rtg import (ReconfigurationContext, RtgBatchExecutor,
                        RtgExecutor)
-from repro.sim import (SIMULATOR_BACKENDS, BatchedSimulator,
-                       BatchUnsupported, LaneBatch, TracedSimulator)
+from repro.sim import SIMULATOR_BACKENDS, LaneBatch
+from repro.translate import build_simulation
+from repro.util.files import MemoryImage
+
+from tests.hdl.test_datapath import build_sample
 
 SMALL_SIZES = {
     "fdct1": {"pixels": 64},
@@ -34,12 +38,6 @@ SMALL_SIZES = {
 BATCH = 4
 
 
-def test_batched_backend_registered():
-    assert "batched" in SIMULATOR_BACKENDS
-    assert issubclass(SIMULATOR_BACKENDS["batched"], TracedSimulator)
-    assert SIMULATOR_BACKENDS["batched"] is BatchedSimulator
-
-
 def _serial(design, inputs, backend):
     images = prepare_images(design, inputs)
     context = ReconfigurationContext.from_rtg(design.rtg, initial=images)
@@ -49,13 +47,13 @@ def _serial(design, inputs, backend):
     return result.total_cycles, memories
 
 
-def _batched(design, inputs_list, **kwargs):
+def _batched(design, inputs_list, backend):
     contexts = [
         ReconfigurationContext.from_rtg(
             design.rtg, initial=prepare_images(design, inputs))
         for inputs in inputs_list
     ]
-    report = RtgBatchExecutor(design.rtg, contexts, **kwargs).run()
+    report = RtgBatchExecutor(design.rtg, contexts, backend=backend).run()
     lanes = []
     for context, lane in zip(contexts, report.lanes):
         memories = {name: tuple(context.memory(name).words())
@@ -66,40 +64,37 @@ def _batched(design, inputs_list, **kwargs):
 
 @pytest.mark.parametrize("name", sorted(CASE_BUILDERS))
 def test_batch_equals_serial_every_backend(name):
-    """One batch of BATCH seeds vs BATCH serial runs per backend."""
+    """One batch of BATCH seeds vs BATCH fresh runs, per backend."""
     case = suite_case(name, **SMALL_SIZES[name])
     design = case.compile()
     inputs_list = [case.inputs(seed) for seed in range(BATCH)]
-    report, lanes = _batched(design, inputs_list)
-    assert report.batch_size == BATCH
     for backend in sorted(SIMULATOR_BACKENDS):
+        report, lanes = _batched(design, inputs_list, backend)
+        assert report.batch_size == BATCH
         for seed, (cycles, memories) in enumerate(lanes):
             ref_cycles, ref_memories = _serial(design, inputs_list[seed],
                                                backend)
             assert cycles == ref_cycles, \
-                f"{name}: lane {seed} took {cycles} cycles, " \
-                f"{backend} serial took {ref_cycles}"
+                f"{name}: {backend} lane {seed} took {cycles} cycles, " \
+                f"a fresh {backend} run took {ref_cycles}"
             assert memories == ref_memories, \
-                f"{name}: lane {seed} memories diverge from {backend}"
+                f"{name}: {backend} lane {seed} memories diverge"
 
 
 def test_lane_divergence_stays_bit_exact():
-    """popcount lanes finish at data-dependent cycle counts; a small
-    quantum forces many swap boundaries while lanes sit in different
-    FSM states — the cohort partitioning must never mix lanes up."""
+    """popcount lanes finish at data-dependent cycle counts; each lane
+    must start from the rewound design, not from where the last lane
+    stopped."""
     case = suite_case("popcount", **SMALL_SIZES["popcount"])
     design = case.compile()
     inputs_list = [case.inputs(seed) for seed in range(BATCH)]
-    report, lanes = _batched(design, inputs_list, quantum=64)
+    _, lanes = _batched(design, inputs_list, "traced")
     cycle_counts = {cycles for cycles, _ in lanes}
     assert len(cycle_counts) > 1, \
         "popcount stopped being data-dependent; pick another design"
-    assert report.rounds > 1
     for seed, (cycles, memories) in enumerate(lanes):
-        ref_cycles, ref_memories = _serial(design, inputs_list[seed],
-                                           "traced")
-        assert cycles == ref_cycles
-        assert memories == ref_memories
+        assert (cycles, memories) == _serial(design, inputs_list[seed],
+                                             "traced")
 
 
 def test_multi_configuration_batch():
@@ -109,13 +104,11 @@ def test_multi_configuration_batch():
     design = case.compile()
     assert design.multi_configuration
     inputs_list = [case.inputs(seed) for seed in range(BATCH)]
-    report, lanes = _batched(design, inputs_list)
+    report, lanes = _batched(design, inputs_list, "traced")
     assert report.elaborations == len(design.rtg.configurations)
     for seed, (cycles, memories) in enumerate(lanes):
-        ref_cycles, ref_memories = _serial(design, inputs_list[seed],
-                                           "traced")
-        assert cycles == ref_cycles
-        assert memories == ref_memories
+        assert (cycles, memories) == _serial(design, inputs_list[seed],
+                                             "traced")
 
 
 @pytest.mark.parametrize("name", ["fdct1", "hamming"])
@@ -123,49 +116,58 @@ def test_verify_design_batch_passes(name):
     case = suite_case(name, **SMALL_SIZES[name])
     design = case.compile()
     inputs_list = [case.inputs(seed) for seed in range(BATCH)]
-    result = verify_design_batch(design, case.func, inputs_list)
+    result = verify_design_batch(design, case.func, inputs_list,
+                                 backend="traced")
     assert result.passed, result.summary()
-    assert result.batched
+    assert result.backend == "traced"
     assert result.batch_size == BATCH
     assert len(result.lanes) == BATCH
     assert result.lane_seconds > 0
-    assert 0.0 <= result.lanes_converged <= 1.0
     for lane in result.lanes:
         assert lane.passed
-        assert lane.backend == "batched"
+        assert lane.backend == "traced"
 
 
-def test_verify_design_batch_falls_back_when_unsupported(monkeypatch):
-    """Designs the fast path cannot compile (e.g. non-levelizable
-    fuzz outputs) raise BatchUnsupported; the batch API must degrade
-    to per-lane serial runs, not fail."""
-    from repro.rtg import executor as executor_mod
+@pytest.mark.parametrize("backend", sorted(SIMULATOR_BACKENDS))
+def test_lanes_without_a_done_output(backend):
+    """A design with no ``done`` line runs each lane to its final
+    state, like ``run_to_done`` does."""
+    fsm = Fsm("ctl")
+    fsm.add_input("st_lt")
+    fsm.add_output("en_acc")
+    fsm.add_output("we_buf")
+    fsm.add_state("S_idle").transition("S_run")
+    run = fsm.add_state("S_run")
+    run.assign("en_acc", 1)
+    run.assign("we_buf", 1)
+    run.transition("S_run", parse_condition("st_lt"))
+    run.transition("S_done")
+    fsm.add_state("S_done", final=True)
 
-    def refuse(self):
-        raise BatchUnsupported("forced for test")
+    def image():
+        return MemoryImage(16, 64, words=[7] * 64)
 
-    monkeypatch.setattr(executor_mod.RtgBatchExecutor, "run", refuse)
-    case = suite_case("fir", **SMALL_SIZES["fir"])
-    design = case.compile()
-    inputs_list = [case.inputs(seed) for seed in range(2)]
-    result = verify_design_batch(design, case.func, inputs_list)
-    assert result.passed, result.summary()
-    assert not result.batched
-    assert "forced for test" in result.fallback_reason
-    assert len(result.lanes) == 2
-    for lane in result.lanes:
-        assert lane.passed
+    fresh = build_simulation(build_sample(), fsm, backend=backend,
+                             memories={"buf": image()})
+    cycles = fresh.run_to_done(max_cycles=100)
+    design = build_simulation(build_sample(), fsm, backend=backend,
+                              memories={"buf": MemoryImage(16, 64)})
+    assert design.done_signal is None
+    lanes = [{"buf": image()} for _ in range(2)]
+    report = LaneBatch(design, lanes).run(max_cycles=100)
+    assert report.all_done
+    assert report.cycles == [cycles, cycles]
+    assert report.final_states == ["S_done", "S_done"]
+    for lane in lanes:
+        assert lane["buf"].words() == fresh.memory("buf").words()
 
 
 class TestLaneBatchValidation:
     """LaneBatch refuses malformed lane memory sets up front —
-    mis-shaped lanes must be a loud BatchUnsupported, never a
+    mis-shaped lanes must be a loud ValueError, never a
     silently-wrong simulation."""
 
     def _design(self):
-        from repro.translate import build_simulation
-        from repro.util.files import MemoryImage
-
         case = suite_case("fir", **SMALL_SIZES["fir"])
         compiled = case.compile()
         name, ref = next(iter(sorted(compiled.rtg.configurations.items())))
@@ -174,13 +176,11 @@ class TestLaneBatchValidation:
             for decl in compiled.rtg.memories.values()
         }
         design = build_simulation(ref.datapath, ref.fsm, memories=scratch,
-                                  backend="batched")
+                                  backend="traced")
         return compiled, design
 
     def _lane(self, compiled, seed=0):
-        from repro.apps import suite_case as _case
-
-        case = _case("fir", **SMALL_SIZES["fir"])
+        case = suite_case("fir", **SMALL_SIZES["fir"])
         images = prepare_images(compiled, case.inputs(seed))
         context = ReconfigurationContext.from_rtg(compiled.rtg,
                                                   initial=images)
@@ -191,15 +191,12 @@ class TestLaneBatchValidation:
         try:
             lane = self._lane(compiled)
             lane.pop(next(iter(sorted(lane))))
-            with pytest.raises(BatchUnsupported, match="missing"):
-                LaneBatch(design.sim, design.done_signal, design.memories,
-                          [lane])
+            with pytest.raises(ValueError, match="missing"):
+                LaneBatch(design, [lane])
         finally:
             design.release()
 
     def test_shape_mismatch_is_unsupported(self):
-        from repro.util.files import MemoryImage
-
         compiled, design = self._design()
         try:
             lane = self._lane(compiled)
@@ -207,9 +204,8 @@ class TestLaneBatchValidation:
             bad = MemoryImage(lane[name].width, lane[name].depth + 1,
                               name=name)
             lane[name] = bad
-            with pytest.raises(BatchUnsupported, match="design binds"):
-                LaneBatch(design.sim, design.done_signal, design.memories,
-                          [lane])
+            with pytest.raises(ValueError, match="design binds"):
+                LaneBatch(design, [lane])
         finally:
             design.release()
 
@@ -219,8 +215,7 @@ class TestLaneBatchValidation:
             lane = self._lane(compiled)
             name = next(iter(sorted(lane)))
             lane[name] = design.memories[name]
-            with pytest.raises(BatchUnsupported, match="alias"):
-                LaneBatch(design.sim, design.done_signal, design.memories,
-                          [lane])
+            with pytest.raises(ValueError, match="alias"):
+                LaneBatch(design, [lane])
         finally:
             design.release()

@@ -48,6 +48,27 @@ class TestDashboard:
         assert html.count("<svg") >= len(APPS)
         assert "polyline" in html
 
+    def test_amortized_section_selects_rows_by_batch_size(self, tmp_path):
+        """Batch rows carry their real backend now; the amortized
+        section finds them by ``batch_size``, and a ledger's old
+        ``batched`` rows still show."""
+        with Ledger(tmp_path / "l.sqlite") as ledger:
+            _populate(ledger, runs=2, backends=("traced",))
+            for backend in ("batched", "traced"):
+                report = FakeSuiteReport(["fdct1"], backend=backend,
+                                         sim=6.4)
+                report.results[0].verification.batch_size = 64
+                report.results[0].verification.lane_seconds = 0.1
+                ledger.record_suite(report, suite="t",
+                                    sizes={"fdct1": {"n": 8}})
+            html = render_dashboard(ledger)
+        amortized = html.split("Amortized per-stimulus cost")[1]
+        amortized = amortized.split("<h2>")[0]
+        assert "no batched runs" not in amortized
+        assert "fdct1</b> · batched · batch 64" in amortized
+        assert "fdct1</b> · traced · batch 64" in amortized
+        assert "fdct2" not in amortized
+
     def test_dashboard_has_coverage_and_fuzz_sections(self, tmp_path):
         with Ledger(tmp_path / "l.sqlite") as ledger:
             _populate(ledger)

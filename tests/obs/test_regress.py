@@ -161,6 +161,64 @@ class TestInjectInvisibility:
             assert perf[0].ratio == pytest.approx(2.0)
 
 
+def _record_traced(ledger, sim, batch_size=None):
+    """One ``traced`` suite run over alpha and beta; with a
+    *batch_size*, each case row times a batch of that many stimulus
+    sets, so its ``sim_seconds`` covers all of them."""
+    report = FakeSuiteReport(["alpha", "beta"], backend="traced", sim=sim)
+    if batch_size is not None:
+        for result in report.results:
+            result.verification.batch_size = batch_size
+            result.verification.lane_seconds = sim / batch_size
+    ledger.record_suite(report, suite="t",
+                        sizes={"alpha": {"n": 8}, "beta": {"n": 8}})
+
+
+class TestBatchRows:
+    def test_batch_row_is_not_gated_against_single_runs(self, tmp_path):
+        """A traced batch of 64 takes 64x one traced run; beside a
+        traced single-run history it is not flagged, only skipped for
+        want of a batch history."""
+        with Ledger(tmp_path / "l.sqlite") as ledger:
+            for _ in range(3):
+                _record_traced(ledger, sim=0.1)
+            _record_traced(ledger, sim=6.4, batch_size=64)
+            report = compare_run(ledger)
+            assert report.passed, report.summary()
+            assert {"alpha/traced x64", "beta/traced x64"} <= \
+                set(report.skipped)
+
+    def test_batch_rows_stay_out_of_the_baseline(self, tmp_path):
+        """A 2x traced slowdown is judged against the three single
+        runs only, not against the batch rows recorded between them."""
+        with Ledger(tmp_path / "l.sqlite") as ledger:
+            for _ in range(3):
+                _record_traced(ledger, sim=0.1)
+                _record_traced(ledger, sim=6.4, batch_size=64)
+            _record_traced(ledger, sim=0.2)
+            report = compare_run(ledger)
+            perf = [f for f in report.findings if f.kind == "perf"]
+            assert len(perf) == 2, report.summary()
+            assert all(f.samples == 3 for f in perf)
+            assert all(f.baseline == pytest.approx(0.1) for f in perf)
+
+    def test_batch_row_is_gated_against_batches_of_its_size(self, tmp_path):
+        """A 2x slower batch of 64 is judged against the earlier batches
+        of 64 only, as the bench's ``batched`` series is."""
+        with Ledger(tmp_path / "l.sqlite") as ledger:
+            for _ in range(3):
+                _record_traced(ledger, sim=6.4, batch_size=64)
+                _record_traced(ledger, sim=0.1)
+                _record_traced(ledger, sim=1.0, batch_size=8)
+            _record_traced(ledger, sim=12.8, batch_size=64)
+            report = compare_run(ledger)
+            perf = [f for f in report.findings if f.kind == "perf"]
+            assert [f.subject for f in perf] == ["alpha/traced x64",
+                                                 "beta/traced x64"]
+            assert all(f.samples == 3 for f in perf)
+            assert all(f.baseline == pytest.approx(6.4) for f in perf)
+
+
 class TestCompareCli:
     def _make_regressed(self, path):
         with Ledger(path) as ledger:

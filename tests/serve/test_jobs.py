@@ -104,10 +104,12 @@ class TestResolve:
             assert 0 <= shard < n
             assert shard == resolved.shard(n)
 
-    def test_batchable_requires_kernel_family_backend(self):
-        assert resolve_job(JobSpec(case="fir", backend="traced")).batchable
-        assert not resolve_job(JobSpec(case="fir",
-                                       backend="event")).batchable
+    def test_batchable_on_any_backend(self):
+        """A batched dispatch runs its jobs' own backend, so a job
+        needs only a seeded stimulus factory to be batched."""
+        for backend in ("event", "oblivious", "compiled", "traced"):
+            assert resolve_job(JobSpec(case="fir",
+                                       backend=backend)).batchable
 
     def test_source_is_read_once_per_function(self, monkeypatch):
         """Memo-hit submissions re-derive keys; neither that nor the

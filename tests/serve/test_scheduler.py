@@ -163,9 +163,9 @@ class TestArtifactCache:
         assert stored() == {**before, "design": before["design"] + 1}
 
     def test_batched_results_never_hit_the_disk_cache(self, tmp_path):
-        """Lanes of a batched dispatch are memo-only: their payloads
-        carry batch-kernel timing and must not be stored under the
-        requested backend's key."""
+        """Lanes of a batched dispatch are memo-only: their
+        ``simulation_seconds`` is a share of the batch and must not be
+        stored as a plain run under the job's key."""
         cache_dir = str(tmp_path / "cache")
 
         async def go():
@@ -278,43 +278,29 @@ class TestAdaptiveBatching:
         assert counters["dispatches"] == 1
         assert counters["batched_jobs"] == 4
 
-    def test_unbatchable_group_is_learned(self, monkeypatch):
-        """A group whose batch dispatch fell back to serial execution
-        is never batch-dispatched again."""
-        import repro.serve.workers as workers_module
-        from repro.core.verification import verify_design_batch
-
-        def degraded(design, func, inputs_list, **kwargs):
-            result = verify_design_batch(design, func, inputs_list,
-                                         **kwargs)
-            result.batched = False
-            result.fallback_reason = "test-forced fallback"
-            return result
-
-        # patch BEFORE start(): fork workers inherit the patched module
-        monkeypatch.setattr(workers_module, "verify_design_batch",
-                            degraded)
-
-        async def go():
-            scheduler = ServeScheduler(jobs=1, batch_max=8)
+    def test_batched_lanes_report_the_requested_backend(self):
+        """A gathered dispatch runs on its jobs' own backend: every
+        payload names ``traced`` in its verification and its metrics,
+        with the cycles of the same job dispatched alone."""
+        async def go(batch_max):
+            scheduler = ServeScheduler(jobs=1, batch_max=batch_max)
             await scheduler.start()
-            first = [scheduler.submit({**TINY, "seed": s})
-                     for s in range(3)]
-            await asyncio.gather(*(s.future for s in first))
-            after_first = dict(scheduler.counters)
-            second = [scheduler.submit({**TINY, "seed": s})
-                      for s in range(3, 6)]
-            payloads = await drain(scheduler, second)
-            return scheduler, after_first, payloads
+            subs = [scheduler.submit({**TINY, "seed": s,
+                                      "backend": "traced"})
+                    for s in range(3)]
+            payloads = await drain(scheduler, subs)
+            return scheduler, payloads
 
-        scheduler, after_first, payloads = run(go())
-        assert all(payload_passed(p) for p in payloads)
-        assert after_first["batches"] == 1
-        counters = scheduler.stats()
-        assert counters["unbatchable_groups"] == 1
-        # the second wave ran unbatched: no new batch dispatches
-        assert counters["batches"] == after_first["batches"]
-        assert counters["executed"] == 6
+        batched, payloads = run(go(8))
+        solo, solo_payloads = run(go(1))
+        assert batched.stats()["batched_jobs"] == 3
+        assert solo.stats()["batches"] == 0
+        for payload, reference in zip(payloads, solo_payloads):
+            assert payload_passed(payload)
+            assert payload["verification"]["backend"] == "traced"
+            assert payload["metrics"]["backend"] == "traced"
+            assert payload["verification"]["cycles"] == \
+                reference["verification"]["cycles"]
 
 
 class TestWorkerRespawn:
