@@ -7,7 +7,8 @@ Two ablations for the trace-fusing tier on top of the compiled kernel:
   at any size), interleaved best-of-N.  Outputs must be
   byte-identical; the traced kernel must not be slower, and at full
   size must clear the 2x acceptance floor asserted by
-  ``test_bench_suite``.
+  ``test_bench_suite``.  The report also gives what the fused program
+  costs to build (codegen plus ``compile()``), a report line only.
 
 * **codegen cache**: first traced elaboration against an empty
   :class:`KernelCache` pays trace discovery + code generation +
@@ -30,9 +31,11 @@ from pathlib import Path
 import pytest
 
 from repro.apps import suite_case
-from repro.core import verify_design
+from repro.core import prepare_images, verify_design
 from repro.core.kernelcache import KernelCache, set_default_cache
 from repro.sim import TracedSimulator
+from repro.sim.compiled import _build_program
+from repro.translate import build_simulation
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -49,6 +52,21 @@ def _verify(case, design, inputs, backend):
 def _signature(result):
     return (result.cycles,
             sorted(repr(check.__dict__) for check in result.checks))
+
+
+def _fused_build_seconds(design, inputs):
+    """Best-of-N time to generate and ``compile()`` the fused program of
+    *design*'s one configuration."""
+    config = design.configurations[0]
+    sim = build_simulation(config.datapath, config.fsm,
+                           prepare_images(design, inputs),
+                           backend="traced").sim
+    best = None
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        _build_program(sim, fuse=True)
+        best = min(filter(None, (best, time.perf_counter() - started)))
+    return best
 
 
 @pytest.mark.benchmark(group="ablation-fusion")
@@ -74,6 +92,7 @@ def test_fusion_on_off(report_writer, monkeypatch):
     # fusion must be an optimisation, never a semantic change
     assert compiled_sig == traced_sig
     ratio = compiled_best / max(traced_best, 1e-9)
+    build = _fused_build_seconds(design, inputs)
 
     report_writer("ablation_fusion", "\n".join([
         f"A5 -- trace fusion ablation (fdct1, {PIXELS} pixels, "
@@ -85,6 +104,8 @@ def test_fusion_on_off(report_writer, monkeypatch):
         f"traced (fused)      {traced_best:.4f}",
         "",
         f"fusion speedup x{ratio:.2f}",
+        f"fused build {build * 1000:.1f} ms (codegen + compile(), "
+        f"best of {REPEATS})",
     ]) + "\n")
 
     if not QUICK:

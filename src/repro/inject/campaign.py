@@ -237,10 +237,10 @@ class _Testbench:
             self._states.append(self.design.snapshot())
 
     def flip(self, fault: FaultDescriptor) -> None:
-        """Apply a ``mem_flip`` to the live image, then re-derive every
-        combinational value from the flipped words."""
+        """Apply a ``mem_flip`` to the live image.  The image's write
+        watchers re-drive any read port at the flipped address, and the
+        run's opening settle carries the change through its fanout."""
         apply_mem_flip(self.context.memories, fault)
-        self.design.resettle()
 
 
 def _golden_images(design: Design, func: Callable,

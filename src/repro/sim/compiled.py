@@ -414,14 +414,12 @@ class _StateIR:
     reorders commits.
     """
 
-    __slots__ = ("index", "name", "dynamic", "env_text", "env_tokens",
-                 "samples", "sram_writes", "settle_ops")
+    __slots__ = ("name", "dynamic", "env_tokens", "samples", "sram_writes",
+                 "settle_ops")
 
-    def __init__(self, index: int, name: str) -> None:
-        self.index = index
+    def __init__(self, name: str) -> None:
         self.name = name
         self.dynamic = False
-        self.env_text: Optional[str] = None
         self.env_tokens: tuple = ()
         self.samples: List[tuple] = []
         self.sram_writes: List[tuple] = []
@@ -717,7 +715,7 @@ def _build_program(sim: "CompiledSimulator", *,
         const_of = make_const_of(vector)
         dynamic = static_target[state] is None
         if fusing:
-            ir = _StateIR(index, state)
+            ir = _StateIR(state)
             ir.dynamic = dynamic
             state_ir.append(ir)
 
@@ -788,7 +786,6 @@ def _build_program(sim: "CompiledSimulator", *,
             env = "{" + ", ".join(f"{name!r}: {val(sig)}"
                                   for name, sig in status_items) + "}"
             if fusing:
-                ir.env_text = env
                 ir.env_tokens = tuple(val(sig) for _, sig in status_items)
             lines.append((0, f"_e = _t{index}({env})"))
             lines.append((0, f"if _e != {state!r}:"))
@@ -1073,6 +1070,9 @@ class CompiledSimulator(Simulator):
         self.design_digest: Optional[str] = None
         #: memoized design walk (see :meth:`_design_facts`)
         self._facts: Optional[_DesignFacts] = None
+        #: ``Signal.watch_epoch`` when every signal watcher was last
+        #: found to be arming bookkeeping (see :meth:`_fastpath_blocked`)
+        self._watchers_clean_at: Optional[int] = None
 
     # -- coverage -------------------------------------------------------
     def enable_coverage(self) -> None:
@@ -1275,10 +1275,13 @@ class CompiledSimulator(Simulator):
             return "clock domain changed"
         if self._cycle_hooks:
             return "cycle hooks installed"
-        for sig in self._signals.values():
-            for watcher in sig.watchers:
-                if not getattr(watcher, "_arming", False):
-                    return f"foreign watcher on signal {sig.name!r}"
+        if self._watchers_clean_at != Signal.watch_epoch:
+            for sig in self._signals.values():
+                for watcher in sig.watchers:
+                    if not getattr(watcher, "_arming", False):
+                        return f"foreign watcher on signal {sig.name!r}"
+            # only a clean walk is remembered: it holds until a watch
+            self._watchers_clean_at = Signal.watch_epoch
         for image in program.images:
             for watcher in image._watchers:
                 owner = getattr(watcher, "__self__", None)

@@ -29,6 +29,11 @@ class Signal:
     __slots__ = ("name", "width", "value", "mask", "sinks", "watchers",
                  "driver")
 
+    #: bumped by every :meth:`watch` on any signal, so a simulator that
+    #: found only its own bookkeeping watchers can tell that none was
+    #: added since (removing one cannot add a foreign watcher)
+    watch_epoch = 0
+
     def __init__(self, name: str, width: int, init: int = 0) -> None:
         if width <= 0:
             raise ValueError(f"signal {name!r}: width must be positive")
@@ -38,7 +43,8 @@ class Signal:
         self.value = init & self.mask
         #: combinational components to re-evaluate when the value changes
         self.sinks: List[object] = []
-        #: observer callbacks ``(signal, old, new)``
+        #: observer callbacks ``(signal, old, new)``; change it through
+        #: :meth:`watch` and :meth:`unwatch` only
         self.watchers: List[Watcher] = []
         #: the component driving this signal, if any (single-driver rule)
         self.driver: Optional[object] = None
@@ -51,6 +57,7 @@ class Signal:
 
     def watch(self, callback: Watcher) -> None:
         self.watchers.append(callback)
+        Signal.watch_epoch += 1
 
     def unwatch(self, callback: Watcher) -> None:
         self.watchers.remove(callback)

@@ -45,11 +45,9 @@ runs the generic program first and promotes to the fused one after
 from __future__ import annotations
 
 import itertools
-import re
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .compiled import (CompiledProgram, CompiledSimulator, _build_program,
-                       _StateIR)
+from .compiled import CompiledProgram, CompiledSimulator, _build_program
 
 __all__ = ["TracedSimulator", "build_fusion", "PROMOTE_AFTER"]
 
@@ -72,17 +70,18 @@ _MAX_BODY_PASSES = 8
 
 
 # ----------------------------------------------------------------------
-# Successor enumeration
+# Transition tables
 # ----------------------------------------------------------------------
-def _enumerate_successors(fn: Callable,
-                          statuses: List[Tuple[str, int]],
-                          ) -> Optional[FrozenSet[str]]:
-    """All states *fn* can return over the full status-value product.
+def _transition_table(fn: Callable, statuses: List[Tuple[str, int]],
+                      ) -> Optional[Dict[tuple, str]]:
+    """The state *fn* returns for every status-value combination.
 
     Transition functions are pure over their env (generated straight
     from the FSM guards), so exhaustive evaluation over every status
-    combination yields the exact successor set.  Returns ``None`` when
-    the product exceeds the cap or the function misbehaves.
+    combination yields the exact successor set, and the combinations
+    that stay in a loop let a fused loop test "does the FSM stay?"
+    directly on the sampled status values.  Returns ``None`` when the
+    product exceeds the cap or the function misbehaves.
     """
     total = 1
     for _, width in statuses:
@@ -90,45 +89,17 @@ def _enumerate_successors(fn: Callable,
         if total > _MAX_STATUS_PRODUCT:
             return None
     names = [name for name, _ in statuses]
-    targets = set()
-    for combo in itertools.product(*(range(1 << width)
-                                     for _, width in statuses)):
-        env = dict(zip(names, combo))
-        try:
-            target = fn(env)
-        except Exception:  # noqa: BLE001 - disqualify, don't fuse
-            return None
-        if not isinstance(target, str):
-            return None
-        targets.add(target)
-    return frozenset(targets)
-
-
-def _guard_combos(fn, statuses: List[Tuple[str, int]], header: str,
-                  ) -> Optional[List[tuple]]:
-    """Status-value combinations for which *fn* transitions to *header*.
-
-    Lets a fused loop test "does the FSM stay in this loop?" directly
-    on the sampled status values instead of calling the transition
-    function and comparing state names every iteration.  ``None``
-    disqualifies (same conditions as successor enumeration).
-    """
-    total = 1
-    for _, width in statuses:
-        total <<= width
-        if total > _MAX_STATUS_PRODUCT:
-            return None
-    names = [name for name, _ in statuses]
-    combos: List[tuple] = []
+    table: Dict[tuple, str] = {}
     for combo in itertools.product(*(range(1 << width)
                                      for _, width in statuses)):
         try:
             target = fn(dict(zip(names, combo)))
         except Exception:  # noqa: BLE001 - disqualify, don't fuse
             return None
-        if target == header:
-            combos.append(combo)
-    return combos or None
+        if not isinstance(target, str):
+            return None
+        table[combo] = target
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -136,18 +107,21 @@ def _guard_combos(fn, statuses: List[Tuple[str, int]], header: str,
 # generated source, which the kernel cache persists)
 # ----------------------------------------------------------------------
 def _find_traces(names, sid, static_target, dynamic_fns, statuses):
-    """Loop and linear traces over the FSM graph, disjoint by state."""
-    succ_map: Dict[str, FrozenSet[str]] = {}
+    """Loop and linear traces over the FSM graph, disjoint by state.
+
+    A loop trace carries its dynamic state's transition table."""
+    tables: Dict[str, Dict[tuple, str]] = {}
     for index in sorted(dynamic_fns):
-        succs = _enumerate_successors(dynamic_fns[index], statuses)
-        if succs and all(target in sid for target in succs):
-            succ_map[names[index]] = succs
+        table = _transition_table(dynamic_fns[index], statuses)
+        if table and all(target in sid for target in table.values()):
+            tables[names[index]] = table
 
     claimed: set = set()
     loops: List[tuple] = []
-    for d_name in sorted(succ_map, key=sid.__getitem__):
+    for d_name in sorted(tables, key=sid.__getitem__):
         best = None
-        for header in sorted(succ_map[d_name], key=sid.__getitem__):
+        for header in sorted(set(tables[d_name].values()),
+                             key=sid.__getitem__):
             if header == d_name:
                 chain = [d_name]  # self-loop
             else:
@@ -171,7 +145,7 @@ def _find_traces(names, sid, static_target, dynamic_fns, statuses):
             if best is None or len(chain) > len(best):
                 best = chain
         if best and not claimed.intersection(best):
-            loops.append(("loop", best, succ_map[d_name]))
+            loops.append(("loop", best, tables[d_name]))
             claimed.update(best)
 
     # linear runs over the remaining static states
@@ -273,200 +247,6 @@ def _walk(clock: _Clock, segments) -> List[frozenset]:
     return record
 
 
-def _copy_aliases(chain, ir_of) -> Tuple[set, Dict[str, str]]:
-    """Pass-through settle ops forwardable inside a fused loop body.
-
-    A settle op qualifies when, in *every* state of the chain, its code
-    is the same single ``out = token`` assignment (a comb wire, or a
-    constant fold stable across the trace).  Such copies run on every
-    loop iteration only to rename a value; forwarding lets body
-    consumers read the root token directly, the copy is dropped from
-    the rendered body, and the caller replays all dropped copies once
-    at trace exit (``out = root`` is order-independent because roots
-    are never dropped).  Returns ``(dropped_op_keys, out -> root)``.
-    """
-    candidates: Dict[int, Tuple[str, str]] = {}
-    disqualified: set = set()
-    for name in chain:
-        for op_key, _out_key, _in_keys, op_lines in ir_of[name].settle_ops:
-            if op_key in disqualified:
-                continue
-            entry = None
-            if len(op_lines) == 1 and op_lines[0][0] == 0:
-                left, sep, right = op_lines[0][1].partition(" = ")
-                if sep and left.isidentifier() and left != right \
-                        and (right.isidentifier() or right.isdigit()):
-                    entry = (left, right)
-            if entry is None or candidates.get(op_key, entry) != entry:
-                disqualified.add(op_key)
-                candidates.pop(op_key, None)
-            else:
-                candidates[op_key] = entry
-
-    aliases = {out: src for out, src in candidates.values()}
-    out_to_key = {out: op_key
-                  for op_key, (out, _src) in candidates.items()}
-    while True:
-        resolved: Dict[str, str] = {}
-        cyclic: set = set()
-        for out in aliases:
-            token = out
-            seen: set = set()
-            while token in aliases and token not in seen:
-                seen.add(token)
-                token = aliases[token]
-            if token in aliases:  # defensive: the comb graph is acyclic
-                cyclic |= seen
-            else:
-                resolved[out] = token
-        if not cyclic:
-            break
-        for out in cyclic:
-            aliases.pop(out, None)
-    dropped = {out_to_key[out] for out in resolved}
-    return dropped, resolved
-
-
-def _substitute_ir(ir: _StateIR, resolved: Dict[str, str],
-                   pattern, dropped: set) -> _StateIR:
-    """Render-side clone of *ir* with forwarded tokens substituted.
-
-    The emission analysis always runs on the original IR (dropped
-    copies still mark their outputs written, so downstream consumers
-    stay correctly dirty); only rendering consumes the clone.
-    """
-    def sub(text: str) -> str:
-        return pattern.sub(lambda m: resolved[m.group(0)], text)
-
-    clone = _StateIR(ir.index, ir.name)
-    clone.dynamic = ir.dynamic
-    clone.env_text = sub(ir.env_text) if ir.env_text else ir.env_text
-    clone.env_tokens = tuple(resolved.get(token, token)
-                             for token in ir.env_tokens)
-    clone.samples = [
-        (reg_key, d_key, resolved.get(d_text, d_text),
-         None if en_text is None else resolved.get(en_text, en_text),
-         q_text, q_key)
-        for reg_key, d_key, d_text, en_text, q_text, q_key in ir.samples]
-    clone.sram_writes = [
-        (tuple((rel, sub(text)) for rel, text in lines), mem_key,
-         tuple(resolved.get(token, token) for token in reads))
-        for lines, mem_key, reads in ir.sram_writes]
-    clone.settle_ops = [
-        (op_key, out_key, in_keys,
-         tuple((rel, sub(text)) for rel, text in op_lines))
-        for op_key, out_key, in_keys, op_lines in ir.settle_ops
-        if op_key not in dropped]
-    return clone
-
-
-#: pure register-to-register (or constant) copy, eligible for pending
-#: elimination; only plain signal locals qualify — underscore-prefixed
-#: names (_g*, _q*, _e, _i) are read outside the body by the loop guard
-#: and exit dispatch and must stay materialized
-_PURE_COPY_RE = re.compile(r"^(v\d+) = (v\d+|\d+)$")
-_SIMPLE_ASSIGN_RE = re.compile(r"^([A-Za-z_]\w*) = (.+)$")
-_TOKEN_RE = re.compile(r"\b[A-Za-z_]\w*\b")
-
-
-def _propagate_copies(body: List[Tuple[int, str]],
-                      ) -> Optional[Tuple[List[Tuple[int, str]], List[str]]]:
-    """Copy propagation + dead-store elimination over a steady loop body.
-
-    Register commit chains (``v264 = v124`` ... ``v16 = v264``) dominate
-    the rendered body of a deeply pipelined trace — pure data renames
-    re-executed every iteration.  This pass keeps each such copy
-    *pending* instead of emitting it: reads of the target are rewritten
-    to read the source directly, and the store is only materialized when
-    it can no longer be deferred (source about to be overwritten), is
-    dead (target overwritten first), or survives to loop exit (returned
-    as ``exit_stores`` for the caller's repair block).
-
-    The body is a loop, so the alias state at entry must equal the
-    state at exit for cross-iteration reads to substitute soundly; the
-    pass iterates to that fixed point and bails out (``None``) if it
-    does not appear within a few rounds.  Entry pendings are valid on
-    the first iteration because the peel executes the original copies
-    and a surviving pending implies neither side was rewritten after
-    the copy, hence target == source when the loop is entered.
-    """
-    if any("'" in text or '"' in text for _ind, text in body):
-        return None  # defensive: token substitution assumes no strings
-    # group into top-level statements: a base-indent line plus any
-    # following indented lines / else-elif continuations form one unit
-    statements: List[List[Tuple[int, str]]] = []
-    position = 0
-    while position < len(body):
-        if body[position][0] != 0:
-            return None  # unexpected shape
-        stop = position + 1
-        while stop < len(body) and (
-                body[stop][0] > 0
-                or body[stop][1].startswith(("else", "elif"))):
-            stop += 1
-        statements.append(body[position:stop])
-        position = stop
-
-    def one_pass(entry: Dict[str, str]):
-        alias = dict(entry)
-        out: List[Tuple[int, str]] = []
-
-        def materialize(targets) -> None:
-            for target in sorted(targets):
-                out.append((0, f"{target} = {alias.pop(target)}"))
-
-        def substitute(text: str) -> str:
-            return _TOKEN_RE.sub(
-                lambda m: alias.get(m.group(0), m.group(0)), text)
-
-        for statement in statements:
-            if len(statement) == 1:
-                match = _SIMPLE_ASSIGN_RE.match(statement[0][1])
-                if match is None:
-                    # unknown shape (augmented assign, bare call):
-                    # full barrier, emit untouched
-                    materialize(list(alias))
-                    out.append(statement[0])
-                    continue
-                target, rhs = match.groups()
-                rhs = substitute(rhs)  # reads happen before the write
-                materialize([t for t in alias if alias[t] == target])
-                alias.pop(target, None)  # unconditional overwrite: dead
-                if _PURE_COPY_RE.match(f"{target} = {rhs}"):
-                    if target != rhs:
-                        alias[target] = rhs
-                    continue  # store deferred (or self-copy dropped)
-                out.append((0, f"{target} = {rhs}"))
-            else:
-                # compound (if/else block): arm writes are conditional,
-                # so every pending touching a written name materializes
-                # before the block and no new pendings form inside
-                writes = {match.group(1)
-                          for _ind, text in statement
-                          for match in [_SIMPLE_ASSIGN_RE.match(text)]
-                          if match is not None}
-                materialize([t for t in alias
-                             if t in writes or alias[t] in writes])
-                for indent, text in statement:
-                    match = _SIMPLE_ASSIGN_RE.match(text)
-                    if match is not None:
-                        out.append((indent, f"{match.group(1)} = "
-                                            f"{substitute(match.group(2))}"))
-                    else:
-                        out.append((indent, substitute(text)))
-        return out, alias
-
-    entry: Dict[str, str] = {}
-    for _round in range(4):
-        new_body, exit_alias = one_pass(entry)
-        if exit_alias == entry:
-            exit_stores = [f"{target} = {source}"
-                           for target, source in sorted(exit_alias.items())]
-            return new_body, exit_stores
-        entry = exit_alias
-    return None  # alias state did not stabilize — keep the plain body
-
-
 def _full_sets(segments) -> List[set]:
     """Unpruned emission sets — the always-sound fallback body."""
     sets = []
@@ -481,18 +261,20 @@ def _full_sets(segments) -> List[set]:
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
-def _render_segments(segments, records, base: int, *,
-                     instrumented: bool, n_states: int,
-                     loop_guard: bool = False,
-                     drop_we: frozenset = frozenset(),
-                     ) -> List[Tuple[int, str]]:
-    """Emit the chosen subset of each segment at relative indent *base*.
+def _render_segments(segments, records, base: int) -> List[Tuple[int, str]]:
+    """Emit the chosen subset of each segment at indent *base*.
 
-    Edge segments keep the plain kernel's internal order (samples, SRAM
-    writes, transition, commits), except that a register whose old Q
-    value is provably not read later in the same edge commits directly
-    (no ``_qN`` staging temp) — IR expression texts are single tokens,
-    so "read later" reduces to token membership in the suffix.
+    *records* holds one emission set per segment (from :func:`_walk`,
+    a loop's fixed-point unions, or :func:`_full_sets`): a settle
+    segment emits its chosen ops in topological order, each as the
+    plain kernel's own lines.  Edge segments keep the plain kernel's
+    internal order (samples, SRAM writes, transition, commits), except
+    that a register whose old Q value is provably not read later in the
+    same edge commits directly (no ``_qN`` staging temp) — IR
+    expression texts are single tokens, so "read later" reduces to
+    token membership in the suffix.  A dynamic edge (a loop's last)
+    snapshots its status values into ``_g0``, ``_g1``, … for the
+    caller's loop guard instead of calling the transition function.
     """
     out: List[Tuple[int, str]] = []
     for (kind, ir), chosen in zip(segments, records):
@@ -502,12 +284,10 @@ def _render_segments(segments, records, base: int, *,
                     out.extend((base + rel, text) for rel, text in op_lines)
             continue
         emitted = [sample for sample in ir.samples if sample[0] in chosen]
-        writes = [entry for entry in ir.sram_writes
-                  if not (len(entry[2]) == 3 and entry[2][2] in drop_we)]
         # tokens read after the sample block: SRAM write operands and
         # the transition env, plus each later sample's own operands
         tail: set = set()
-        for _lines, _mem_key, read_tokens in writes:
+        for _lines, _mem_key, read_tokens in ir.sram_writes:
             tail.update(read_tokens)
         if ir.dynamic:
             tail.update(ir.env_tokens)
@@ -536,23 +316,15 @@ def _render_segments(segments, records, base: int, *,
                     (base, f"_q{temp} = {d_text} if {en_text} else {q_text}"))
             commits.append((base, f"{q_text} = _q{temp}"))
             temp += 1
-        for write_lines, _mem_key, _read_tokens in writes:
+        for write_lines, _mem_key, _read_tokens in ir.sram_writes:
             out.extend((base + rel, text) for rel, text in write_lines)
         if ir.dynamic:
-            if loop_guard:
-                # snapshot the status values the transition would read
-                # (register commits below may clobber the live locals);
-                # the caller tests the loop guard on the snapshot and
-                # reconstructs _e once, at trace exit
-                for position, token in enumerate(ir.env_tokens):
-                    out.append((base, f"_g{position} = {token}"))
-            else:
-                out.append((base, f"_e = _t{ir.index}({ir.env_text})"))
-                out.append((base, f"if _e != {ir.name!r}:"))
-                out.append((base + 1, "_nt += 1"))
-                if instrumented:
-                    out.append((base, "s = _sid[_e]"))
-                    out.append((base, f"tc[{ir.index * n_states} + s] += 1"))
+            # snapshot the status values the transition would read
+            # (register commits below may clobber the live locals); the
+            # caller tests the loop guard on the snapshot and
+            # reconstructs _e once, at trace exit
+            for position, token in enumerate(ir.env_tokens):
+                out.append((base, f"_g{position} = {token}"))
         out.extend(commits)
     return out
 
@@ -576,6 +348,20 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
 
     Returns ``None`` when nothing fuses (the generated source is then
     identical to the plain compiled kernel).
+
+    Every block is rendered straight from *state_ir* by
+    :func:`_render_segments`.  A loop trace becomes one peel iteration
+    (its ops chosen by a dirty-clock walk from an all-dirty entry), one
+    steady ``while`` body (the fixed-point union of the per-pass
+    emission sets) and the hoisted cycle, visit and transition
+    accounting; a linear trace becomes one straight-line block.  A
+    block that raises lands no accounting: the simulator runs the call
+    again on the generic program (:class:`TracedSimulator`).  The
+    plan's ``summary`` lists each trace: ``kind``, ``states``, and for
+    a loop ``exits``, ``cycles_per_iteration``, ``body_passes``,
+    ``converged`` and ``guarded`` (always true: a loop's exit test
+    reads the sampled status values); for a linear run ``exit`` and
+    ``cycles``.
 
     With ``profiled``, each trace body also accumulates its wall time
     and cycle count into its two ``pw`` slots (``n_states + 2j`` /
@@ -608,16 +394,15 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
             d_name = chain[-1]
             d_idx = sid[d_name]
             # the loop-continuation test: with the status combinations
-            # that re-enter the header enumerated, the per-iteration
+            # that re-enter the header enumerated (*extra* is the
+            # dynamic state's transition table), the per-iteration
             # transition call + state-name compare collapses to an int
             # test on snapshotted status values; _e is reconstructed
             # once at trace exit
-            combos = _guard_combos(dynamic_fns[d_idx], statuses, header)
-            guarded = combos is not None
+            combos = [combo for combo, target in extra.items()
+                      if target == header]
             status_names = [name for name, _ in statuses]
-            if not guarded:
-                guard = f"_e == {header!r}"
-            elif not statuses:
+            if not statuses:
                 guard = "True"
             else:
                 # prefer a separable guard: when the continue-set is a
@@ -651,33 +436,13 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
                                      for k in range(len(statuses)))
                     guard = f"({snap}) in _hs{j}"
 
-            # comb pass-through forwarding: body consumers read roots
-            # directly; dropped copies are replayed once at trace exit
-            dropped, resolved = _copy_aliases(chain, ir_of)
-            if resolved:
-                pattern = re.compile(
-                    r"\b(?:%s)\b" % "|".join(map(re.escape, resolved)))
-                render_ir = {name: _substitute_ir(ir_of[name], resolved,
-                                                  pattern, dropped)
-                             for name in set(chain)}
-            else:
-                render_ir = ir_of
-            repair = [f"{out} = {root}"
-                      for out, root in sorted(resolved.items())]
-
             # peel: one full iteration from an all-dirty entry; steady
             # body: union of per-pass emissions to a fixed point
-            # (analysis always walks the original IR — dropped copies
-            # must keep marking their outputs written)
             body_segs: List[tuple] = []
-            body_render: List[tuple] = []
             for name in chain:
                 body_segs.append(("settle", ir_of[name]))
                 body_segs.append(("edge", ir_of[name]))
-                body_render.append(("settle", render_ir[name]))
-                body_render.append(("edge", render_ir[name]))
             peel_segs = body_segs[1:]  # entry invariant: header settled
-            peel_render = body_render[1:]
             clock = _Clock()
             peel_rec = _walk(clock, peel_segs)
             unions: List[set] = [set() for _ in body_segs]
@@ -707,111 +472,37 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
             if instrumented:
                 for a, b in zip(chain_idx, chain_idx[1:]):
                     accounting.append(f"tc[{a * n_states + b}] += _i")
-            # guarded loops defer the dynamic-edge tallies: of the _i
-            # completed iterations every one but the last re-entered the
-            # header (the last is settled by the reconstructed _e below);
-            # on an exception the in-flight iteration is the one that
-            # left, so all _i completed ones re-entered
-            dyn_except: List[str] = []
-            dyn_normal: List[str] = []
-            if guarded:
-                if header != d_name:
-                    dyn_except.append("_nt += _i")
-                    dyn_normal.append("_nt += _i - 1")
-                if instrumented:
-                    flat = d_idx * n_states + head_idx
-                    dyn_except.append(f"tc[{flat}] += _i")
-                    dyn_normal.append(f"tc[{flat}] += _i - 1")
+            # the dynamic-edge tallies: of the _i completed iterations
+            # every one but the last re-entered the header (the last is
+            # settled by the reconstructed _e below)
+            if header != d_name:
+                accounting.append("_nt += _i - 1")
+            if instrumented:
+                flat = d_idx * n_states + head_idx
+                accounting.append(f"tc[{flat}] += _i - 1")
 
             body.append((0, f"if s == {head_idx} and _ok{j} "
                             f"and n + {span} <= max_cycles:"))
             if profiled:
                 body.append((1, "_pt = _pc()"))
-            body.append((1, "_i = 0"))
             # n is constant inside the fused body (accounting is
             # hoisted), so the trip budget is a single division
             body.append((1, f"_lim = (max_cycles - n) // {span}"))
-            body.append((1, "try:"))
-            body.extend(_render_segments(peel_render, peel_rec, 2,
-                                         instrumented=instrumented,
-                                         n_states=n_states,
-                                         loop_guard=guarded))
-            body.append((2, "_i = 1"))
-            full = _render_segments(body_render, unions, 0,
-                                    instrumented=instrumented,
-                                    n_states=n_states,
-                                    loop_guard=guarded)
-            # dynamic write-enables that are loop-invariant (their value
-            # never assigned inside the steady body) select, once per
-            # trace entry, a slim loop variant with those guarded write
-            # blocks dropped — the hot read-phase iterations skip every
-            # dead `if we:` test
-            we_tokens = {entry[2][2]
-                         for name in set(chain)
-                         for entry in render_ir[name].sram_writes
-                         if len(entry[2]) == 3}
-            assigned = set()
-            for _rel, text in full:
-                target = text.split(" = ", 1)[0]
-                if target.isidentifier():
-                    assigned.add(target)
-            invariant = sorted(we_tokens - assigned)
-            slim = _render_segments(body_render, unions, 0,
-                                    instrumented=instrumented,
-                                    n_states=n_states,
-                                    loop_guard=guarded,
-                                    drop_we=frozenset(invariant)
-                                    ) if invariant else None
-            # copy propagation: register rename chains re-executed on
-            # every iteration defer until loop exit (the slim variant's
-            # dropped write blocks assign no locals, so both variants
-            # must agree on the surviving pendings to share one repair)
-            eliminated = 0
-            exit_stores: List[str] = []
-            opt_full = _propagate_copies(full)
-            if opt_full is not None:
-                if slim is None:
-                    eliminated = len(full) - len(opt_full[0])
-                    full, exit_stores = opt_full
-                else:
-                    opt_slim = _propagate_copies(slim)
-                    if opt_slim is not None and opt_slim[1] == opt_full[1]:
-                        eliminated = len(full) - len(opt_full[0])
-                        full, exit_stores = opt_full
-                        slim = opt_slim[0]
-            repair = exit_stores + repair
-            if invariant:
-                body.append((2, f"if {' or '.join(invariant)}:"))
-                body.append((3, f"while {guard} and _i < _lim:"))
-                body.extend((4 + rel, text) for rel, text in full)
-                body.append((4, "_i += 1"))
-                body.append((2, "else:"))
-                body.append((3, f"while {guard} and _i < _lim:"))
-                body.extend((4 + rel, text) for rel, text in slim)
-                body.append((4, "_i += 1"))
-            else:
-                body.append((2, f"while {guard} and _i < _lim:"))
-                body.extend((3 + rel, text) for rel, text in full)
-                body.append((3, "_i += 1"))
-            # an emitted op may raise (strict divider, OOB write); the
-            # completed-iteration accounting must land before unwinding,
-            # and forwarded locals must be repaired on every way out
-            body.append((1, "except BaseException:"))
-            body.extend((2, text)
-                        for text in repair + accounting + dyn_except)
-            body.append((2, "raise"))
-            body.extend((1, text)
-                        for text in repair + accounting + dyn_normal)
-            if guarded:
-                env = ", ".join(f"{name!r}: _g{k}"
-                                for k, name in enumerate(status_names))
-                body.append((1, f"_e = _t{d_idx}({{{env}}})"))
-                body.append((1, f"if _e != {d_name!r}:"))
-                body.append((2, "_nt += 1"))
-                if instrumented:
-                    body.append(
-                        (1, f"tc[{d_idx * n_states} + _sid[_e]] += 1"))
-            exits = sorted(extra - {header}, key=sid.__getitem__)
+            body.extend(_render_segments(peel_segs, peel_rec, 1))
+            body.append((1, "_i = 1"))
+            body.append((1, f"while {guard} and _i < _lim:"))
+            body.extend(_render_segments(body_segs, unions, 2))
+            body.append((2, "_i += 1"))
+            body.extend((1, text) for text in accounting)
+            env = ", ".join(f"{name!r}: _g{k}"
+                            for k, name in enumerate(status_names))
+            body.append((1, f"_e = _t{d_idx}({{{env}}})"))
+            body.append((1, f"if _e != {d_name!r}:"))
+            body.append((2, "_nt += 1"))
+            if instrumented:
+                body.append((1, f"tc[{d_idx * n_states} + _sid[_e]] += 1"))
+            exits = sorted(set(extra.values()) - {header},
+                           key=sid.__getitem__)
             body.append((1, f"if _e != {header!r}:"))
             body.append((2, "s = _sid[_e]"))
             if len(exits) == 1:
@@ -831,9 +522,7 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
                 "kind": "loop", "states": list(chain),
                 "exits": [name for name in exits],
                 "cycles_per_iteration": span, "body_passes": passes,
-                "converged": converged, "guarded": guarded,
-                "forwarded_copies": len(resolved),
-                "eliminated_stores": eliminated,
+                "converged": converged, "guarded": True,
             })
         else:  # linear run
             exit_name = extra
@@ -850,9 +539,7 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
                             f"and n + {span} <= max_cycles:"))
             if profiled:
                 body.append((1, "_pt = _pc()"))
-            body.extend(_render_segments(segs, record, 1,
-                                         instrumented=instrumented,
-                                         n_states=n_states))
+            body.extend(_render_segments(segs, record, 1))
             body.append((1, f"n += {span}"))
             for index in chain_idx:
                 body.append((1, f"counts[{index}] += 1"))
@@ -900,7 +587,9 @@ class TracedSimulator(CompiledSimulator):
     the generic one writes its locals back and the fused one takes over
     from them, so the run is bit-identical to an unsplit one,
     statistics included.  A simulator with a fault spec never promotes:
-    fault kernels do not fuse.
+    fault kernels do not fuse.  A fused call that raises is run again
+    on the generic program, so a run that fails leaves what the
+    compiled kernel leaves.
 
     Inherits every safety property of :class:`CompiledSimulator`: the
     same conservative fallback to the event kernel, the same entry/exit
@@ -928,7 +617,7 @@ class TracedSimulator(CompiledSimulator):
         if program is None:
             return self._generic_program()
         self.promoted_at = self.stats.cycles
-        return program
+        return self._failing_as_generic(program)
 
     def _generic_program(self) -> CompiledProgram:
         program = self._cached_program("compiled")
@@ -945,7 +634,57 @@ class TracedSimulator(CompiledSimulator):
                 self._kernel_kind, *_build_program(self, fuse=True))
         if self.promoted_at is None:
             self.promoted_at = self.stats.cycles
-        self._program = program
+        self._program = program = self._failing_as_generic(program)
+        return program
+
+    def _failing_as_generic(self, program: CompiledProgram
+                            ) -> CompiledProgram:
+        """Make a fused *program* fail exactly as the generic one does.
+
+        An operation that raises inside a fused trace (an SRAM write
+        out of range, a strict divider) stops it part way through an
+        iteration, with the trace's accounting not yet landed.  So when
+        the fused runner raises, the call's starting point is put back
+        (tracked signal values, memory words, SRAM counters, and the
+        tallies the caller passed in) and the call runs again on the
+        generic program, which raises the same error and leaves what
+        the compiled kernel leaves.  An interrupt (a ``BaseException``
+        that is not an ``Exception``) leaves the starting point.  The
+        cost is one copy of those values and words per call.
+        """
+        if not program.fusion:
+            return program  # nothing fused: already the generic code
+        fused = program.runner
+        facts = self._design_facts()
+        tracked, srams = facts.tracked, facts.srams
+        memories = [image._words for image in program.images]
+
+        def run(start, max_cycles, stop, counts, tc, box, *pw):
+            values = [signal.value for signal in tracked]
+            words = [list(each) for each in memories]
+            tallies = [(sram.writes, sram.oob_reads) for sram in srams]
+            try:
+                return fused(start, max_cycles, stop, counts, tc, box, *pw)
+            except BaseException as exc:  # noqa: BLE001 - rerun below
+                failure = exc
+            for signal, value in zip(tracked, values):
+                signal.value = value
+            for each, saved in zip(memories, words):
+                each[:] = saved
+            for sram, (writes, oob_reads) in zip(srams, tallies):
+                sram.writes, sram.oob_reads = writes, oob_reads
+            for tally in (counts, tc, *pw):
+                if tally is not None:
+                    tally[:] = [0] * len(tally)
+            box[:] = [start, 0, 0]
+            if not isinstance(failure, Exception):
+                raise failure
+            self._generic_program().runner(start, max_cycles, stop, counts,
+                                           tc, box, *pw)
+            raise RuntimeError(f"the fused program raised {failure!r}, "
+                               f"the generic one did not") from failure
+
+        program.runner = run
         return program
 
     def _run(self, program: CompiledProgram, start: int, stop: frozenset,
@@ -977,8 +716,9 @@ class TracedSimulator(CompiledSimulator):
         ``promoted_at`` is the cycle at which fused code took over: 0
         when the elaboration started fused, None while it runs the
         generic program.  Once fused, the report also carries the
-        program's trace summary (``traces``, ``n_traces``,
-        ``fused_states``, ``n_states``) when anything fused.
+        program's trace summary when anything fused: ``traces`` (one
+        entry per trace, keys as listed by :func:`build_fusion`),
+        ``n_traces``, ``fused_states`` and ``n_states``.
         """
         program = self._ensure_program()
         if program is None:

@@ -255,13 +255,20 @@ class SimDesign:
         sim._staged.clear()
 
     def resettle(self) -> None:
-        """Re-derive every combinational value (SRAM and ROM read paths
-        included) from the memory words, as elaborating on them would;
-        call it after writing the bound images directly."""
+        """Re-derive every combinational value from the memory words, as
+        elaborating on them would; call it after writing the bound
+        images directly.
+
+        Only the memory read ports are queued: the rest of the network
+        is already settled for the values those ports drive (a restored
+        snapshot was taken settled), so the settle re-evaluates just
+        the fanout of the read words that changed.
+        """
         sim = self.sim
         sim._worklist.extend(component
                              for component in sim._components.values()
-                             if hasattr(component, "evaluate"))
+                             if hasattr(component, "image")
+                             and hasattr(component, "evaluate"))
         sim.settle()
 
     def memory(self, name: str) -> MemoryImage:

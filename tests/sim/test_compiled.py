@@ -6,7 +6,8 @@ import pytest
 
 from repro.apps import suite_case
 from repro.inject.hooks import KernelFaultSpec
-from repro.sim import CompiledSimulator, Simulator, create_simulator
+from repro.sim import (CompiledSimulator, Probe, Simulator,
+                       create_simulator)
 from repro.translate import build_simulation
 
 from tests.sim.test_kernel import build_accumulator
@@ -148,6 +149,44 @@ class TestFallbacks:
         finally:
             signals[tracked] = late
         assert (spy.reads, spy.writes) == (1, 1)
+
+    def test_probe_between_fast_path_calls_falls_back(self, monkeypatch):
+        """The watcher walk is skipped while no watcher was added since
+        a clean call, so a probe attached between two calls must still
+        make the next calls fall back, and a detached probe must let
+        the kernel run again."""
+        ref, dut = _build_pair()
+        kernel_calls = []
+        execute = CompiledSimulator._execute
+
+        def counting(sim, *args, **kwargs):
+            kernel_calls.append(sim)
+            return execute(sim, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledSimulator, "_execute", counting)
+        for each in (ref, dut):
+            each.sim.run_cycles(10)
+        assert len(kernel_calls) == 1
+        registers = [register.q.name
+                     for register in dut.sim._design_facts().registers]
+        probes = {each: [Probe(each.sim, each.sim.get_signal(name))
+                         for name in registers]
+                  for each in (ref, dut)}
+        for cycles in (12, 8):
+            for each in (ref, dut):
+                each.sim.run_cycles(cycles)
+        assert len(kernel_calls) == 1
+        assert [probe.samples for probe in probes[dut]] == \
+            [probe.samples for probe in probes[ref]]
+        assert sum(probe.change_count for probe in probes[dut]) > 0
+        for each in (ref, dut):
+            for probe in probes[each]:
+                probe.detach()
+            each.sim.run_cycles(15)
+        assert len(kernel_calls) == 2
+        assert dut.controller.state == ref.controller.state
+        for name, signal in ref.sim.signals.items():
+            assert signal.value == dut.sim.signals[name].value, name
 
 
 class _ValueSpy:
