@@ -115,6 +115,31 @@ class TestClassification:
         assert result.verdict in ("masked", "sdc")
         assert result.mechanism == "image"
 
+    @pytest.mark.parametrize("backend", ["event", "compiled", "traced"])
+    def test_mem_flip_under_a_read_port_is_read(self, threshold, backend):
+        """A rewound testbench's read port already holds the word it
+        addresses, and a ``mem_flip`` is not followed by a re-settle:
+        the image's write watchers must re-drive the port, so the run
+        reads the flipped word as an elaboration on it would."""
+        case, design, inputs = threshold
+        # pixel 0 is under the input port when the run starts, and its
+        # bit 7 decides which side of the 128 cut it falls on
+        fault = FaultDescriptor(fault_id="m", kind="mem_flip",
+                                target="pixels_in", bit=7, word=0)
+        bench = campaign_mod._Testbench(design, inputs, backend=backend,
+                                        fsm_mode="generated")
+        result = run_injection(design, case.func, fault, inputs,
+                               backend=backend, testbench=bench)
+        flipped = {name: image.copy() for name, image in inputs.items()}
+        flipped["pixels_in"].write(0, flipped["pixels_in"].read(0) ^ 0x80)
+        reference = campaign_mod._Testbench(design, flipped, backend=backend,
+                                            fsm_mode="generated")
+        cycles = reference.record(5000)
+        assert result.verdict == "sdc"
+        assert result.cycles == cycles
+        assert bench.context.memory("pixels_out").words() == \
+            reference.context.memory("pixels_out").words()
+
     def test_replayed_faultload_yields_identical_verdicts(self, threshold):
         """Acceptance: a seeded faultload is deterministic end-to-end —
         running it twice gives verdict-identical campaigns."""
