@@ -81,10 +81,6 @@ class Design:
     def total_operators(self) -> int:
         return sum(c.operator_count() for c in self.configurations)
 
-    def memory_specs(self) -> Dict[str, MemorySpec]:
-        """All memory resources, including the spill memory if present."""
-        return dict(self.arrays)
-
     # ------------------------------------------------------------------
     def save(self, directory: Union[str, Path]) -> List[Path]:
         """Write all XML documents (Figure 1's compiler outputs).

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from ..compiler.spec import MemorySpec
 
@@ -405,6 +405,3 @@ class FuzzProgram:
 
     def clone(self) -> "FuzzProgram":
         return copy.deepcopy(self)
-
-    def signature_names(self) -> Tuple[str, ...]:
-        return tuple(self.arrays) + tuple(self.params)

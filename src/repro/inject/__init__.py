@@ -15,7 +15,8 @@ The three layers:
   for replay;
 * :mod:`~repro.inject.hooks` — how a descriptor takes effect in a
   simulator: compiled/traced kernels regenerate with forcing/flip
-  lines (mirroring coverage instrumentation), the event kernel uses
+  lines (the ``fault`` field of the simulator's instrumentation, next
+  to coverage tallies and profiler timers), the event kernel uses
   signal watchers and post-settle cycle hooks;
 * :mod:`~repro.inject.campaign` — fans a faultload across the fork
   pool, tallies verdicts, and records per-fault rows into the run

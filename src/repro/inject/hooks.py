@@ -4,10 +4,12 @@ Two mechanisms, chosen per design at attach time:
 
 * **Kernel spec** — on a :class:`~repro.sim.compiled.CompiledSimulator`
   (and its traced subclass) the fault is *compiled into* the generated
-  kernel, exactly like coverage instrumentation: a
-  :class:`KernelFaultSpec` on the simulator makes codegen emit forcing
-  lines (stuck-at) or a windowed one-shot XOR (transient flip).  The
-  fast path keeps running at full speed.
+  kernel, next to coverage and the profiler: a :class:`KernelFaultSpec`
+  as the ``fault`` field of the simulator's
+  :class:`~repro.sim.compiled.Instrumentation` makes codegen emit
+  forcing lines (stuck-at) or a windowed one-shot XOR (transient flip),
+  and the simulator's post-run resync forces a stuck-at target again.
+  The fast path keeps running at full speed.
 * **Event hooks** — on the plain event kernel (or when the compiled
   subset rejects the target, e.g. a Moore control line) the stuck-at
   becomes a signal watcher that re-forces the value before the fanout
@@ -100,7 +102,7 @@ class FaultHandle:
 
     def detach(self) -> None:
         if self._spec is not None:
-            self.sim.set_fault_spec(None)
+            self.sim.instrument(fault=None)
             self._spec = None
         if self._watcher is not None:
             signal, callback = self._watcher
@@ -149,7 +151,7 @@ def attach_fault(design, fault: FaultDescriptor) -> FaultHandle:
 
     if isinstance(sim, CompiledSimulator):
         spec = kernel_spec(fault, signal)
-        sim.set_fault_spec(spec)
+        sim.instrument(fault=spec)
         if sim._ensure_program() is not None:
             return FaultHandle(sim, mechanism="kernel", spec=spec,
                                latch=spec.latch if spec.kind == "flip"
@@ -157,7 +159,7 @@ def attach_fault(design, fault: FaultDescriptor) -> FaultHandle:
         # outside the compiled subset: clear the spec (which also
         # clears the fallback reason) and fault the event kernel the
         # design will now run on
-        sim.set_fault_spec(None)
+        sim.instrument(fault=None)
 
     if fault.kind == "stuck":
         if fault.stuck_value:

@@ -17,9 +17,11 @@ Collection is backend-aware, chosen by :meth:`CoverageCollector.attach`:
   net marks its source operator active when the net toggles;
 * compiled kernel: signal watchers would force the fast path to fall
   back (see :meth:`CompiledSimulator._fastpath_blocked`), so the
-  collector instead flips :meth:`CompiledSimulator.enable_coverage`,
-  which re-generates the per-state specialized code with cheap
-  transition tallies; state occupancy counts and per-state live-cone
+  collector instead instruments the kernel with transition tallies
+  (``sim.instrument(tallies=True)``), which re-generates the per-state
+  specialized code with cheap transition counters; it reads state
+  occupancy and transitions from the simulator's
+  :class:`~repro.sim.compiled.KernelTally`, and per-state live-cone
   operator sets come out of the machinery the kernel maintains anyway.
 
 Because the backends observe different things, operator "activation"
@@ -392,7 +394,7 @@ class CoverageCollector:
         if compiled:
             # a foreign signal watcher would block the compiled fast
             # path; instrumented codegen supplies the tallies instead
-            sim.enable_coverage()
+            sim.instrument(tallies=True)
         else:
             operators = coverage.operators
             for net in design.datapath.nets.values():
@@ -429,9 +431,9 @@ class CoverageCollector:
         if attachment.compiled:
             sim = design.sim
             fsm_coverage = coverage.fsm
-            for state, visits in sim.state_visits.items():
+            for state, visits in sim.tally.cycles.items():
                 fsm_coverage.visit(state, visits)
-            for (source, target), count in sim.transition_visits.items():
+            for (source, target), count in sim.tally.transitions.items():
                 fsm_coverage.take(source, target, count)
             # the generated loop stops *before* counting occupancy of a
             # stop state, so the state the controller rests in gets its

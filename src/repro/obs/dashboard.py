@@ -857,9 +857,3 @@ def export_json(ledger: Ledger, *, history: int = 30) -> str:
             payload[-1]["triage"] = run.extra
     return json.dumps({"schema": 1, "runs": payload}, indent=2,
                       default=str) + "\n"
-
-
-def _fmt_runrow(run: RunRow) -> str:  # pragma: no cover - debug helper
-    return (f"#{run.run_id} {run.kind} "
-            f"{'PASS' if run.passed else 'FAIL'} "
-            f"wall={run.wall_seconds:.2f}s")

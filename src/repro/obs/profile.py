@@ -2,15 +2,16 @@
 
 The compiled/traced backends already maintain per-FSM-state occupancy
 counts inside the generated runner (they are how ``_post_run`` computes
-evaluation totals), and the coverage layer showed how to thread extra
-instrumentation through codegen without touching the event kernel.
-This module combines the two into a profiler: enabling
-:meth:`~repro.sim.compiled.CompiledSimulator.enable_profile`
-regenerates the kernel with a wall-clock accumulator per FSM state and
-per fused trace segment, so after a run every simulated cycle is
-attributable to a *named* piece of the design — ``S3`` or
-``loop:S2->S4`` — and the wall time tells which of them the Python
-kernel actually spends its time in.
+evaluation totals), and coverage threads extra instrumentation through
+codegen without touching the event kernel.  This module combines the
+two into a profiler: instrumenting the kernel with timers
+(``sim.instrument(timers=True)``) regenerates it with a wall-clock
+accumulator per FSM state and per fused trace segment, folded into the
+simulator's :class:`~repro.sim.compiled.KernelTally` next to the
+per-state cycles, so after a run every simulated cycle is attributable
+to a *named* piece of the design — ``S3`` or ``loop:S2->S4`` — and the
+wall time tells which of them the Python kernel actually spends its
+time in.
 
 :class:`KernelProfiler` is an attach/collect observer with the same
 duck-typed shape as :class:`repro.obs.coverage.CoverageCollector`, so
@@ -56,7 +57,7 @@ class KernelProfiler:
     """
 
     def __init__(self) -> None:
-        #: configuration name -> {"states", "traces", "total_cycles"}
+        #: configuration name -> {"states", "traces"}
         self.configurations: Dict[str, Dict[str, Any]] = {}
         #: human-readable reasons any configuration escaped profiling
         self.fallbacks: List[str] = []
@@ -74,7 +75,7 @@ class KernelProfiler:
 
         sim = design.sim
         if isinstance(sim, CompiledSimulator):
-            sim.enable_profile()
+            sim.instrument(timers=True)
             if isinstance(sim, TracedSimulator):
                 # profile the fused traces, however short the run
                 sim.promote_after = 0
@@ -93,18 +94,19 @@ class KernelProfiler:
             self.fallbacks.append(
                 f"{self._name(design)}: fell back to the event kernel "
                 f"({sim.fallback_reason})")
-        data = sim.profile_data()
-        if not data["states"] and not data["traces"]:
+        # per-state cycles include the cycles run inside fused traces,
+        # which :meth:`report` takes off again
+        tally = sim.tally
+        if not tally.cycles and not tally.traces:
             return
         slot = self.configurations.setdefault(
-            self._name(design),
-            {"states": {}, "traces": {}, "total_cycles": 0})
-        for state, entry in data["states"].items():
+            self._name(design), {"states": {}, "traces": {}})
+        for state, cycles in tally.cycles.items():
             into = slot["states"].setdefault(
                 state, {"cycles": 0, "wall_ns": 0})
-            into["cycles"] += entry["cycles"]
-            into["wall_ns"] += entry["wall_ns"]
-        for name, entry in data["traces"].items():
+            into["cycles"] += cycles
+            into["wall_ns"] += tally.wall_ns.get(state, 0)
+        for name, entry in tally.traces.items():
             into = slot["traces"].setdefault(
                 name, {"cycles": 0, "wall_ns": 0,
                        "states": list(entry["states"]),
@@ -113,7 +115,6 @@ class KernelProfiler:
                            entry["cycles_per_iteration"]})
             into["cycles"] += entry["cycles"]
             into["wall_ns"] += entry["wall_ns"]
-        slot["total_cycles"] += data["total_cycles"]
 
     # ------------------------------------------------------------------
     def report(self, *, case: str, backend: str, total_cycles: int,

@@ -31,10 +31,10 @@ differently.  This module turns a verdict into an explanation:
    sides.
 
 Works identically on the event, compiled and traced kernels: capture
-never installs watchers, and a post-step resync re-forces stuck-at
-faults that the fast kernels' post-run settle would otherwise wash out
-of the observable view (the kernel *ran* with the fault; only the
-boundary view needs re-forcing).
+never installs watchers, and the fast kernels' post-run resync forces
+a stuck-at target again after its settle
+(``CompiledSimulator._resync``), so the boundary view shows the fault
+as the event kernel's watcher does.
 """
 
 from __future__ import annotations
@@ -182,29 +182,6 @@ class TriageResult:
 # ----------------------------------------------------------------------
 # Lockstep sides
 # ----------------------------------------------------------------------
-def _fault_resync(sim) -> None:
-    """Re-force a kernel stuck-at into the post-run signal view.
-
-    The compiled/traced kernels apply stuck-at forcing inside the
-    generated code, but the clean settle of
-    ``CompiledSimulator._resync`` recomputes combinational nets without
-    it.  Re-forcing the target and settling its fanout makes the
-    boundary view identical to the event kernel's (where the watcher
-    forces during settle).  No-op without a spec.
-    """
-    spec = getattr(sim, "fault_spec", None)
-    if spec is None or spec.kind != "stuck":
-        return
-    signal = sim._signals.get(spec.signal)
-    if signal is None:
-        return
-    forced = (signal.value & spec.and_mask) | spec.or_mask
-    if forced != signal.value:
-        signal.value = forced
-        sim._worklist.extend(signal.sinks)
-        sim.settle()
-
-
 class _Side:
     """One side of a lockstep pair: a fresh single-config elaboration."""
 
@@ -241,7 +218,6 @@ class _Side:
 
     def advance(self, n: int) -> None:
         self.design.sim.run_cycles(n)
-        _fault_resync(self.design.sim)
 
     def snapshot(self) -> Tuple:
         return (self.design.controller.state,
@@ -343,10 +319,8 @@ def locate_divergence(make_ref, make_sub, *,
     # ---- pass 2: fine-grained window replay
     lo, hi = interval
     ref, sub = make_ref(), make_sub()
-    capture_ref = WaveCapture(ref.design, window=window,
-                              post_step=_fault_resync)
-    capture_sub = WaveCapture(sub.design, window=window,
-                              post_step=_fault_resync)
+    capture_ref = WaveCapture(ref.design, window=window)
+    capture_sub = WaveCapture(sub.design, window=window)
     names = [name for name in capture_ref.signal_names
              if name in set(capture_sub.signal_names)]
     try:

@@ -34,13 +34,18 @@ so external observers cannot distinguish the kernels.  Aggregate
 :class:`~repro.sim.kernel.SimulationStats` counters are maintained from
 per-state static work counts times visit counts (per-wave accounting
 rather than per-event, as the counters' consumers expect).
+
+Coverage, the hot-spot profiler and fault injection are compiled in
+too, as one :class:`Instrumentation` value per simulator whose token
+names the kernel variant; instrumented calls fold into one
+:class:`KernelTally`.
 """
 
 from __future__ import annotations
 
 import time
 from types import CodeType
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .clock import ClockDomain
 from .component import Sequential
@@ -50,7 +55,7 @@ from .kernel import Simulator
 from .levelize import levelize
 from .signal import Signal
 
-__all__ = ["CompiledSimulator"]
+__all__ = ["CompiledSimulator", "Instrumentation", "KernelTally"]
 
 
 class _Unsupported(Exception):
@@ -442,8 +447,7 @@ class CompiledProgram:
         self.comb_components: List[object] = []
         self.images: List[object] = []
         self.component_ids: set = set()
-        self.instrumented = False
-        self.profiled = False
+        self.instrumentation = Instrumentation()
         self.state_active_ops: List[frozenset] = []
         self.source = ""
         self.empty_stop: frozenset = frozenset()
@@ -558,17 +562,48 @@ def _analyze_design(sim: Simulator) -> _DesignFacts:
     return facts
 
 
-def _fault_token(spec) -> str:
-    """The fault kind a kernel is generated for (part of the cache key).
+class Instrumentation(NamedTuple):
+    """What a generated kernel observes besides the design: ``tallies``
+    (per-transition counters, for coverage), ``timers`` (a wall clock
+    per FSM state and per fused trace, for the hot-spot profiler) and
+    at most one ``fault`` spec (see :mod:`repro.inject.hooks`).
 
-    Codegen specializes on the kind alone (``stuck`` or ``flip``).  The
-    target signal, pinned state, masks, cycle window and one-shot latch
-    are bound from ``ctx`` at load time (see :func:`_fault_runtime`), so
-    every fault of one kind on a design shares one cached kernel.
+    Codegen specializes on the fault's kind alone; its target, state,
+    masks, window and latch are bound at load time
+    (:func:`_fault_runtime`), so one cached kernel serves every fault of
+    one kind on a design.
     """
-    if spec is None:
-        return ""
-    return spec.kind
+
+    tallies: bool = False
+    timers: bool = False
+    fault: Optional[object] = None
+
+    @property
+    def token(self) -> str:
+        """The kernel variant: the cache key's and the binder's part."""
+        parts = [name for name in ("tallies", "timers")
+                 if getattr(self, name)]
+        if self.fault is not None:
+            parts.append(self.fault.kind)
+        return "+".join(parts) or "plain"
+
+
+class KernelTally:
+    """What one simulator's instrumented kernel calls added up, read by
+    coverage and the hot-spot profiler: ``cycles`` (state -> cycles,
+    fused ones included), ``transitions`` (``(state, next)`` -> times
+    taken; ``tallies``), ``wall_ns`` (state -> generic-path wall time)
+    and ``traces`` (fused trace label -> ``cycles``, ``wall_ns``,
+    ``states``, ``kind``, ``cycles_per_iteration``; both ``timers``).
+    """
+
+    __slots__ = ("cycles", "transitions", "wall_ns", "traces")
+
+    def __init__(self) -> None:
+        self.cycles: Dict[str, int] = {}
+        self.transitions: Dict[Tuple[str, str], int] = {}
+        self.wall_ns: Dict[str, int] = {}
+        self.traces: Dict[str, Dict[str, object]] = {}
 
 
 def _fault_runtime(spec, sim: Simulator,
@@ -626,8 +661,8 @@ def _build_program(sim: "CompiledSimulator", *,
     *fuse*, hot FSM traces are fused into the dispatch loop
     (:mod:`repro.sim.trace`)."""
     facts = sim._design_facts()
-    instrumented = bool(getattr(sim, "coverage_enabled", False))
-    profiled = bool(getattr(sim, "profile_enabled", False))
+    instrumentation = sim.instrumentation
+    tallies, timers, fault = instrumentation
     controller = facts.controller
     behavior = facts.behavior
     names = facts.names
@@ -641,17 +676,13 @@ def _build_program(sim: "CompiledSimulator", *,
     local = facts.local
 
     # --- fault instrumentation (see repro.inject) -----------------------
-    # The generated source depends on the fault kind alone: the target
-    # (``_ft``, an index into ``tracked``), pinned state, masks, cycle
-    # window and one-shot latch are ctx["fault"] values bound at load
-    # time (see :func:`_fault_runtime`).  A stuck-at forces _S[_ft]
-    # before the locals load, then every register commit and settle op
-    # re-forces the local it wrote when that local is the target.  A
-    # transient flip tests the pre-edge state, window and latch once
-    # per cycle, after the edge tree (so a flipped register output
-    # survives the edge); when it fires it spills the locals to _S,
-    # XORs _S[_ft] and reloads them.
-    fault = getattr(sim, "fault_spec", None)
+    # ``_ft`` indexes ``tracked``.  A stuck-at forces _S[_ft] before the
+    # locals load, then every register commit and settle op re-forces
+    # the local it wrote when that local is the target.  A transient
+    # flip tests the pre-edge state, window and latch once per cycle,
+    # after the edge tree (so a flipped register output survives the
+    # edge); when it fires it spills the locals to _S, XORs _S[_ft] and
+    # reloads them.
     _fault_runtime(fault, sim, facts)  # refuse an unreachable target now
     stuck = fault is not None and fault.kind == "stuck"
     flip = fault is not None and fault.kind == "flip"
@@ -791,17 +822,17 @@ def _build_program(sim: "CompiledSimulator", *,
             lines.append((0, f"if _e != {state!r}:"))
             lines.append((1, "_nt += 1"))
             lines.append((0, "s = _sid[_e]"))
-            if instrumented:
+            if tallies:
                 lines.append((0, f"tc[{index * n_states} + s] += 1"))
         else:
             target = static_target[state]
             if target != state:
                 lines.append((0, f"s = {sid[target]}"))
                 lines.append((0, "_nt += 1"))
-                if instrumented:
+                if tallies:
                     lines.append(
                         (0, f"tc[{index * n_states + sid[target]}] += 1"))
-            elif instrumented:
+            elif tallies:
                 lines.append((0, f"tc[{index * n_states + index}] += 1"))
         lines.extend(commits)
         edge_blocks.append(lines)
@@ -845,8 +876,8 @@ def _build_program(sim: "CompiledSimulator", *,
             static_target=static_target, dynamic_fns=dynamic_fns,
             statuses=[(name, signal.width)
                       for name, signal in status_items],
-            settle_blocks=settle_blocks, instrumented=instrumented,
-            n_states=n_states, profiled=profiled)
+            settle_blocks=settle_blocks, n_states=n_states,
+            instrumentation=instrumentation)
 
     # --- assemble the module -------------------------------------------
     out: List[str] = []
@@ -895,7 +926,7 @@ def _build_program(sim: "CompiledSimulator", *,
             emit(1, '_fc0 = _flt["lo"]')
             emit(1, '_fc1 = _flt["hi"]')
             emit(1, '_fb = _flt["latch"]')
-    if profiled:
+    if timers:
         # the hot-spot clock: one perf_counter_ns per plain-path cycle
         # (fused traces read it once per trace entry/exit instead)
         emit(1, '_pc = ctx["perf"]')
@@ -907,7 +938,7 @@ def _build_program(sim: "CompiledSimulator", *,
     load_locals = f"({targets}) = [_x.value for _x in _S]"
     store_locals = f"for _x, _v in zip(_S, ({targets})): _x.value = _v"
     emit(1, "def _run(s, max_cycles, stop, counts, tc, box%s):"
-            % (", pw" if profiled else ""))
+            % (", pw" if timers else ""))
     if stuck:
         emit(2, "_S[_ft].value = (_S[_ft].value & _fa) | _fo")
     emit(2, load_locals)
@@ -925,10 +956,10 @@ def _build_program(sim: "CompiledSimulator", *,
             emit(4 + rel, text)
     emit(4, "counts[s] += 1")
     emit(4, "n += 1")
-    if profiled or flip:
+    if timers or flip:
         # the edge tree rewrites ``s``; remember whose cycle this was
         emit(4, "_ps = s")
-    if profiled:
+    if timers:
         emit(4, "_pt = _pc()")
     state_ids = list(range(n_states))
     emit_tree(4, state_ids, edge_blocks)
@@ -939,7 +970,7 @@ def _build_program(sim: "CompiledSimulator", *,
         emit(5, "_S[_ft].value = (_S[_ft].value ^ _fx) & _fm")
         emit(5, load_locals)
     emit_tree(4, state_ids, settle_blocks)
-    if profiled:
+    if timers:
         emit(4, "pw[_ps] += _pc() - _pt")
     emit(2, "finally:")
     emit(3, "box[0] = s")
@@ -963,9 +994,7 @@ def _build_program(sim: "CompiledSimulator", *,
         "eval_static": eval_static,
         "edge_static": edge_static,
         "active_ops": [sorted(active) for active in state_active_ops],
-        "instrumented": instrumented,
-        "profiled": profiled,
-        "fault_token": _fault_token(fault),
+        "instrumentation": instrumentation.token,
         "fusion": fusion.summary if fusion is not None else None,
         "source": source,
     }
@@ -985,14 +1014,14 @@ def _bind_program(sim: "CompiledSimulator", payload: dict,
     returns or the kernel cache holds — to *sim*'s elaboration.
 
     Every program, fresh or cached, is bound here.  An artifact built
-    for another structure, other flags or another fault kind raises.
+    for another structure or another kernel variant (see
+    :attr:`Instrumentation.token`) raises.
     """
     facts = sim._design_facts()
+    instrumentation = sim.instrumentation
     if (facts.names != payload["names"]
             or len(facts.tracked) != payload["n_tracked"]
-            or payload["instrumented"] != bool(sim.coverage_enabled)
-            or payload["profiled"] != bool(sim.profile_enabled)
-            or payload["fault_token"] != _fault_token(sim.fault_spec)):
+            or payload["instrumentation"] != instrumentation.token):
         raise ValueError("kernel artifact does not fit this elaboration")
     by_name = sim._components
     transition_fn = _transition_fns(facts.behavior)
@@ -1008,7 +1037,7 @@ def _bind_program(sim: "CompiledSimulator", payload: dict,
         "transitions": {int(index): transition_fn(facts.names[int(index)])
                         for index in payload["dynamic"]},
         "write_oob": _write_oob,
-        "fault": _fault_runtime(sim.fault_spec, sim, facts),
+        "fault": _fault_runtime(instrumentation.fault, sim, facts),
         "perf": time.perf_counter_ns,
     }
     program = CompiledProgram()
@@ -1024,8 +1053,7 @@ def _bind_program(sim: "CompiledSimulator", payload: dict,
     program.comb_components = facts.comb_components
     program.images = [by_name[owner].image for owner in payload["images"]]
     program.component_ids = facts.component_ids
-    program.instrumented = payload["instrumented"]
-    program.profiled = payload["profiled"]
+    program.instrumentation = instrumentation
     program.state_active_ops = [frozenset(active)
                                 for active in payload["active_ops"]]
     program.source = payload["source"]
@@ -1054,18 +1082,10 @@ class CompiledSimulator(Simulator):
         super().__init__(name, **kwargs)
         self._program: Optional[CompiledProgram] = None
         self.fallback_reason: Optional[str] = None
-        self.coverage_enabled = False
-        #: active fault-injection spec (see repro.inject.hooks); faults
-        #: are compiled into the generated kernel, like coverage
-        self.fault_spec = None
-        self.state_visits: Dict[str, int] = {}
-        self.transition_visits: Dict[Tuple[str, str], int] = {}
-        #: hot-spot profiling (see repro.obs.profile): per-state and
-        #: per-fused-trace cycle + wall-clock attribution
-        self.profile_enabled = False
-        self.profile_states: Dict[str, Dict[str, int]] = {}
-        self.profile_traces: Dict[str, Dict[str, object]] = {}
-        self.profile_cycles = 0
+        #: what the generated kernel observes (see :meth:`instrument`)
+        self.instrumentation = Instrumentation()
+        #: what instrumented kernel calls added up (see :class:`KernelTally`)
+        self.tally = KernelTally()
         #: structural hash set by build_simulation; keys the kernel cache
         self.design_digest: Optional[str] = None
         #: memoized design walk (see :meth:`_design_facts`)
@@ -1074,22 +1094,22 @@ class CompiledSimulator(Simulator):
         #: found to be arming bookkeeping (see :meth:`_fastpath_blocked`)
         self._watchers_clean_at: Optional[int] = None
 
-    # -- coverage -------------------------------------------------------
-    def enable_coverage(self) -> None:
-        """Regenerate the program with coverage tallies compiled in.
+    # -- instrumentation ------------------------------------------------
+    def instrument(self, **fields) -> None:
+        """Set fields of :attr:`instrumentation` (``tallies``, ``timers``,
+        ``fault``); the others keep their value.
 
-        Signal watchers would force the fast path to fall back (see
-        :meth:`_fastpath_blocked`), so coverage for this backend is
-        collected from inside the generated loop instead: per-state
-        occupancy counts (maintained anyway) plus per-transition
-        tallies emitted only when this flag is on.  Resets any
-        previously accumulated visit counts.
+        Watchers would block the fast path (:meth:`_fastpath_blocked`),
+        so observers are compiled into the kernel instead: a changed
+        value drops the program, and the next run binds the variant it
+        names.  A fault outside the compiled subset (e.g. on a Moore
+        control line) makes compilation fall back to the event kernel;
+        :func:`repro.inject.hooks.attach_fault` then clears it.
         """
-        if not self.coverage_enabled:
-            self.coverage_enabled = True
+        value = self.instrumentation._replace(**fields)
+        if value != self.instrumentation:
+            self.instrumentation = value
             self._invalidate_program()
-        self.state_visits = {}
-        self.transition_visits = {}
 
     def coverage_active_ops(self) -> Dict[str, int]:
         """Operator activation weights: live-cone membership × visits.
@@ -1102,65 +1122,13 @@ class CompiledSimulator(Simulator):
         program = self._program
         if program is None or not program.state_active_ops:
             return out
-        for state, visits in self.state_visits.items():
+        for state, visits in self.tally.cycles.items():
             index = program.sid.get(state)
-            if index is None or not visits:
+            if index is None:
                 continue
             for name in program.state_active_ops[index]:
                 out[name] = out.get(name, 0) + visits
         return out
-
-    # -- hot-spot profiling ---------------------------------------------
-    def enable_profile(self) -> None:
-        """Regenerate the program with hot-spot accounting compiled in.
-
-        Like :meth:`enable_coverage`, this is in-kernel
-        instrumentation: the generated loop accumulates wall time per
-        FSM state (plain path) and per fused trace segment (traced
-        backend), alongside the per-state cycle counts it already
-        keeps.  Resets any previously accumulated profile.
-        """
-        if not self.profile_enabled:
-            self.profile_enabled = True
-            self._invalidate_program()
-        self.profile_states = {}
-        self.profile_traces = {}
-        self.profile_cycles = 0
-
-    def profile_data(self) -> dict:
-        """Accumulated attribution: ``states`` (name -> cycles/wall_ns),
-        ``traces`` (label -> cycles/wall_ns/states/kind/
-        cycles_per_iteration) and ``total_cycles`` run while profiling.
-
-        Per-state cycle counts *include* cycles spent inside fused
-        traces (fused accounting feeds the same counters), so a
-        consumer redistributing trace cycles onto member states must
-        subtract them — see :class:`repro.obs.profile.KernelProfiler`.
-        """
-        return {
-            "states": {name: dict(entry)
-                       for name, entry in self.profile_states.items()},
-            "traces": {name: dict(entry)
-                       for name, entry in self.profile_traces.items()},
-            "total_cycles": self.profile_cycles,
-        }
-
-    # -- fault injection ------------------------------------------------
-    def set_fault_spec(self, spec) -> None:
-        """Install (or clear, with ``None``) a kernel fault spec.
-
-        The program is rebuilt with the fault kind's forcing/flip lines
-        compiled in — the same mechanism as coverage instrumentation —
-        and bound to this spec's target and parameters, so a cached
-        kernel of the same kind is reused.  A spec outside the compiled
-        subset (e.g. targeting a Moore control line) makes compilation
-        fall back to the event kernel; callers that need the fault to
-        take effect must then install event-kernel hooks instead (see
-        :func:`repro.inject.hooks.attach_fault`).
-        """
-        if spec is not self.fault_spec:
-            self.fault_spec = spec
-            self._invalidate_program()
 
     # -- program lifecycle ---------------------------------------------
     def signal(self, name: str, width: int, init: int = 0) -> Signal:
@@ -1212,9 +1180,9 @@ class CompiledSimulator(Simulator):
         (default: its own kernel kind).
 
         It covers everything codegen depends on: the structural design
-        digest, the kernel kind, the coverage and profile flags, the
-        fault kind (see :func:`_fault_token`) and the generators' own
-        source (:func:`~repro.core.kernelcache.kernel_fingerprint`);
+        digest, the kernel kind, the instrumentation token (see
+        :attr:`Instrumentation.token`) and the generators' own source
+        (:func:`~repro.core.kernelcache.kernel_fingerprint`);
         the cache layer adds the interpreter's bytecode magic.  None
         for designs without a digest (hand-built sims,
         post-elaboration mutations), which always build fresh.
@@ -1225,9 +1193,7 @@ class CompiledSimulator(Simulator):
             return None
         return digest_parts("kernel", kernel_fingerprint(),
                             self.design_digest, kind or self._kernel_kind,
-                            int(bool(self.coverage_enabled)),
-                            int(bool(self.profile_enabled)),
-                            _fault_token(self.fault_spec))
+                            self.instrumentation.token)
 
     def _load_or_build_program(self) -> CompiledProgram:
         """Check the persistent kernel cache (see :meth:`_cache_key`)
@@ -1342,10 +1308,10 @@ class CompiledSimulator(Simulator):
         first had kept going."""
         counts = [0] * program.n_states
         tcounts = ([0] * (program.n_states * program.n_states)
-                   if program.instrumented else None)
+                   if program.instrumentation.tallies else None)
         box = [start, 0, 0]
         pw = None
-        if program.profiled:
+        if program.instrumentation.timers:
             # layout: [0..n_states) per-state wall ns, then two slots
             # per fused trace: [n_states + 2j] wall ns,
             # [n_states + 2j + 1] cycles
@@ -1383,49 +1349,8 @@ class CompiledSimulator(Simulator):
             if visits:
                 evaluations += visits * program.eval_static[index]
                 dispatches += visits * program.edge_static[index]
-        if program.instrumented:
-            names = program.names
-            visits_map = self.state_visits
-            for index, visits in enumerate(counts):
-                if visits:
-                    name = names[index]
-                    visits_map[name] = visits_map.get(name, 0) + visits
-            if tcounts is not None:
-                n = program.n_states
-                taken_map = self.transition_visits
-                for flat, taken in enumerate(tcounts):
-                    if taken:
-                        edge = (names[flat // n], names[flat % n])
-                        taken_map[edge] = taken_map.get(edge, 0) + taken
-        if program.profiled and pw is not None:
-            names = program.names
-            for index, visits in enumerate(counts):
-                wall = pw[index]
-                if visits or wall:
-                    entry = self.profile_states.setdefault(
-                        names[index], {"cycles": 0, "wall_ns": 0})
-                    entry["cycles"] += visits
-                    entry["wall_ns"] += wall
-            traces = (program.fusion or {}).get("traces", ())
-            for j, trace in enumerate(traces):
-                t_wall = pw[program.n_states + 2 * j]
-                t_cycles = pw[program.n_states + 2 * j + 1]
-                if not (t_wall or t_cycles):
-                    continue
-                states = list(trace.get("states", ()))
-                label = trace.get("kind", "trace") + ":" + (
-                    states[0] if len(states) < 2
-                    else f"{states[0]}->{states[-1]}")
-                entry = self.profile_traces.setdefault(label, {
-                    "cycles": 0, "wall_ns": 0, "states": states,
-                    "kind": trace.get("kind", "trace"),
-                    "cycles_per_iteration": int(
-                        trace.get("cycles_per_iteration")
-                        or trace.get("cycles") or len(states) or 1),
-                })
-                entry["cycles"] += t_cycles
-                entry["wall_ns"] += t_wall
-            self.profile_cycles += box[1]
+        if tcounts is not None or pw is not None:
+            self._fold_tally(program, counts, tcounts, pw)
         stats = self.stats
         stats.cycles += cycles
         stats.evaluations += evaluations
@@ -1435,12 +1360,58 @@ class CompiledSimulator(Simulator):
         domain.cycles += cycles
         self.now += domain.period * cycles
 
+    def _fold_tally(self, program: CompiledProgram, counts: List[int],
+                    tcounts: Optional[List[int]],
+                    pw: Optional[List[int]]) -> None:
+        """Add one instrumented call's counters to :attr:`tally`."""
+        tally = self.tally
+        names = program.names
+        for index, visits in enumerate(counts):
+            if visits:
+                name = names[index]
+                tally.cycles[name] = tally.cycles.get(name, 0) + visits
+        if tcounts is not None:
+            n = program.n_states
+            for flat, taken in enumerate(tcounts):
+                if taken:
+                    edge = (names[flat // n], names[flat % n])
+                    tally.transitions[edge] = \
+                        tally.transitions.get(edge, 0) + taken
+        if pw is None:
+            return
+        for index, name in enumerate(names):
+            if pw[index]:
+                tally.wall_ns[name] = tally.wall_ns.get(name, 0) + pw[index]
+        traces = (program.fusion or {}).get("traces", ())
+        for j, trace in enumerate(traces):
+            t_wall = pw[program.n_states + 2 * j]
+            t_cycles = pw[program.n_states + 2 * j + 1]
+            if not (t_wall or t_cycles):
+                continue
+            states = list(trace["states"])
+            label = trace["kind"] + ":" + (
+                states[0] if len(states) < 2
+                else f"{states[0]}->{states[-1]}")
+            entry = tally.traces.setdefault(label, {
+                "cycles": 0, "wall_ns": 0, "states": states,
+                "kind": trace["kind"],
+                "cycles_per_iteration": trace.get("cycles_per_iteration",
+                                                  trace.get("cycles")),
+            })
+            entry["cycles"] += t_cycles
+            entry["wall_ns"] += t_wall
+
     def _resync(self, program: CompiledProgram, *,
                 best_effort: bool = False) -> None:
         """Restore the event-kernel invariants after a fast-path run:
         arming reflects enables, and one full settle leaves every signal
         exactly as the event kernel would (also firing any lagging
-        watchers)."""
+        watchers).
+
+        The settle recomputes a stuck-at target from its driver, without
+        the forcing the kernel applied.  So after a run that did not
+        raise, the target is forced again and its fanout settled, as
+        the event kernel's watcher forces it during its own settle."""
         for each in self._domains.values():
             each.rearm()
         self._worklist.clear()
@@ -1450,5 +1421,14 @@ class CompiledSimulator(Simulator):
                 self.settle()
             except Exception:  # noqa: BLE001 - already propagating an error
                 pass
-        else:
-            self.settle()
+            return
+        self.settle()
+        if program.instrumentation.fault is not None:
+            fault = program.instrumentation.fault
+            if fault.kind == "stuck":
+                signal = self._signals[fault.signal]
+                forced = (signal.value & fault.and_mask) | fault.or_mask
+                if forced != signal.value:
+                    signal.value = forced
+                    self._worklist.extend(signal.sinks)
+                    self.settle()

@@ -33,9 +33,9 @@ Anything the analysis cannot prove — non-enumerable successor sets,
 over-long chains, non-converging bodies — simply is not fused; the
 generic per-state path (bit-identical to the compiled backend) handles
 it.  Fused code must remain byte-identical to the event kernel in
-observable outputs, including under coverage instrumentation
-(``enable_coverage()`` regenerates fused code with transition tallies
-compiled in, it does not fall back).
+observable outputs, including under instrumentation: transition
+tallies and timers are compiled into the fused code, which does not
+fall back (a kernel with a fault spec never fuses).
 
 Fusion is paid for only when the cycles repay it: a traced elaboration
 runs the generic program first and promotes to the fused one after
@@ -342,8 +342,8 @@ class FusionPlan:
 
 
 def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
-                 statuses, settle_blocks, instrumented,
-                 n_states, profiled=False) -> Optional[FusionPlan]:
+                 statuses, settle_blocks, n_states,
+                 instrumentation) -> Optional[FusionPlan]:
     """Detect traces and render the fused dispatch blocks.
 
     Returns ``None`` when nothing fuses (the generated source is then
@@ -363,11 +363,15 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
     reads the sampled status values); for a linear run ``exit`` and
     ``cycles``.
 
-    With ``profiled``, each trace body also accumulates its wall time
-    and cycle count into its two ``pw`` slots (``n_states + 2j`` /
+    *instrumentation* is the simulator's
+    :class:`~repro.sim.compiled.Instrumentation` (a fusing build has no
+    fault).  With ``tallies`` each trace adds its transitions to ``tc``.
+    With ``timers`` each trace body also accumulates its wall time and
+    cycle count into its two ``pw`` slots (``n_states + 2j`` /
     ``n_states + 2j + 1``) — one clock read per trace entry and exit,
     so the hot fused iterations stay instrumentation-free.
     """
+    tallies, timers = instrumentation.tallies, instrumentation.timers
     traces = _find_traces(names, sid, static_target, dynamic_fns, statuses)
     if not traces:
         return None
@@ -462,14 +466,14 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
 
             accounting = [f"n += {span} * _i"]
             accounting += [f"counts[{index}] += _i" for index in chain_idx]
-            if profiled:
+            if timers:
                 accounting.append(
                     f"pw[{n_states + 2 * j}] += _pc() - _pt")
                 accounting.append(
                     f"pw[{n_states + 2 * j + 1}] += {span} * _i")
             if span > 1:
                 accounting.append(f"_nt += {span - 1} * _i")
-            if instrumented:
+            if tallies:
                 for a, b in zip(chain_idx, chain_idx[1:]):
                     accounting.append(f"tc[{a * n_states + b}] += _i")
             # the dynamic-edge tallies: of the _i completed iterations
@@ -477,13 +481,13 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
             # settled by the reconstructed _e below)
             if header != d_name:
                 accounting.append("_nt += _i - 1")
-            if instrumented:
+            if tallies:
                 flat = d_idx * n_states + head_idx
                 accounting.append(f"tc[{flat}] += _i - 1")
 
             body.append((0, f"if s == {head_idx} and _ok{j} "
                             f"and n + {span} <= max_cycles:"))
-            if profiled:
+            if timers:
                 body.append((1, "_pt = _pc()"))
             # n is constant inside the fused body (accounting is
             # hoisted), so the trip budget is a single division
@@ -499,7 +503,7 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
             body.append((1, f"_e = _t{d_idx}({{{env}}})"))
             body.append((1, f"if _e != {d_name!r}:"))
             body.append((2, "_nt += 1"))
-            if instrumented:
+            if tallies:
                 body.append((1, f"tc[{d_idx * n_states} + _sid[_e]] += 1"))
             exits = sorted(set(extra.values()) - {header},
                            key=sid.__getitem__)
@@ -537,18 +541,18 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
 
             body.append((0, f"if s == {head_idx} and _ok{j} "
                             f"and n + {span} <= max_cycles:"))
-            if profiled:
+            if timers:
                 body.append((1, "_pt = _pc()"))
             body.extend(_render_segments(segs, record, 1))
             body.append((1, f"n += {span}"))
             for index in chain_idx:
                 body.append((1, f"counts[{index}] += 1"))
-            if profiled:
+            if timers:
                 body.append((1, f"pw[{n_states + 2 * j}] += "
                                 f"_pc() - _pt"))
                 body.append((1, f"pw[{n_states + 2 * j + 1}] += {span}"))
             body.append((1, f"_nt += {span}"))
-            if instrumented:
+            if tallies:
                 edges = list(zip(chain_idx, chain_idx[1:] + [exit_idx]))
                 for a, b in edges:
                     body.append((1, f"tc[{a * n_states + b}] += 1"))
@@ -586,15 +590,15 @@ class TracedSimulator(CompiledSimulator):
     crosses the promotion point is split there into two runner calls;
     the generic one writes its locals back and the fused one takes over
     from them, so the run is bit-identical to an unsplit one,
-    statistics included.  A simulator with a fault spec never promotes:
-    fault kernels do not fuse.  A fused call that raises is run again
-    on the generic program, so a run that fails leaves what the
-    compiled kernel leaves.
+    statistics included.  A simulator instrumented with a fault never
+    promotes: fault kernels do not fuse.  A fused call that raises is
+    run again on the generic program, so a run that fails leaves what
+    the compiled kernel leaves.
 
     Inherits every safety property of :class:`CompiledSimulator`: the
     same conservative fallback to the event kernel, the same entry/exit
-    Signal sync, the same coverage instrumentation path (fused traces
-    are regenerated with transition tallies, not abandoned).  Designs
+    Signal sync, the same instrumentation (fused traces are regenerated
+    with transition tallies and timers, not abandoned).  Designs
     with no fusable traces run exactly the compiled kernel.
     """
 
@@ -608,7 +612,7 @@ class TracedSimulator(CompiledSimulator):
         self.promoted_at: Optional[int] = None
 
     def _load_or_build_program(self) -> CompiledProgram:
-        if self.fault_spec is not None:
+        if self.instrumentation.fault is not None:
             return self._generic_program()
         if self.promoted_at is not None \
                 or self.stats.cycles >= self.promote_after:
@@ -689,7 +693,7 @@ class TracedSimulator(CompiledSimulator):
 
     def _run(self, program: CompiledProgram, start: int, stop: frozenset,
              max_cycles: int) -> Tuple[int, int]:
-        if program.kind == "compiled" and self.fault_spec is None:
+        if program.kind == "compiled" and self.instrumentation.fault is None:
             left = self.promote_after - self.stats.cycles
             if left <= 0:
                 program = self._promote()

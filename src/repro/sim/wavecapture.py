@@ -8,10 +8,10 @@ installs a watcher.  It advances the simulator one cycle at a time with
 ``run_cycles(1)`` and samples the post-settle signal values at each
 cycle boundary.  The fast kernels fully resynchronise the signal/FSM
 state after every ``run_cycles`` exit (see
-``CompiledSimulator._resync``), so the captured values are bit-exact
-with what the event kernel would show — and the fast path stays armed,
-which is what makes cycle-accurate capture affordable on the compiled
-and traced backends.
+``CompiledSimulator._resync``, which also re-forces a kernel stuck-at),
+so the captured values are bit-exact with what the event kernel would
+show — and the fast path stays armed, which is what makes
+cycle-accurate capture affordable on the compiled and traced backends.
 
 Memory is bounded: samples land in a ring of ``window`` entries, and
 once the ring wraps a truncation marker is recorded (``truncated`` /
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .signal import Signal
 
@@ -53,15 +53,11 @@ class WaveCapture:
     :class:`repro.translate.to_sim.SimDesign` provides both.
 
     ``signals`` restricts capture to the named subset (default: every
-    signal).  ``post_step`` is an optional callable invoked with the
-    simulator after every advance, *before* sampling — the triage layer
-    uses it to re-force stuck-at faults that the fast kernels' post-run
-    settle would otherwise wash out of the observable view.
+    signal).
     """
 
     def __init__(self, design, *, window: int = DEFAULT_WINDOW,
-                 signals: Optional[Sequence[str]] = None,
-                 post_step: Optional[Callable] = None) -> None:
+                 signals: Optional[Sequence[str]] = None) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.design = design
@@ -78,7 +74,6 @@ class WaveCapture:
             (name, table[name]) for name in names]
         self.window = window
         self.samples: deque = deque(maxlen=window)
-        self.post_step = post_step
         #: cycles advanced through this capture (skip + step)
         self.cycle = 0
         #: samples pushed out of the ring (the truncation marker)
@@ -126,8 +121,6 @@ class WaveCapture:
         for _ in range(n):
             self.sim.run_cycles(1)
             self.cycle += 1
-            if self.post_step is not None:
-                self.post_step(self.sim)
             self.sample()
 
     def skip(self, n: int) -> None:
@@ -140,8 +133,6 @@ class WaveCapture:
             return
         self.sim.run_cycles(n)
         self.cycle += n
-        if self.post_step is not None:
-            self.post_step(self.sim)
 
     # ------------------------------------------------------------------
     def state_timeline(self) -> List[Tuple[int, str]]:

@@ -176,3 +176,58 @@ def test_patched_fingerprint_misses_its_kind(tmp_path, monkeypatch):
     monkeypatch.setattr(kernelcache, "_FSM_SOURCE", "an edited generator")
     assert stored_after_a_run() == {"kernel": after_kernel["kernel"],
                                     "fsm": 2 * first["fsm"]}
+
+
+#: the kernel variants an instrumentation value asks for, by token
+VARIANTS = {
+    "plain": {}, "tallies": {"tallies": True}, "timers": {"timers": True},
+    "tallies+timers": {"tallies": True, "timers": True},
+    "stuck": {"fault": "stuck"}, "flip": {"fault": "flip"},
+}
+
+
+@pytest.mark.parametrize("backend", ["compiled", "traced"])
+def test_each_kernel_variant_has_a_key_and_artifact_of_its_own(backend):
+    """One threshold design in every kernel variant: no two variants
+    share a kernel-cache key, and each variant's artifact is refused by
+    every other variant's simulator, so a warm cache never binds a
+    coverage kernel to a plain run.  On ``traced`` the fault-free
+    variants are fused; fault kernels never fuse."""
+    from repro.core.kernelcache import default_cache
+    from repro.inject.hooks import KernelFaultSpec
+    from repro.sim.compiled import _bind_program
+
+    config = suite_case("threshold", n_pixels=32).compile() \
+        .configurations[0]
+    sims, keys, artifacts = {}, {}, {}
+    previous = set_default_cache(KernelCache(None))
+    try:
+        for variant, fields in VARIANTS.items():
+            sim = build_simulation(config.datapath, config.fsm,
+                                   backend=backend).sim
+            sim.promote_after = 0  # a fault-free traced kernel is fused
+            if "fault" in fields:
+                facts = sim._design_facts()
+                fields = {"fault": KernelFaultSpec(
+                    fields["fault"], facts.registers[0].q.name,
+                    state=facts.names[1], or_mask=1, xor_mask=1, hi=8)}
+            sim.instrument(**fields)
+            assert sim.instrumentation.token == variant
+            program = sim._ensure_program()
+            assert program is not None, sim.fallback_reason
+            fused = backend == "traced" and "fault" not in fields
+            assert program.kind == ("traced" if fused else "compiled")
+            sims[variant] = sim
+            keys[variant] = sim._cache_key(program.kind)
+            artifacts[variant] = default_cache().get("kernel",
+                                                     keys[variant])
+    finally:
+        set_default_cache(previous)
+    assert len(set(keys.values())) == len(VARIANTS), keys
+    for built, artifact in artifacts.items():
+        for variant, sim in sims.items():
+            if variant == built:
+                _bind_program(sim, *artifact)
+                continue
+            with pytest.raises(ValueError, match="does not fit"):
+                _bind_program(sim, *artifact)

@@ -494,7 +494,7 @@ class TestCheckpoints:
             program = original(sim)
             with open(log, "a") as sink:
                 sink.write(f"{os.getpid()} "
-                           f"{compiled_mod._fault_token(sim.fault_spec)}\n")
+                           f"{sim.instrumentation.token}\n")
             return program
 
         monkeypatch.setattr(compiled_mod, "_build_program", logged)

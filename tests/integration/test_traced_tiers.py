@@ -244,7 +244,7 @@ def test_a_cached_fused_program_starts_fused():
     assert second.sim.fusion_report()["promoted_at"] == 0
 
 
-def test_a_fault_spec_never_promotes():
+def test_a_kernel_fault_never_promotes():
     design, _inputs = _case("fdct1")
     sim_design = _elaborate("traced")
     sim_design.sim.promote_after = 0

@@ -77,7 +77,7 @@ class TestCompiledStaysFastWhenUnobserved:
         assert result.passed
         assert result.coverage.state_coverage == 1.0
 
-    def test_enable_coverage_rebuilds_program_once(self):
+    def test_tallies_rebuild_once(self):
         from repro.core import prepare_images
         from repro.translate import build_simulation
 
@@ -88,8 +88,8 @@ class TestCompiledStaysFastWhenUnobserved:
                               prepare_images(design, case.inputs(0)),
                               backend="compiled")
         assert isinstance(sd.sim, CompiledSimulator)
-        sd.sim.enable_coverage()
+        sd.sim.instrument(tallies=True)
         sd.run_to_done()
         assert sd.sim.fallback_reason is None
-        assert sd.sim.state_visits
-        assert sd.sim.transition_visits
+        assert sd.sim.tally.cycles
+        assert sd.sim.tally.transitions

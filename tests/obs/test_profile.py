@@ -85,6 +85,57 @@ class TestCompiledBackend:
         assert all(frame.kind != "trace" for frame in report.frames)
 
 
+class TestSharedTally:
+    @pytest.mark.parametrize("coverage_first", [True, False],
+                             ids=["coverage-first", "profiler-first"])
+    @pytest.mark.parametrize("backend", ["compiled", "traced"])
+    def test_coverage_and_profiler_share(self, backend, coverage_first):
+        """Coverage and the profiler on one fdct1 elaboration, attached
+        in either order: neither switches the other off, both see the
+        same per-state cycles, and those add up to the run's cycles."""
+        from repro.apps import suite_case
+        from repro.core import prepare_images
+        from repro.obs.coverage import CoverageCollector
+        from repro.translate import build_simulation
+
+        case = suite_case("fdct1", pixels=64)
+        design = case.compile()
+        config = design.configurations[0]
+        dut = build_simulation(config.datapath, config.fsm,
+                               prepare_images(design, case.inputs(0)),
+                               backend=backend)
+        dut.sim.promote_after = 0
+        coverage, profiler = CoverageCollector(), KernelProfiler()
+        observers = [coverage, profiler]
+        if not coverage_first:
+            observers.reverse()
+        for observer in observers:
+            observer.attach(dut)
+        start = dut.controller.state
+        assert dut.run_to_done() == dut.sim.stats.cycles == 333
+        instrumentation = dut.sim.instrumentation
+        assert instrumentation.tallies and instrumentation.timers
+        assert dut.sim.fallback_reason is None
+        if backend == "traced":
+            assert dut.sim.fusion_report()["promoted_at"] == 0
+        for observer in observers:
+            observer.collect(dut)
+
+        name = config.datapath.name
+        profiled = {state: entry["cycles"] for state, entry
+                    in profiler.configurations[name]["states"].items()}
+        # coverage also counts entering the reset state and the state
+        # the run rests in, which no kernel cycle ran
+        visits = dict(coverage.report.configurations[name].fsm.states)
+        visits[start] -= 1
+        visits[dut.controller.state] -= 1
+        assert {state: count for state, count in visits.items()
+                if count} == profiled
+        assert sum(profiled.values()) == dut.sim.stats.cycles
+        transitions = coverage.report.configurations[name].fsm.transitions
+        assert sum(transitions.values()) == dut.controller.transitions
+
+
 class TestErrors:
     def test_unknown_case(self):
         with pytest.raises(ProfileError, match="unknown case"):

@@ -223,7 +223,7 @@ class TestKernelShape:
         sim.promote_after = 0  # a fault-free traced kernel starts fused
         if fault is not None:
             facts = sim._design_facts()
-            sim.set_fault_spec(KernelFaultSpec(
+            sim.instrument(fault=KernelFaultSpec(
                 fault, facts.registers[0].q.name, state=facts.names[1],
                 or_mask=1, xor_mask=1, hi=8))
         program = sim._ensure_program()

@@ -147,27 +147,27 @@ class TestFailure:
 
 class TestCoverage:
     def test_coverage_survives_fusion(self):
-        """enable_coverage must regenerate fused code with transition
-        tallies compiled in — not fall back, not drop tallies."""
+        """Transition tallies must regenerate fused code with the
+        counters compiled in — not fall back, not drop tallies."""
         ref, dut = _build_pair()
-        dut.sim.enable_coverage()
+        dut.sim.instrument(tallies=True)
         assert ref.run_to_done() == dut.run_to_done()
         assert dut.sim.fallback_reason is None
         assert dut.sim.fusion_report()["n_traces"] >= 1
         _assert_identical(ref, dut)
         # per-transition tallies must match the event controller's
         # actual edge count
-        assert sum(dut.sim.transition_visits.values()) == \
+        assert sum(dut.sim.tally.transitions.values()) == \
             ref.controller.transitions
         assert all(count > 0
-                   for count in dut.sim.transition_visits.values())
+                   for count in dut.sim.tally.transitions.values())
 
     def test_coverage_toggle_regenerates_program(self):
         _ref, dut = _build_pair()
         dut.run_to_done()
         plain = dut.sim._program
         assert plain is not None
-        dut.sim.enable_coverage()
+        dut.sim.instrument(tallies=True)
         assert dut.sim._program is None  # regenerated on next run
 
 
