@@ -820,28 +820,29 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    from .apps import CASE_BUILDERS, suite_case
-    from .core.faults import run_campaign
+    import random
 
-    if args.case not in CASE_BUILDERS:
-        print(f"error: unknown case {args.case!r}; "
-              f"known: {sorted(CASE_BUILDERS)}", file=sys.stderr)
+    from .inject import enumerate_mutants, run_campaign
+
+    compiled = _compile_injectable(args.case, args.seed)
+    if compiled is None:
         return 2
-    case = suite_case(args.case, **SUITE_SIZES.get(args.case, {}))
-    design = case.compile()
-    if design.multi_configuration:
-        print(f"error: {args.case} compiles to multiple configurations; "
-              f"fault injection needs a single one", file=sys.stderr)
-        return 2
-    result = run_campaign(design, case.func, case.inputs(args.seed),
-                          sample=args.sample, seed=args.seed,
-                          limit_per_kind=args.limit_per_kind,
+    case, design, inputs = compiled
+    mutants = enumerate_mutants(design, limit_per_kind=args.limit_per_kind)
+    if args.sample is not None and args.sample < len(mutants):
+        mutants = random.Random(args.seed).sample(mutants, args.sample)
+    report = run_campaign(design, case.func, mutants, inputs,
+                          app=args.case, backend="event", seed=args.seed,
                           max_cycles=2_000_000)
-    print(result.summary())
-    survivors = result.survivors
-    if survivors:
-        print(f"\n{len(survivors)} survivor(s) — equivalent or "
-              f"stimulus-masked mutants; consider boundary-value stimuli")
+    masked = report.tally()["masked"]
+    print(f"fault campaign: {len(report.results) - masked}/"
+          f"{len(report.results)} killed ({report.kill_rate:.0%})")
+    print(report.summary())
+    for result in report.results:
+        print(f"  [{result.verdict:^6}] {result.fault.describe()}")
+    if masked:
+        print(f"\n{masked} survivor(s) — equivalent or stimulus-masked "
+              f"mutants; consider boundary-value stimuli")
     return 0
 
 

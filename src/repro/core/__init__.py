@@ -9,8 +9,6 @@
 
 from .cache import (ArtifactCache, case_key, result_from_payload,
                     result_to_payload, structure_key)
-from .faults import (CampaignResult, Fault, FaultVerdict, enumerate_faults,
-                     inject_fault, run_campaign)
 from .flow import Flow, FlowReport, FlowStage, StageResult, standard_flow
 from .infrastructure import TestInfrastructure
 from .report import (ConfigurationMetrics, DesignMetrics, collect_metrics,
@@ -35,6 +33,4 @@ __all__ = [
     "ConfigurationMetrics",
     "synthetic_image", "ramp_image", "random_words",
     "write_stimulus_files", "load_stimulus_files",
-    "Fault", "FaultVerdict", "CampaignResult",
-    "enumerate_faults", "inject_fault", "run_campaign",
 ]

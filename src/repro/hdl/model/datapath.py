@@ -15,6 +15,7 @@ two configurations.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -120,6 +121,16 @@ class Datapath:
         #: cleared by every add_* mutator — code that mutates the decls
         #: directly must clear it too, or stale kernel-cache keys result
         self._digest_memo: Optional[str] = None
+
+    def __deepcopy__(self, memo) -> "Datapath":
+        # a deep copy is made to be edited, often directly, so it starts
+        # without the digest memo; a pickle keeps it (the design stage's
+        # warm path relies on that)
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(copy.deepcopy(
+            dict(self.__dict__, _digest_memo=None), memo))
+        return clone
 
     # ------------------------------------------------------------------
     # Construction helpers (used by the compiler and by tests)

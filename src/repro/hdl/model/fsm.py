@@ -11,6 +11,7 @@ is total.  Final states implicitly self-loop and conventionally assert the
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -87,6 +88,16 @@ class Fsm:
         #: attribute mutation must clear it too, or kernel-cache keys
         #: go stale
         self._digest_memo: Optional[str] = None
+
+    def __deepcopy__(self, memo) -> "Fsm":
+        # a deep copy is made to be edited, often directly, so it starts
+        # without the digest memo; a pickle keeps it (the design stage's
+        # warm path relies on that)
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(copy.deepcopy(
+            dict(self.__dict__, _digest_memo=None), memo))
+        return clone
 
     # ------------------------------------------------------------------
     # Construction helpers

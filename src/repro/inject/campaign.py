@@ -17,11 +17,16 @@ golden execution:
     The simulation itself failed — combinational loop from a forced
     line, out-of-bounds write from a flipped address register, etc.
 
-A campaign elaborates its design once: every injection rewinds that
-one live elaboration instead of building the hardware again, and a
+A campaign elaborates its design once: every hardware fault rewinds
+that one live elaboration instead of building the hardware again, and a
 transient upset starts from the fault-free checkpoint before its window
 and stops as soon as its window closes without it striking (see
-:class:`_Testbench`).
+:class:`_Testbench`).  A mutant (a compiler-bug-shaped fault, see
+:data:`~repro.inject.faultload.MUTATION_KINDS`) is a different design,
+so it gets an elaboration of its own, runs under the same hang budget
+and is compared on every array, as the fault-free run is.  Mutation
+testing counts a mutant killed when its verdict is anything but
+``masked`` (:attr:`CampaignReport.kill_rate`).
 
 :func:`run_campaign` runs on the same :class:`~repro.util.pool.ForkPool`
 as the test suite: the design, its elaboration, golden images and
@@ -50,8 +55,8 @@ from ..sim.errors import SimulationTimeout
 from ..translate.to_sim import build_simulation
 from ..util.files import MemoryImage, compare_images
 from ..util.pool import ForkPool
-from .faultload import FAULT_KINDS, FaultDescriptor
-from .hooks import attach_fault
+from .faultload import MUTATION_KINDS, FaultDescriptor
+from .hooks import attach_fault, mutate_design
 
 __all__ = ["InjectionResult", "CampaignReport", "apply_mem_flip",
            "run_injection", "run_campaign", "VERDICTS"]
@@ -78,7 +83,7 @@ class InjectionResult:
     seconds: float
     note: str = ""
     #: how the fault took effect: kernel | watcher | cycle-hook |
-    #: image | none (fault-free baseline)
+    #: image | design (a mutant) | none (fault-free baseline)
     mechanism: str = "none"
 
 
@@ -115,6 +120,15 @@ class CampaignReport:
         return table
 
     @property
+    def kill_rate(self) -> float:
+        """Share of the classified faults that are not ``masked`` (1.0
+        when none ran): how many mutants the golden comparison kills."""
+        if not self.results:
+            return 1.0
+        return (len(self.results) - self.tally()["masked"]) \
+            / len(self.results)
+
+    @property
     def hang_reproducers(self) -> List[FaultDescriptor]:
         return [result.fault for result in self.results
                 if result.verdict == "hang" and result.fault is not None]
@@ -138,10 +152,12 @@ class CampaignReport:
             lines.append(
                 f"  time budget hit: {len(self.results)}/{self.planned} "
                 f"fault(s) classified")
-        for kind, row in sorted(self.coverage_table().items()):
+        table = self.coverage_table()
+        width = max([9] + [len(kind) for kind in table])
+        for kind, row in sorted(table.items()):
             total = sum(row.values())
             lines.append(
-                f"  {kind:<9} " +
+                f"  {kind:<{width}} " +
                 " ".join(f"{verdict}={row[verdict]}" for verdict in VERDICTS)
                 + f"  ({total} total)")
         return "\n".join(lines)
@@ -259,16 +275,18 @@ def _classify(design: Design, context, golden_images, fault,
               mismatch_limit: int) -> InjectionResult:
     """Compare memories after a completed run (masked vs sdc).
 
-    Fault-free runs compare every array (the bit-exact differential
-    guarantee); faulted runs compare output-role arrays, since a
-    ``mem_flip`` on an input memory diverges from golden's pristine
-    inputs by construction.
+    Fault-free runs and mutants compare every array (the bit-exact
+    differential guarantee, which a mutated design must keep too);
+    hardware faults compare output-role arrays, since a ``mem_flip`` on
+    an input memory diverges from golden's pristine inputs by
+    construction.
     """
+    outputs_only = fault is not None and fault.kind not in MUTATION_KINDS
     diffs = []
     for name, spec in design.arrays.items():
         if name == SPILL_MEMORY:
             continue
-        if fault is not None and spec.role != "output":
+        if outputs_only and spec.role != "output":
             continue
         mismatches = compare_images(golden_images[name],
                                     context.memory(name),
@@ -325,19 +343,22 @@ def run_injection(design: Design, func: Callable,
     checkpoint before its window, and one that has not struck when its
     window closes is ``masked`` with the fault-free cycle count — what
     the run from cycle 0 would report, since the rest of it is the
-    fault-free run.  Any failure to apply the fault (an unknown net or
-    memory, a bit out of range) classifies as ``crash``.  Raises
+    fault-free run.  A mutant instead runs on an elaboration of its own
+    mutated copy of *design* (mechanism ``design``; *testbench* is not
+    used) and is compared on every array.  Any failure to apply the
+    fault (an unknown net or memory, a bit out of range, a mutant that
+    does not apply or elaborate) classifies as ``crash``.  Raises
     :class:`ValueError` for a design that is not single-configuration.
     """
-    if testbench is None:
+    mutant = fault is not None and fault.kind in MUTATION_KINDS
+    if testbench is None and not mutant:
         testbench = _Testbench(design, inputs, backend=backend,
                                fsm_mode=fsm_mode)
     if golden_images is None:
         golden_images = _golden_images(design, func, inputs)
-    sim_design = testbench.design
-    fault_free = testbench.fault_free_cycles
     upset = (fault is not None and fault.kind == "reg_flip"
-             and fault_free is not None and fault_free <= max_cycles)
+             and testbench.fault_free_cycles is not None
+             and testbench.fault_free_cycles <= max_cycles)
 
     mechanism = "none"
     handle = None
@@ -353,28 +374,37 @@ def run_injection(design: Design, func: Callable,
             start = testbench.restore_before(fault.cycle_lo)
             armed = replace(fault, cycle_lo=fault.cycle_lo - start,
                             cycle_hi=fault.cycle_hi - start)
-        elif fault is not None:
+        elif fault is not None and not mutant:
             testbench.rewind()
         try:
             if fault is None:
                 cycles = testbench.record(max_cycles)
+            elif mutant:
+                # another design: it runs on a testbench of its own
+                mechanism = "design"
+                testbench = _Testbench(mutate_design(design, fault),
+                                       inputs, backend=backend,
+                                       fsm_mode=fsm_mode)
+                cycles = testbench.design.run_to_done(max_cycles=max_cycles)
             elif fault.kind == "mem_flip":
                 testbench.flip(fault)
                 mechanism = "image"
-                cycles = sim_design.run_to_done(max_cycles=max_cycles)
+                cycles = testbench.design.run_to_done(max_cycles=max_cycles)
             else:
-                handle = attach_fault(sim_design, armed)
+                handle = attach_fault(testbench.design, armed)
                 mechanism = handle.mechanism
                 if upset:
-                    ran = _run_upset(sim_design, handle, fault.cycle_hi,
-                                     start, max_cycles)
+                    ran = _run_upset(testbench.design, handle,
+                                     fault.cycle_hi, start, max_cycles)
                     if ran is None:
-                        verdict = InjectionResult(fault, "masked",
-                                                  fault_free, 0.0)
+                        verdict = InjectionResult(
+                            fault, "masked", testbench.fault_free_cycles,
+                            0.0)
                     else:
                         cycles = ran
                 else:
-                    cycles = sim_design.run_to_done(max_cycles=max_cycles)
+                    cycles = testbench.design.run_to_done(
+                        max_cycles=max_cycles)
         except SimulationTimeout:
             verdict = InjectionResult(
                 fault, "hang", max_cycles, 0.0,
@@ -433,20 +463,21 @@ def _inject_batch(c: dict, indices: Sequence[int]) -> List[InjectionResult]:
 def _pool_batches(faults: Sequence[FaultDescriptor], pending: List[int],
                   workers: int) -> List[List[int]]:
     """Split *pending* into pool tasks: the signal faults one kind per
-    task, then the ``mem_flip`` faults in small chunks.
+    task, then the ``mem_flip`` faults and the mutants in small chunks.
 
     A worker generates the fault kernel of every kind it is handed, so
     keeping each kind in one task spares the other workers that
     codegen; a kind larger than an even share of the work is split into
     shares so it cannot hold up the pool.  ``mem_flip`` faults need no
-    fault kernel, and their chunks even out the workers at the end.
+    fault kernel and every mutant elaborates a design of its own, so
+    their chunks even out the workers at the end.
     """
     share = max(1, -(-len(pending) // workers))
     batches: List[List[int]] = []
-    for kind in FAULT_KINDS:
-        group = [index for index in pending if faults[index].kind == kind]
-        size = share if kind != "mem_flip" \
-            else max(1, len(group) // (workers * 4))
+    for kinds, chunked in ((("stuck",), False), (("reg_flip",), False),
+                           (("mem_flip",), True), (MUTATION_KINDS, True)):
+        group = [index for index in pending if faults[index].kind in kinds]
+        size = max(1, len(group) // (workers * 4)) if chunked else share
         batches += [group[at:at + size]
                     for at in range(0, len(group), size)]
     return batches
@@ -476,7 +507,7 @@ def run_campaign(design: Design, func: Callable,
     budget (``cycles × hang_factor``), and the checkpoints it leaves
     let each ``reg_flip`` skip the cycles before its window.  The
     faults run in the batches of :func:`_pool_batches`, one fault kind
-    per batch, which ``jobs`` > 1 fans over a
+    (or a chunk of mutants) per batch, which ``jobs`` > 1 fans over a
     :class:`~repro.util.pool.ForkPool`.  ``time_budget`` (seconds,
     measured from campaign start) stops starting new injections once
     exceeded — already-running ones still land, so the nightly job

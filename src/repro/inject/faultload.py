@@ -21,6 +21,33 @@ Three fault kinds:
 ``mem_flip``
     One bit of one memory word is flipped before the run starts (an
     SEU striking a BRAM cell between configuration and execution).
+
+Six mutation kinds (:data:`MUTATION_KINDS`) model compiler bugs rather
+than hardware faults: each edits a copy of the design before it is
+elaborated (see :func:`repro.inject.hooks.mutate_design`), and
+:func:`enumerate_mutants` lists every applicable one:
+
+``const_value``
+    A constant generator emits a wrong value (``value ^ 1``: a
+    wrong-literal or off-by-one codegen bug).
+``cmp_op``
+    A comparator uses the adjacent operator (``lt``/``le``,
+    ``gt``/``ge``, ``eq``/``ne``: the classic loop-bound bug).
+``mux_swap``
+    A mux's first two inputs are wired in the wrong order (a binding
+    bug).
+``branch_swap``
+    A conditional FSM transition's target is exchanged with the
+    state's default target (a control-generation bug).
+``stuck_control``
+    One state forgets one control assignment (an enable or select
+    dropped by FSM generation).
+``wrong_state_order``
+    A state's default transition goes one state too far (a skipped
+    control step).
+
+The generator draws hardware kinds only; mutants come from the
+enumerator.
 """
 
 from __future__ import annotations
@@ -33,11 +60,18 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..compiler.partitioning import SPILL_MEMORY
 from ..compiler.pipeline import Design
+from ..hdl.model.fsm import DONE_OUTPUT
 
 __all__ = ["FaultDescriptor", "FaultloadGenerator", "save_faultload",
-           "load_faultload", "output_adjacent_nets"]
+           "load_faultload", "output_adjacent_nets", "enumerate_mutants"]
 
 FAULT_KINDS = ("stuck", "reg_flip", "mem_flip")
+MUTATION_KINDS = ("const_value", "cmp_op", "mux_swap", "branch_swap",
+                  "stuck_control", "wrong_state_order")
+
+#: the comparator a ``cmp_op`` mutant swaps in
+CMP_NEIGHBOUR = {"lt": "le", "le": "lt", "gt": "ge", "ge": "gt",
+                 "eq": "ne", "ne": "eq"}
 
 
 @dataclass(frozen=True)
@@ -45,8 +79,9 @@ class FaultDescriptor:
     """One concrete, replayable fault."""
 
     fault_id: str
-    kind: str  # stuck | reg_flip | mem_flip
-    target: str  # signal (net) name or memory name
+    kind: str  # one of FAULT_KINDS or MUTATION_KINDS
+    #: signal (net) name or memory name; a mutant's component or state
+    target: str
     bit: int = 0
     #: stuck-at value (``stuck`` only)
     stuck_value: int = 0
@@ -57,12 +92,14 @@ class FaultDescriptor:
     #: inclusive 1-based cycle window (``reg_flip`` only)
     cycle_lo: int = 1
     cycle_hi: int = 1
+    #: what a mutant changes; ``stuck_control`` reads the dropped
+    #: output and ``wrong_state_order`` the new target from it
     detail: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+        if self.kind not in FAULT_KINDS + MUTATION_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} "
-                             f"(known: {FAULT_KINDS})")
+                             f"(known: {FAULT_KINDS + MUTATION_KINDS})")
         if self.bit < 0:
             raise ValueError(f"bit must be >= 0, got {self.bit}")
         if self.stuck_value not in (0, 1):
@@ -77,8 +114,11 @@ class FaultDescriptor:
             return (f"{self.fault_id}: flip {self.target}[{self.bit}] "
                     f"in state {self.state} "
                     f"cycles [{self.cycle_lo}, {self.cycle_hi}]")
-        return (f"{self.fault_id}: flip {self.target}"
-                f"[{self.word}] bit {self.bit}")
+        if self.kind == "mem_flip":
+            return (f"{self.fault_id}: flip {self.target}"
+                    f"[{self.word}] bit {self.bit}")
+        text = f"{self.fault_id}: {self.kind} @ {self.target}"
+        return f"{text} ({self.detail})" if self.detail else text
 
     def to_dict(self) -> Dict:
         return asdict(self)
@@ -243,3 +283,48 @@ class FaultloadGenerator:
         return FaultDescriptor(
             fault_id=fault_id, kind="mem_flip", target=name,
             bit=rng.randrange(width), word=rng.randrange(depth))
+
+
+def enumerate_mutants(design: Design, *,
+                      limit_per_kind: Optional[int] = None
+                      ) -> List[FaultDescriptor]:
+    """Every applicable single mutant of *design*, kind by kind.
+
+    A mutant's id is its position in the full enumeration (``m00000``
+    on), so it names the same mutant whatever *limit_per_kind* keeps:
+    the first that many mutants of each kind.
+    """
+    config = _single_configuration(design)
+    components = config.datapath.components.values()
+    states = config.fsm.states.values()
+    found = [("const_value", decl.name, f"value {decl.param('value')} ^ 1")
+             for decl in components if decl.type == "const"]
+    found += [("cmp_op", decl.name,
+               f"{decl.type} -> {CMP_NEIGHBOUR[decl.type]}")
+              for decl in components if decl.type in CMP_NEIGHBOUR]
+    found += [("mux_swap", decl.name, "in0 <-> in1")
+              for decl in components
+              if decl.type == "mux" and int(decl.param("inputs", "0")) >= 2]
+    found += [("branch_swap", state.name, "first guard's target <-> default")
+              for state in states if len(state.transitions) >= 2
+              and any(not t.unconditional for t in state.transitions)]
+    found += [("stuck_control", state.name, output)
+              for state in states for output in state.assigns
+              if output != DONE_OUTPUT]
+    order = list(config.fsm.states)
+    for state in states:
+        default = next((t for t in state.transitions if t.unconditional),
+                       None)
+        after = order.index(default.target) + 1 if default else len(order)
+        if after < len(order):
+            found.append(("wrong_state_order", state.name,
+                          f"default {default.target} -> {order[after]}"))
+
+    mutants: List[FaultDescriptor] = []
+    kept: Dict[str, int] = {}
+    for index, (kind, target, detail) in enumerate(found):
+        kept[kind] = kept.get(kind, 0) + 1
+        if limit_per_kind is None or kept[kind] <= limit_per_kind:
+            mutants.append(FaultDescriptor(f"m{index:05d}", kind, target,
+                                           detail=detail))
+    return mutants

@@ -1,6 +1,6 @@
 """How a fault descriptor takes effect inside a simulator.
 
-Two mechanisms, chosen per design at attach time:
+Two mechanisms arm a hardware fault, chosen per design at attach time:
 
 * **Kernel spec** — on a :class:`~repro.sim.compiled.CompiledSimulator`
   (and its traced subclass) the fault is *compiled into* the generated
@@ -21,19 +21,29 @@ Either way the observable semantics are identical for register-output
 targets; :func:`attach_fault` returns a :class:`FaultHandle` whose
 ``mechanism`` records which path was taken.
 
-``mem_flip`` descriptors never reach this module — they mutate memory
-images before the run (see :func:`repro.inject.campaign.apply_mem_flip`).
+``mem_flip`` descriptors never reach :func:`attach_fault` — they mutate
+memory images before the run (see
+:func:`repro.inject.campaign.apply_mem_flip`).  A mutation kind (a
+compiler-bug-shaped fault) takes effect before elaboration instead:
+:func:`mutate_design` edits a copy of the design made through the XML
+dialects, so serialisation is in the loop too, and the copy is
+elaborated on its own.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..compiler.pipeline import Configuration, Design
+from ..hdl.model.rtg import Rtg
+from ..hdl.xmlio.datapath_xml import read_datapath, write_datapath
+from ..hdl.xmlio.fsm_xml import read_fsm, write_fsm
 from ..sim.compiled import CompiledSimulator
 from ..sim.signal import Signal
-from .faultload import FaultDescriptor
+from .faultload import CMP_NEIGHBOUR, FaultDescriptor
 
-__all__ = ["KernelFaultSpec", "FaultHandle", "kernel_spec", "attach_fault"]
+__all__ = ["KernelFaultSpec", "FaultHandle", "kernel_spec", "attach_fault",
+           "mutate_design"]
 
 
 class KernelFaultSpec:
@@ -204,3 +214,66 @@ def attach_fault(design, fault: FaultDescriptor) -> FaultHandle:
 
     sim._cycle_hooks.append(upset)
     return FaultHandle(sim, mechanism="cycle-hook", hook=upset, latch=latch)
+
+
+def _mutate(fault: FaultDescriptor, datapath, fsm) -> None:
+    if fault.kind == "const_value":
+        decl = datapath.components[fault.target]
+        decl.params["value"] = str(int(decl.params["value"], 0) ^ 1)
+    elif fault.kind == "cmp_op":
+        decl = datapath.components[fault.target]
+        decl.type = CMP_NEIGHBOUR[decl.type]
+    elif fault.kind == "mux_swap":
+        lowered = 0
+        for net in datapath.nets.values():
+            for position, sink in enumerate(net.sinks):
+                if sink.component == fault.target and \
+                        sink.port in ("in0", "in1"):
+                    other = "in1" if sink.port == "in0" else "in0"
+                    net.sinks[position] = type(sink)(sink.component, other)
+                    lowered += 1
+        if lowered == 0:
+            raise ValueError(f"mux {fault.target!r} has no in0/in1 sinks")
+    elif fault.kind == "branch_swap":
+        state = fsm.states[fault.target]
+        first = state.transitions[0]
+        default = state.transitions[-1]
+        first.target, default.target = default.target, first.target
+    elif fault.kind == "stuck_control":
+        del fsm.states[fault.target].assigns[fault.detail]
+    elif fault.kind == "wrong_state_order":
+        state = fsm.states[fault.target]
+        default = next(t for t in state.transitions if t.unconditional)
+        default.target = fault.detail.split(" -> ")[1]
+    else:
+        raise ValueError(f"{fault.kind!r} faults are not mutation kinds")
+
+
+def mutate_design(design: Design, fault: FaultDescriptor) -> Design:
+    """A copy of single-configuration *design* with the mutant *fault*.
+
+    The datapath and FSM are copied by writing and reading their XML,
+    then edited; *design* itself is untouched.  Raises
+    :class:`ValueError` (or :class:`KeyError` for a target the design
+    lacks) when the mutant does not apply.
+    """
+    if design.multi_configuration:
+        raise ValueError("fault injection supports single-configuration "
+                         "designs")
+    config = design.configurations[0]
+    datapath = read_datapath(write_datapath(config.datapath))
+    fsm = read_fsm(write_fsm(config.fsm))
+    _mutate(fault, datapath, fsm)
+
+    rtg = Rtg(design.rtg.name)
+    ref = design.rtg.configurations[config.name]
+    rtg.add_configuration(config.name, datapath_file=ref.datapath_file,
+                          fsm_file=ref.fsm_file, datapath=datapath,
+                          fsm=fsm, final=True)
+    for decl in design.rtg.memories.values():
+        rtg.add_memory(decl.name, decl.width, decl.depth, role=decl.role)
+    mutated = Configuration(config.name, datapath, fsm, config.cfg,
+                            config.schedule, config.binding)
+    return Design(design.name, design.word_width, design.arrays,
+                  design.params, [mutated], rtg, design.function,
+                  design.source)

@@ -188,8 +188,12 @@ class _Side:
     def __init__(self, datapath, fsm, rtg, images, *, backend: str,
                  fault=None, fsm_mode: str = "generated",
                  compare_memories: Sequence[str] = ()) -> None:
+        from ..inject.faultload import FAULT_KINDS
         from ..rtg.context import ReconfigurationContext
         from ..translate.to_sim import build_simulation
+        if fault is not None and fault.kind not in FAULT_KINDS:
+            raise TriageError(f"cannot arm a {fault.kind!r} fault: triage "
+                              f"arms the kinds {list(FAULT_KINDS)}")
         if fault is not None and fault.kind == "mem_flip":
             from ..inject.campaign import apply_mem_flip
             apply_mem_flip(images, fault)
@@ -198,7 +202,7 @@ class _Side:
             datapath, fsm, memories=self.context.memories,
             fsm_mode=fsm_mode, backend=backend)
         self.handle = None
-        if fault is not None and fault.kind in ("stuck", "reg_flip"):
+        if fault is not None and fault.kind != "mem_flip":
             from ..inject.hooks import attach_fault
             self.handle = attach_fault(self.design, fault)
         self.backend = backend

@@ -158,6 +158,7 @@ class TestFaultsCommand:
         assert status == 0
         out = capsys.readouterr().out
         assert "fault campaign:" in out
+        assert "killed" in out
 
     def test_unknown_case(self, capsys):
         from repro.cli import main as cli_main
@@ -169,6 +170,13 @@ class TestFaultsCommand:
 
         assert cli_main(["faults", "fdct2"]) == 2
         assert "multiple configurations" in capsys.readouterr().err
+
+
+class TestCampaignCommand:
+    def test_mutation_kinds_are_not_drawn(self, capsys):
+        assert main(["campaign", "threshold", "--kinds", "cmp_op"]) == 2
+        assert "unknown fault kind(s) ['cmp_op']" \
+            in capsys.readouterr().err
 
 
 class TestFuzzCommand:
@@ -341,6 +349,20 @@ class TestTriageCommand:
             run = db.latest_run("triage")
             assert run is not None
             assert run.extra["net"] == "n_tr_img_out_y"
+
+    def test_a_mutant_is_refused(self, tmp_path, capsys):
+        """Triage arms hardware faults only: a mutant would otherwise
+        leave the faulted side fault-free and report agreement."""
+        from repro.inject import FaultDescriptor, save_faultload
+
+        load = save_faultload([FaultDescriptor(
+            fault_id="m", kind="cmp_op", target="u0_lt",
+            detail="lt -> le")], tmp_path / "mutant.json")
+        status = main(["triage", "threshold", "--fault", str(load),
+                       "--out", str(tmp_path / "art")])
+        assert status == 1
+        assert "cannot arm a 'cmp_op' fault" in capsys.readouterr().err
+        assert not (tmp_path / "art").exists()
 
     def test_backend_pair_with_no_divergence(self, tmp_path, capsys):
         status = main(["triage", "threshold", "--against", "event",

@@ -6,6 +6,7 @@ indistinguishable from a fresh compile, must never share objects with
 the next hit, and must miss once the toolchain fingerprint changes.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,11 @@ import repro.core.testsuite as testsuite_module
 from repro.apps import CASE_BUILDERS, suite_case
 from repro.core import kernelcache
 from repro.core.cache import case_key, design_key, structure_key
-from repro.core.faults import run_campaign
 from repro.core.kernelcache import (KernelCache, datapath_digest,
                                     fsm_digest, set_default_cache,
                                     toolchain_fingerprint)
 from repro.core.report import collect_metrics
+from repro.inject import enumerate_mutants, run_campaign
 
 #: the full sizes of benchmarks/test_bench_suite.py
 SIZES_FULL = {
@@ -182,10 +183,12 @@ def test_e5_kill_rates_are_unchanged_on_a_warm_stage(stage, monkeypatch):
     case = suite_case("threshold", n_pixels=32)
 
     def verdicts():
-        result = run_campaign(case.compile(), case.func, case.inputs(1),
-                              sample=8, seed=1, max_cycles=20_000)
+        design = case.compile()
+        mutants = random.Random(1).sample(enumerate_mutants(design), 8)
+        result = run_campaign(design, case.func, mutants, case.inputs(1),
+                              backend="event", max_cycles=20_000)
         return [(v.fault.kind, v.fault.target, v.verdict)
-                for v in result.verdicts]
+                for v in result.results]
 
     cold = verdicts()
     set_default_cache(KernelCache(stage.root))

@@ -1,4 +1,7 @@
-"""Tests for fault injection (qualifying the infrastructure itself)."""
+"""Tests for E5's compiler-bug mutants (qualifying the infrastructure
+itself), which run as mutation kinds of the :mod:`repro.inject` engine."""
+
+import random
 
 import pytest
 
@@ -6,8 +9,8 @@ from repro.apps import (build_hamming, build_threshold, hamming_decode_kernel,
                         hamming_inputs, threshold_inputs, threshold_kernel)
 from repro.compiler import MemorySpec, compile_function
 from repro.core import verify_design
-from repro.core.faults import (CampaignResult, Fault, enumerate_faults,
-                               inject_fault, run_campaign)
+from repro.inject import (FaultDescriptor, enumerate_mutants, mutate_design,
+                          run_campaign)
 
 
 @pytest.fixture(scope="module")
@@ -20,39 +23,43 @@ def inputs():
     return threshold_inputs(64)
 
 
+def _mutant(kind, target, detail=""):
+    return FaultDescriptor("m", kind, target, detail=detail)
+
+
+def _campaign(design, func, inputs, mutants):
+    return run_campaign(design, func, mutants, inputs, backend="event",
+                        max_cycles=200_000)
+
+
 class TestEnumeration:
     def test_covers_all_kinds(self, design):
-        config = design.configurations[0]
-        faults = enumerate_faults(config.datapath, config.fsm)
+        faults = enumerate_mutants(design)
         kinds = {fault.kind for fault in faults}
         assert kinds == {"const_value", "cmp_op", "mux_swap",
                          "branch_swap", "stuck_control",
                          "wrong_state_order"}
 
     def test_limit_per_kind(self, design):
-        config = design.configurations[0]
-        faults = enumerate_faults(config.datapath, config.fsm,
-                                  limit_per_kind=1)
+        faults = enumerate_mutants(design, limit_per_kind=1)
         kinds = [fault.kind for fault in faults]
         assert len(kinds) == len(set(kinds))
 
     def test_done_never_a_stuck_target(self, design):
-        config = design.configurations[0]
-        faults = enumerate_faults(config.datapath, config.fsm)
+        faults = enumerate_mutants(design)
         assert not any(fault.kind == "stuck_control"
                        and fault.detail == "done" for fault in faults)
 
 
 class TestInjection:
     def test_original_design_untouched(self, design, inputs):
-        config = design.configurations[0]
-        fault = Fault("cmp_op", "u0_lt", "lt -> le")
-        inject_fault(design, fault)
+        fault = _mutant("cmp_op", "u0_lt", "lt -> le")
+        mutate_design(design, fault)
         # the original still verifies
         assert verify_design(design, threshold_kernel, inputs).passed
 
     def test_injected_cmp_fault_changes_behaviour(self, design, inputs):
-        mutated = inject_fault(design, Fault("cmp_op", "u0_lt"))
+        mutated = mutate_design(design, _mutant("cmp_op", "u0_lt"))
         assert mutated.configurations[0].datapath \
             .components["u0_lt"].type == "le"
 
@@ -67,11 +74,11 @@ class TestInjection:
 
         two_cfg = compile_function(two, arrays, partition_after=[0])
         with pytest.raises(ValueError, match="single-configuration"):
-            inject_fault(two_cfg, Fault("cmp_op", "u0_lt"))
+            mutate_design(two_cfg, _mutant("cmp_op", "u0_lt"))
 
     def test_unknown_kind_rejected(self, design):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            inject_fault(design, Fault("cosmic_ray", "u0_lt"))
+            mutate_design(design, _mutant("cosmic_ray", "u0_lt"))
 
 
 class TestCampaign:
@@ -81,48 +88,45 @@ class TestCampaign:
                 pixels_out[i] = 1
 
         with pytest.raises(ValueError, match="baseline"):
-            run_campaign(design, wrong, threshold_inputs(64))
+            _campaign(design, wrong, threshold_inputs(64),
+                      enumerate_mutants(design))
 
     def test_majority_of_faults_killed(self, design, inputs):
-        result = run_campaign(design, threshold_kernel, inputs,
-                              max_cycles=200_000)
-        assert result.total > 20
+        result = _campaign(design, threshold_kernel, inputs,
+                           enumerate_mutants(design))
+        assert len(result.results) > 20
         assert result.kill_rate >= 0.7
-        assert "killed" in result.summary()
+        assert "campaign threshold" in result.summary()
 
     def test_specific_faults_detected(self, design, inputs):
         # a loop-bound bug and a swapped branch are must-kills
-        for fault in (Fault("cmp_op", "u0_lt", "lt -> le"),
-                      Fault("branch_swap", "S_for_head_0")):
-            result = run_campaign(design, threshold_kernel, inputs,
-                                  faults=[fault], max_cycles=200_000)
-            assert result.verdicts[0].killed, fault.describe()
+        for fault in (_mutant("cmp_op", "u0_lt", "lt -> le"),
+                      _mutant("branch_swap", "S_for_head_0")):
+            result = _campaign(design, threshold_kernel, inputs, [fault])
+            assert result.results[0].verdict != "masked", fault.describe()
 
     def test_boundary_stimulus_kills_threshold_mutants(self, design):
         """The 128^1 constant and ge->gt survivors are stimulus-masked:
         an image containing the exact threshold value kills them."""
-        boundary_faults = [Fault("const_value", "k1", "value 128 ^ 1"),
-                           Fault("cmp_op", "u1_ge", "ge -> gt")]
+        boundary_faults = [_mutant("const_value", "k1", "value 128 ^ 1"),
+                           _mutant("cmp_op", "u1_ge", "ge -> gt")]
         plain = threshold_inputs(64)
-        weak = run_campaign(design, threshold_kernel, plain,
-                            faults=boundary_faults, max_cycles=200_000)
+        weak = _campaign(design, threshold_kernel, plain, boundary_faults)
         assert weak.kill_rate < 1.0  # masked under generic stimulus
 
         image = plain["pixels_in"].copy()
         image.write(0, 128)  # boundary value present
-        strong = run_campaign(design, threshold_kernel,
-                              {"pixels_in": image},
-                              faults=boundary_faults, max_cycles=200_000)
+        strong = _campaign(design, threshold_kernel, {"pixels_in": image},
+                           boundary_faults)
         assert strong.kill_rate == 1.0
 
     def test_sampling(self, design, inputs):
-        result = run_campaign(design, threshold_kernel, inputs,
-                              sample=5, seed=1, max_cycles=200_000)
-        assert result.total == 5
+        mutants = random.Random(1).sample(enumerate_mutants(design), 5)
+        result = _campaign(design, threshold_kernel, inputs, mutants)
+        assert len(result.results) == 5
 
     def test_hamming_campaign(self):
         design = build_hamming(32)
-        result = run_campaign(design, hamming_decode_kernel,
-                              hamming_inputs(32), limit_per_kind=3,
-                              max_cycles=200_000)
+        result = _campaign(design, hamming_decode_kernel, hamming_inputs(32),
+                           enumerate_mutants(design, limit_per_kind=3))
         assert result.kill_rate >= 0.6

@@ -1,9 +1,13 @@
 """The persistent codegen cache: keys, layers, corruption, digests."""
 
+import copy
 import json
+import pickle
+from dataclasses import replace
 
 import pytest
 
+from repro.apps import suite_case
 from repro.core.kernelcache import (MEMO_ENTRIES, KernelCache,
                                     datapath_digest, default_cache,
                                     digest_parts, fsm_digest,
@@ -232,3 +236,31 @@ class TestDigests:
         before = fsm_digest(fsm)
         fsm.mark_final("s0")
         assert fsm_digest(fsm) != before
+
+    def test_deep_copy_of_a_datapath_drops_the_memo(self):
+        """A deep copy is made to be edited, often directly (as a test
+        that cuts an output memory does): with the source's memo it
+        would bind the kernel cached for the source's depth."""
+        datapath = suite_case("fdct1", pixels=64).compile() \
+            .configurations[0].datapath
+        digest = datapath_digest(datapath)
+        clone = copy.deepcopy(datapath)
+        name, decl = next(iter(clone.memories.items()))
+        clone.memories[name] = replace(decl, depth=decl.depth - 1)
+        assert datapath_digest(clone) != digest
+        assert datapath_digest(datapath) == digest
+        # a pickle keeps it: the design stage's warm path relies on that
+        assert pickle.loads(pickle.dumps(datapath))._digest_memo == digest
+
+    def test_deep_copy_of_an_fsm_drops_the_memo(self):
+        fsm = suite_case("fdct1", pixels=64).compile() \
+            .configurations[0].fsm
+        digest = fsm_digest(fsm)
+        clone = copy.deepcopy(fsm)
+        state = next(state for state in clone.states.values()
+                     if state.transitions)
+        assert state._owner is clone
+        state.transitions[0].target = state.name
+        assert fsm_digest(clone) != digest
+        assert fsm_digest(fsm) == digest
+        assert pickle.loads(pickle.dumps(fsm))._digest_memo == digest

@@ -13,9 +13,10 @@ import repro.sim.compiled as compiled_mod
 from repro.apps import CASE_BUILDERS, suite_case
 from repro.core import verify_design
 from repro.core.kernelcache import KernelCache, set_default_cache
-from repro.inject import (FaultDescriptor, FaultloadGenerator, run_campaign,
-                          run_injection)
+from repro.inject import (FaultDescriptor, FaultloadGenerator,
+                          enumerate_mutants, run_campaign, run_injection)
 from repro.inject import campaign as campaign_mod
+from repro.inject.faultload import MUTATION_KINDS
 from repro.obs.ledger import Ledger
 from repro.translate.to_sim import SimDesign
 
@@ -532,6 +533,64 @@ class TestCheckpoints:
                  if faults[index].kind == "stuck"]
         assert campaign_mod._pool_batches(faults, stuck, 2) \
             == [stuck[:10], stuck[10:]]
+
+
+class TestMutants:
+    """E5's compiler-bug mutants run on the same engine as hardware
+    faults: an elaboration of their own, the campaign's hang budget."""
+
+    def test_runaway_mutant_hangs_at_the_budget(self):
+        case = suite_case("threshold", n_pixels=512)
+        design = case.compile()
+        (mutant,) = [fault for fault in enumerate_mutants(design)
+                     if (fault.kind, fault.target) == ("mux_swap", "mux_i")]
+        report = run_campaign(design, case.func, [mutant], case.inputs(0),
+                              backend="event")
+        (result,) = report.results
+        assert report.cycle_budget == 4 * report.baseline.cycles
+        assert (result.verdict, result.cycles, result.mechanism) \
+            == ("hang", report.cycle_budget, "design")
+        assert result.seconds < 1.0
+
+    def test_a_mutant_that_does_not_apply_is_a_crash(self, threshold):
+        case, design, inputs = threshold
+        ghost = FaultDescriptor("m", "cmp_op", "no_such_comparator")
+        result = run_injection(design, case.func, ghost, inputs)
+        assert result.verdict == "crash"
+        assert result.note.startswith("KeyError")
+
+    @fork_only
+    def test_pool_rows_match_serial(self, threshold):
+        case, design, inputs = threshold
+        mutants = enumerate_mutants(design)
+
+        def rows(jobs):
+            report = run_campaign(design, case.func, mutants, inputs,
+                                  backend="event", jobs=jobs)
+            return [(result.fault.fault_id, result.verdict, result.cycles,
+                     result.note) for result in report.results]
+
+        serial = rows(1)
+        assert len(serial) == len(mutants)
+        assert {row[1] for row in serial} >= {"masked", "sdc", "hang"}
+        assert rows(2) == serial
+
+    def test_pool_batches_chunk_mutants_after_the_hardware_faults(
+            self, threshold):
+        case, design, inputs = threshold
+        hardware = FaultloadGenerator(design, seed=24,
+                                      max_cycle=100).generate(60)
+        faults = hardware + enumerate_mutants(design)
+        pending = list(range(len(faults)))
+        batches = campaign_mod._pool_batches(faults, pending, 2)
+        assert sorted(index for batch in batches for index in batch) \
+            == pending
+        mutant = [{faults[index].kind in MUTATION_KINDS for index in batch}
+                  for batch in batches]
+        assert all(len(flags) == 1 for flags in mutant)  # never mixed
+        flags = [flags.pop() for flags in mutant]
+        assert flags == sorted(flags)  # the hardware faults first
+        assert flags.count(True) > 4  # mutants come in small chunks
 
 
 class TestTimeBudget:

@@ -4,8 +4,9 @@ import pytest
 
 from repro.apps import suite_case
 from repro.inject import (FaultDescriptor, FaultloadGenerator,
-                          load_faultload, output_adjacent_nets,
-                          save_faultload)
+                          enumerate_mutants, load_faultload,
+                          output_adjacent_nets, save_faultload)
+from repro.inject.faultload import FAULT_KINDS, MUTATION_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,14 @@ class TestGenerator:
         with pytest.raises(ValueError, match="unknown fault kind"):
             generator.generate(1, kinds=("cosmic",))
 
+    def test_never_draws_a_mutation_kind(self, design):
+        generator = FaultloadGenerator(design, seed=2, max_cycle=100)
+        assert {fault.kind for fault in generator.generate(60)} \
+            == set(FAULT_KINDS)
+        for kind in MUTATION_KINDS:
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                generator.generate(1, kinds=(kind,))
+
     def test_windows_respect_max_cycle(self, design):
         faults = FaultloadGenerator(design, seed=3, max_cycle=50) \
             .generate(30, kinds=("reg_flip",))
@@ -76,6 +85,24 @@ class TestGenerator:
                 assert fault.target in design.arrays
             else:
                 assert fault.target in datapath.nets
+
+
+class TestMutants:
+    def test_ids_follow_the_full_enumeration(self, design):
+        mutants = enumerate_mutants(design)
+        assert [fault.fault_id for fault in mutants] \
+            == [f"m{index:05d}" for index in range(len(mutants))]
+        limited = enumerate_mutants(design, limit_per_kind=1)
+        assert [fault.kind for fault in limited] == list(MUTATION_KINDS)
+        assert all(fault in mutants for fault in limited)
+
+    def test_round_trip_and_describe(self, design, tmp_path):
+        mutants = enumerate_mutants(design)
+        path = save_faultload(mutants, tmp_path / "mutants.json")
+        assert load_faultload(path) == mutants
+        cmp_op = next(fault for fault in mutants if fault.kind == "cmp_op")
+        assert cmp_op.describe() == \
+            f"{cmp_op.fault_id}: cmp_op @ u0_lt (lt -> le)"
 
 
 class TestSerialisation:

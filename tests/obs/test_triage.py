@@ -17,6 +17,7 @@ from repro.obs import (attach_to_ledger, render_triage_html,
                        triage_backends, triage_fault, triage_fuzz_entry)
 from repro.obs.dashboard import export_prometheus, render_dashboard
 from repro.obs.ledger import Ledger
+from repro.obs.triage import TriageError
 
 BACKENDS = ("event", "compiled", "traced")
 #: output-adjacent fdct1 net: the final transfer into the img_out write
@@ -94,6 +95,14 @@ def test_healthy_pair_reports_no_divergence(fdct1):
     assert result.record.mode == "none"
     assert result.record.suspects == []
     assert "agree" in result.record.detail
+
+
+def test_a_fault_it_cannot_arm_is_refused():
+    case = suite_case("threshold", n_pixels=32)
+    mutant = FaultDescriptor(fault_id="m", kind="cmp_op", target="u0_lt",
+                             detail="lt -> le")
+    with pytest.raises(TriageError, match="'cmp_op'"):
+        triage_fault(case.compile(), case.func, mutant, case.inputs(0))
 
 
 def test_record_round_trips_through_json(planted):
