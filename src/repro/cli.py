@@ -834,12 +834,12 @@ def _cmd_faults(args) -> int:
     report = run_campaign(design, case.func, mutants, inputs,
                           app=args.case, backend="event", seed=args.seed,
                           max_cycles=2_000_000)
-    masked = report.tally()["masked"]
-    print(f"fault campaign: {len(report.results) - masked}/"
-          f"{len(report.results)} killed ({report.kill_rate:.0%})")
+    print(f"fault campaign: {report.killed}/{len(report.results)} killed "
+          f"({report.kill_rate:.0%})")
     print(report.summary())
     for result in report.results:
         print(f"  [{result.verdict:^6}] {result.fault.describe()}")
+    masked = report.tally()["masked"]
     if masked:
         print(f"\n{masked} survivor(s) — equivalent or stimulus-masked "
               f"mutants; consider boundary-value stimuli")

@@ -26,7 +26,7 @@ and stops as soon as its window closes without it striking (see
 so it gets an elaboration of its own, runs under the same hang budget
 and is compared on every array, as the fault-free run is.  Mutation
 testing counts a mutant killed when its verdict is anything but
-``masked`` (:attr:`CampaignReport.kill_rate`).
+``masked`` (:attr:`CampaignReport.killed`).
 
 :func:`run_campaign` runs on the same :class:`~repro.util.pool.ForkPool`
 as the test suite: the design, its elaboration, golden images and
@@ -55,7 +55,7 @@ from ..sim.errors import SimulationTimeout
 from ..translate.to_sim import build_simulation
 from ..util.files import MemoryImage, compare_images
 from ..util.pool import ForkPool
-from .faultload import MUTATION_KINDS, FaultDescriptor
+from .faultload import FAULT_KINDS, MUTATION_KINDS, FaultDescriptor
 from .hooks import attach_fault, mutate_design
 
 __all__ = ["InjectionResult", "CampaignReport", "apply_mem_flip",
@@ -120,13 +120,16 @@ class CampaignReport:
         return table
 
     @property
+    def killed(self) -> int:
+        """Classified faults that are not ``masked``: the mutants the
+        golden comparison kills."""
+        return len(self.results) - self.tally()["masked"]
+
+    @property
     def kill_rate(self) -> float:
-        """Share of the classified faults that are not ``masked`` (1.0
-        when none ran): how many mutants the golden comparison kills."""
-        if not self.results:
-            return 1.0
-        return (len(self.results) - self.tally()["masked"]) \
-            / len(self.results)
+        """:attr:`killed` as a share of the classified faults (1.0 when
+        none ran)."""
+        return self.killed / len(self.results) if self.results else 1.0
 
     @property
     def hang_reproducers(self) -> List[FaultDescriptor]:
@@ -474,8 +477,8 @@ def _pool_batches(faults: Sequence[FaultDescriptor], pending: List[int],
     """
     share = max(1, -(-len(pending) // workers))
     batches: List[List[int]] = []
-    for kinds, chunked in ((("stuck",), False), (("reg_flip",), False),
-                           (("mem_flip",), True), (MUTATION_KINDS, True)):
+    groups = [((kind,), kind == "mem_flip") for kind in FAULT_KINDS]
+    for kinds, chunked in groups + [(MUTATION_KINDS, True)]:
         group = [index for index in pending if faults[index].kind in kinds]
         size = max(1, len(group) // (workers * 4)) if chunked else share
         batches += [group[at:at + size]

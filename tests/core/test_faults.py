@@ -6,7 +6,9 @@ import random
 import pytest
 
 from repro.apps import (build_hamming, build_threshold, hamming_decode_kernel,
-                        hamming_inputs, threshold_inputs, threshold_kernel)
+                        hamming_inputs, suite_case, threshold_inputs,
+                        threshold_kernel)
+from repro.cli import SUITE_SIZES, main
 from repro.compiler import MemorySpec, compile_function
 from repro.core import verify_design
 from repro.inject import (FaultDescriptor, enumerate_mutants, mutate_design,
@@ -79,6 +81,9 @@ class TestInjection:
     def test_unknown_kind_rejected(self, design):
         with pytest.raises(ValueError, match="unknown fault kind"):
             mutate_design(design, _mutant("cosmic_ray", "u0_lt"))
+        # a hardware fault kind is known to the descriptor but no mutant
+        with pytest.raises(ValueError, match="not mutation kinds"):
+            mutate_design(design, FaultDescriptor("m", "stuck", "u0_lt"))
 
 
 class TestCampaign:
@@ -120,10 +125,19 @@ class TestCampaign:
                            boundary_faults)
         assert strong.kill_rate == 1.0
 
-    def test_sampling(self, design, inputs):
-        mutants = random.Random(1).sample(enumerate_mutants(design), 5)
-        result = _campaign(design, threshold_kernel, inputs, mutants)
-        assert len(result.results) == 5
+    def test_sampling(self, capsys):
+        # `repro faults --sample` draws from the full enumeration with
+        # the `--seed` RNG
+        case = suite_case("threshold", **SUITE_SIZES["threshold"])
+        drawn = random.Random(1).sample(enumerate_mutants(case.compile()),
+                                        5)
+        assert main(["faults", "threshold", "--sample", "5",
+                     "--seed", "1"]) == 0
+        rows = [line.split("] ", 1)[1]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  [")]
+        assert len(rows) == 5
+        assert rows == [fault.describe() for fault in drawn]
 
     def test_hamming_campaign(self):
         design = build_hamming(32)

@@ -540,7 +540,9 @@ class TestMutants:
     faults: an elaboration of their own, the campaign's hang budget."""
 
     def test_runaway_mutant_hangs_at_the_budget(self):
-        case = suite_case("threshold", n_pixels=512)
+        # at 64 px the budget is 4x the baseline; at 32 px the
+        # 1000-cycle floor would set it
+        case = suite_case("threshold", n_pixels=64)
         design = case.compile()
         (mutant,) = [fault for fault in enumerate_mutants(design)
                      if (fault.kind, fault.target) == ("mux_swap", "mux_i")]
