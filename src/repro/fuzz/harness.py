@@ -305,8 +305,9 @@ def run_campaign(iterations: int, *, seed: int = 0, jobs: int = 1,
     started = time.perf_counter()
 
     state = (config, tuple(backends), max_cycles, input_seed, coverage)
-    # seeds go to the pool in waves, so a campaign stopped by its budget
-    # leaves at most one wave of seeds to cancel
+    # the pool hands a seed only to an idle worker, so a budget stop
+    # waits only for the seeds in flight; the waves bound how many seeds
+    # one map lists (the nightly asks for 1,000,000)
     wave = max(jobs * 8, 16)
     waves = (range(seed + at, seed + min(at + wave, iterations))
              for at in range(0, iterations, wave))

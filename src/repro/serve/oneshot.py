@@ -5,8 +5,8 @@ interpreter, imports the whole toolchain, compiles, simulates,
 verifies, prints the result payload and exits — exactly what a naive
 "shell out per verification" integration pays for every job.  The
 serve bench spawns this per job to measure the baseline its warm
-daemon is compared against; both paths execute the identical
-:func:`repro.core.testsuite.run_case`, so the speedup is all
+daemon is compared against; both paths run a single job through the
+identical :func:`repro.serve.workers.run_job`, so the speedup is all
 amortization (interpreter boot, imports, codegen cache warmth), not a
 different code path.
 """
@@ -17,23 +17,7 @@ import json
 import sys
 from typing import List, Optional
 
-from ..core.cache import result_to_payload
-from ..core.testsuite import CaseResult, run_case
-from .jobs import JobError, JobSpec, resolve_job
-
-
-def run_oneshot(job: dict) -> dict:
-    """Execute one job spec dict; returns the result payload."""
-    try:
-        spec = JobSpec.from_dict(job)
-        resolved = resolve_job(spec)
-    except JobError as exc:
-        name = job.get("case", "?") if isinstance(job, dict) else "?"
-        return result_to_payload(
-            CaseResult(str(name), None, None, 0.0, error=str(exc)))
-    result = run_case(resolved.case, seed=spec.seed,
-                      fsm_mode=spec.fsm_mode, backend=spec.backend)
-    return result_to_payload(result)
+from .workers import run_job
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -44,7 +28,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(json.dumps({"error": f"bad job JSON: {exc}"}))
         return 2
-    payload = run_oneshot(job)
+    payload = run_job(job)
     print(json.dumps(payload, sort_keys=True))
     failed = payload.get("error") is not None \
         or payload.get("verification") is None \

@@ -23,6 +23,16 @@ the same deque into one batched dispatch, which the worker runs on the
 jobs' own backend, one after another on one elaboration per
 configuration.
 
+The workers come from a :class:`~repro.util.pool.ForkPool` (the one
+the batch runners use): the scheduler forks one per shard, sends each
+dispatch as the pool task ``(workers.execute_jobs, specs)`` and reads
+the replies from the event loop.  A worker that dies is forked again
+and its jobs go back to the front of its deque, up to ``max_respawns``
+deaths per worker; past that budget its jobs, and once no worker is
+left every queued and later job, resolve to an error payload.  Workers
+ignore SIGINT and exit when the daemon closes their pipes at shutdown,
+or as soon as it is gone, even by SIGKILL.
+
 Results are finalized in the parent: futures resolve, passing payloads
 enter the memo, singly-executed passes are written to the artifact
 cache (batched lanes are memo-only — their ``simulation_seconds`` is a
@@ -55,8 +65,9 @@ from ..core.cache import ArtifactCache, result_to_payload
 from ..core.testsuite import CaseResult
 from ..obs.metrics import Histogram, render_prometheus_histogram
 from ..obs.trace import start_span
+from ..util.pool import ForkPool
+from . import workers
 from .jobs import JobError, JobSpec, ResolvedJob, resolve_job
-from .workers import worker_main
 
 __all__ = ["ServeScheduler", "Submission"]
 
@@ -136,17 +147,6 @@ class _Queued:
         return self.resolved.group
 
 
-class _Worker:
-    __slots__ = ("index", "process", "conn", "dispatch")
-
-    def __init__(self, index: int, process, conn) -> None:
-        self.index = index
-        self.process = process
-        self.conn = conn
-        #: jobs currently executing on this worker (None = idle)
-        self.dispatch: Optional[List[_Queued]] = None
-
-
 class ServeScheduler:
     """Owns the worker pool and every scheduling decision."""
 
@@ -168,12 +168,12 @@ class ServeScheduler:
         self.cache = cache
         self.max_respawns = max_respawns
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._workers: List[_Worker] = []
+        #: a worker's ``task`` is the list of jobs it is executing
+        self._pool = ForkPool(jobs, None)
         self._deques: List[Deque[_Queued]] = [deque()
                                               for _ in range(jobs)]
         self._inflight: Dict[str, _Queued] = {}
         self._memo: Dict[str, dict] = {}
-        self._dispatch_seq = 0
         self._started: Optional[float] = None
         self._respawns = 0
         self._kick_scheduled = False
@@ -196,25 +196,8 @@ class ServeScheduler:
             self._spawn(index)
 
     def _spawn(self, index: int) -> None:
-        context = multiprocessing.get_context("fork")
-        parent_conn, child_conn = context.Pipe()
-        # the parent-side ends the child inherits, its own included; it
-        # closes them, so a daemon killed outright leaves it at EOF
-        inherited = [parent_conn] + [worker.conn
-                                     for worker in self._workers]
-        process = context.Process(target=worker_main,
-                                  args=(child_conn, inherited),
-                                  daemon=True,
-                                  name=f"repro-serve-w{index}")
-        process.start()
-        child_conn.close()
-        worker = _Worker(index, process, parent_conn)
-        if index < len(self._workers):
-            self._workers[index] = worker
-        else:
-            self._workers.append(worker)
-        self._loop.add_reader(parent_conn.fileno(),
-                              self._on_readable, worker)
+        conn = self._pool.fork(index).conn
+        self._loop.add_reader(conn.fileno(), self._on_readable, index)
 
     async def shutdown(self) -> None:
         """Drain every in-flight job, then stop the workers."""
@@ -223,26 +206,10 @@ class ServeScheduler:
                        for future in queued.futures]
             await asyncio.gather(*futures, return_exceptions=True)
         self._closed = True
-        for worker in self._workers:
-            if worker.process is None:
-                continue
-            try:
+        for worker in self._pool.workers:
+            if not worker.conn.closed:
                 self._loop.remove_reader(worker.conn.fileno())
-            except (ValueError, OSError):
-                pass
-            try:
-                worker.conn.send(("exit",))
-            except (BrokenPipeError, OSError):
-                pass
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            worker.process.join(timeout=10)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5)
-            worker.process = None
+        self._pool.close()
 
     # -- submission -----------------------------------------------------
     def submit(self, spec: Union[JobSpec, dict]) -> Submission:
@@ -371,12 +338,16 @@ class ServeScheduler:
 
     # -- dispatch / stealing / batching ---------------------------------
     def _dispatch_all(self) -> None:
-        for worker in self._workers:
-            if worker.process is None or worker.dispatch is not None:
-                continue
-            batch = self._take_work(worker.index)
-            if batch:
-                self._send(worker, batch)
+        for index, worker in enumerate(self._pool.workers):
+            if not worker.conn.closed and worker.task is None:
+                batch = self._take_work(index)
+                if batch:
+                    self._send(index, batch)
+        if all(worker.conn.closed for worker in self._pool.workers):
+            # the respawn budget is spent and no worker is left
+            for shard in self._deques:
+                while shard:
+                    self._fail(shard.popleft())
 
     def _take_work(self, index: int) -> List[_Queued]:
         source = self._deques[index]
@@ -410,9 +381,9 @@ class ServeScheduler:
                     self.counters["stolen_jobs"] += len(matches)
         return batch
 
-    def _send(self, worker: _Worker, batch: List[_Queued]) -> None:
-        worker.dispatch = batch
-        self._dispatch_seq += 1
+    def _send(self, index: int, batch: List[_Queued]) -> None:
+        worker = self._pool.workers[index]
+        worker.task = batch
         now = time.perf_counter()
         self.histograms["batch_size"].observe(len(batch))
         specs = []
@@ -420,7 +391,7 @@ class ServeScheduler:
             self.histograms["queue_wait_seconds"].observe(
                 now - queued.enqueued_at)
             if queued.queue_span is not None:
-                queued.queue_span.set("worker", worker.index)
+                queued.queue_span.set("worker", index)
                 queued.queue_span.finish()
                 queued.queue_span = None
             spec_dict = queued.spec.to_dict()
@@ -431,9 +402,9 @@ class ServeScheduler:
                 spec_dict["trace"] = queued.span.context
             specs.append(spec_dict)
         try:
-            worker.conn.send(("run", self._dispatch_seq, specs))
-        except (BrokenPipeError, OSError):
-            self._on_worker_death(worker)
+            worker.conn.send((workers.execute_jobs, specs))
+        except OSError:
+            self._on_worker_death(index)
             return
         self.counters["dispatches"] += 1
         self.counters["executed"] += len(batch)
@@ -442,25 +413,20 @@ class ServeScheduler:
             self.counters["batched_jobs"] += len(batch)
 
     # -- results --------------------------------------------------------
-    def _on_readable(self, worker: _Worker) -> None:
+    def _on_readable(self, index: int) -> None:
+        worker = self._pool.workers[index]
         try:
             while worker.conn.poll():
-                message = worker.conn.recv()
-                self._handle_message(worker, message)
+                ok, entries = worker.conn.recv()
+                if not ok:  # execute_jobs raised: handled as a dead worker
+                    raise EOFError(entries)
+                batch, worker.task = worker.task or [], None
+                for queued, entry in zip(batch, entries):
+                    self._finalize(queued, entry)
         except (EOFError, OSError):
-            self._on_worker_death(worker)
+            self._on_worker_death(index)
             return
         self._dispatch_all()
-
-    def _handle_message(self, worker: _Worker, message) -> None:
-        if not isinstance(message, tuple) or not message \
-                or message[0] != "done":
-            return
-        _, _dispatch_id, entries = message
-        batch = worker.dispatch or []
-        worker.dispatch = None
-        for queued, entry in zip(batch, entries):
-            self._finalize(queued, entry)
 
     def _finalize(self, queued: _Queued, entry: dict) -> None:
         payload = entry["payload"]
@@ -504,39 +470,35 @@ class ServeScheduler:
             if not future.done():
                 future.set_result(payload)
 
-    def _on_worker_death(self, worker: _Worker) -> None:
-        if worker.process is None:
+    def _on_worker_death(self, index: int) -> None:
+        worker = self._pool.workers[index]
+        if worker.conn.closed:
             return
-        try:
-            self._loop.remove_reader(worker.conn.fileno())
-        except (ValueError, OSError):
-            pass
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
+        self._loop.remove_reader(worker.conn.fileno())
+        worker.conn.close()
         worker.process.join(timeout=5)
-        worker.process = None
-        orphans = worker.dispatch or []
-        worker.dispatch = None
+        orphans, worker.task = worker.task or [], None
         self._respawns += 1
         self.counters["respawns"] += 1
         if self._closed or self._respawns > self.max_respawns * self.jobs:
-            # give up: fail the orphans instead of looping a crash
+            # give up: fail the orphans instead of looping a crash; once
+            # no worker is left, a dispatch pass fails the queued jobs
             for queued in orphans:
-                payload = result_to_payload(CaseResult(
-                    queued.spec.case, None, None, 0.0,
-                    error="serve worker died and respawn budget is "
-                          "exhausted"))
-                self._finalize(queued, {"payload": payload,
-                                        "batch_size": 1})
+                self._fail(queued)
+            self._kick()
             return
         # put the interrupted jobs back at the front of their shard's
         # deque (they were next in line) and bring up a replacement
         for queued in reversed(orphans):
-            self._deques[worker.index].appendleft(queued)
-        self._spawn(worker.index)
+            self._deques[index].appendleft(queued)
+        self._spawn(index)
         self._kick()
+
+    def _fail(self, queued: _Queued) -> None:
+        payload = result_to_payload(CaseResult(
+            queued.spec.case, None, None, 0.0,
+            error="serve worker died and respawn budget is exhausted"))
+        self._finalize(queued, {"payload": payload, "batch_size": 1})
 
     # -- memo / accounting ----------------------------------------------
     def _remember(self, key: str, payload: dict) -> None:

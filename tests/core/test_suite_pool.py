@@ -1,10 +1,10 @@
 """Regression tests for worker-failure reporting in the parallel suite.
 
 Before the fix, an exception escaping a pool worker surfaced in the
-parent as an opaque ``BrokenProcessPool`` with the worker's traceback
-lost.  Now every task error folds into an error :class:`CaseResult`
-carrying the original traceback, and a genuinely dead worker (hard
-crash) raises a ``RuntimeError`` naming the cases that were in flight
+parent as an opaque pool error with the worker's traceback lost.  Now
+every task error folds into an error :class:`CaseResult` carrying the
+original traceback, and a genuinely dead worker (hard crash) raises a
+``RuntimeError`` naming the cases that were in flight
 (``tests/util/test_pool.py`` checks that for every runner).
 """
 

@@ -310,7 +310,7 @@ class TestWorkerRespawn:
             await scheduler.start()
             first = scheduler.submit(dict(TINY))
             await first.future
-            victim = scheduler._workers[0].process
+            victim = scheduler._pool.workers[0].process
             os.kill(victim.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10
             while scheduler.counters["respawns"] == 0:
@@ -325,3 +325,28 @@ class TestWorkerRespawn:
         scheduler, payload = run(go())
         assert payload_passed(payload)
         assert scheduler.stats()["respawns"] == 1
+
+    def test_spent_budget_fails_new_work_instead_of_hanging(self):
+        """With no respawn left and no live worker, a job submitted
+        later resolves to the error the dead worker's jobs get, and
+        shutdown returns."""
+        async def go():
+            scheduler = ServeScheduler(jobs=1, max_respawns=0)
+            await scheduler.start()
+            await scheduler.submit(dict(TINY)).future
+            os.kill(scheduler._pool.workers[0].process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while scheduler.counters["respawns"] == 0:
+                if time.monotonic() > deadline:
+                    raise TimeoutError("worker death never noticed")
+                await asyncio.sleep(0.05)
+            again = scheduler.submit({**TINY, "seed": 5})
+            payload = await asyncio.wait_for(again.future, 10)
+            await asyncio.wait_for(scheduler.shutdown(), 10)
+            return scheduler, again, payload
+
+        scheduler, again, payload = run(go())
+        assert again.served == "queued"
+        assert payload["case"] == "threshold"
+        assert "respawn budget is exhausted" in payload["error"]
+        assert scheduler.stats()["failed"] == 1
