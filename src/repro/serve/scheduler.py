@@ -28,10 +28,11 @@ the batch runners use): the scheduler forks one per shard, sends each
 dispatch as the pool task ``(workers.execute_jobs, specs)`` and reads
 the replies from the event loop.  A worker that dies is forked again
 and its jobs go back to the front of its deque, up to ``max_respawns``
-deaths per worker; past that budget its jobs, and once no worker is
+times ``jobs`` deaths; past that budget its jobs, and once no worker is
 left every queued and later job, resolve to an error payload.  Workers
-ignore SIGINT and exit when the daemon closes their pipes at shutdown,
-or as soon as it is gone, even by SIGKILL.
+ignore SIGINT; they exit when the daemon closes their pipes at
+shutdown, or at their next read of the pipe once the daemon is gone,
+even by SIGKILL.
 
 Results are finalized in the parent: futures resolve, passing payloads
 enter the memo, singly-executed passes are written to the artifact
