@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import payload_passed
 from repro.obs.metrics import Histogram
 from repro.serve import ServeClient, ServeDaemon, ServeScheduler, \
     wait_for_socket
@@ -88,12 +89,6 @@ def _workload(catalog):
             for _ in range(REQUESTS)]
 
 
-def _payload_passed(payload):
-    v = payload.get("verification")
-    return payload.get("error") is None and v is not None \
-        and all(not c["mismatches"] for c in v["checks"])
-
-
 # ----------------------------------------------------------------------
 # The two contenders
 # ----------------------------------------------------------------------
@@ -111,7 +106,7 @@ def _measure_oneshot(jobs):
             env=env, capture_output=True, text=True, timeout=600)
         durations.append(time.perf_counter() - start)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert _payload_passed(json.loads(proc.stdout))
+        assert payload_passed(json.loads(proc.stdout))
     return sum(durations) / len(durations)
 
 
@@ -140,7 +135,7 @@ def _measure_server(tmp_path, jobs_level, workload):
             for event in client.results(len(workload)):
                 arrived = time.perf_counter()
                 latency.observe(arrived - submitted_at[event["id"]])
-                assert _payload_passed(event["result"]), event
+                assert payload_passed(event["result"]), event
             wall = time.perf_counter() - start
             stats = client.status()
             client.shutdown()
@@ -170,7 +165,7 @@ def _prewarm(catalog):
         return payloads
 
     for payload in asyncio.run(go()):
-        assert _payload_passed(payload)
+        assert payload_passed(payload)
 
 
 # ----------------------------------------------------------------------

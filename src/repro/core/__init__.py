@@ -7,8 +7,8 @@
 * :class:`TestInfrastructure`, the one-object façade
 """
 
-from .cache import (ArtifactCache, case_key, result_from_payload,
-                    result_to_payload, structure_key)
+from .cache import (ArtifactCache, case_key, payload_passed,
+                    result_from_payload, result_to_payload, structure_key)
 from .flow import Flow, FlowReport, FlowStage, StageResult, standard_flow
 from .infrastructure import TestInfrastructure
 from .report import (ConfigurationMetrics, DesignMetrics, collect_metrics,
@@ -18,16 +18,18 @@ from .stimulus import (load_stimulus_files, ramp_image, random_words,
 from .testsuite import (CaseResult, SuiteCase, SuiteReport, TestSuite,
                         run_case)
 from .verification import (BatchVerificationResult, MemoryCheck,
-                           VerificationResult, prepare_images,
+                           VerificationResult, check_memories,
+                           golden_reference, prepare_images,
                            verify_design, verify_design_batch)
 
 __all__ = [
     "TestInfrastructure",
     "verify_design", "VerificationResult", "MemoryCheck", "prepare_images",
     "verify_design_batch", "BatchVerificationResult",
+    "golden_reference", "check_memories",
     "TestSuite", "SuiteCase", "SuiteReport", "CaseResult", "run_case",
     "ArtifactCache", "case_key", "structure_key",
-    "result_to_payload", "result_from_payload",
+    "result_to_payload", "result_from_payload", "payload_passed",
     "Flow", "FlowStage", "FlowReport", "StageResult", "standard_flow",
     "collect_metrics", "format_table", "DesignMetrics",
     "ConfigurationMetrics",

@@ -32,7 +32,7 @@ from .report import ConfigurationMetrics, DesignMetrics
 from .verification import MemoryCheck, VerificationResult
 
 __all__ = ["ArtifactCache", "case_key", "structure_key", "design_key",
-           "result_to_payload", "result_from_payload"]
+           "result_to_payload", "result_from_payload", "payload_passed"]
 
 #: bump when the layout of :func:`result_to_payload` changes
 _PAYLOAD_VERSION = 2
@@ -172,6 +172,14 @@ def result_to_payload(result) -> dict:
             "state_coverage": m.state_coverage,
         }
     return payload
+
+
+def payload_passed(payload: dict) -> bool:
+    """Verdict of a :func:`result_to_payload` payload without rebuilding
+    the result: no error, and no mismatch in any check."""
+    v = payload.get("verification")
+    return payload.get("error") is None and v is not None \
+        and all(not check["mismatches"] for check in v["checks"])
 
 
 def result_from_payload(payload: dict, *, cached: bool = False):

@@ -12,6 +12,10 @@ one.  :func:`standard_flow` assembles the canonical Figure 1 pipeline:
 7. ``simulate``     — reload XML from disk, elaborate, run to done
 8. ``compare``      — word-level comparison of memory contents
 
+Stages 6 and 8 are the verification oracle
+(:func:`~repro.core.verification.golden_reference` and
+:func:`~repro.core.verification.check_memories`).
+
 Stage 7 deliberately reloads the XML bundle instead of reusing the
 in-memory Design: the flow then exercises the same path a compiler user
 does (compiler output files in, verdict out).
@@ -27,7 +31,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 from ..compiler.partitioning import SPILL_MEMORY
 from ..compiler.pipeline import compile_function
 from ..compiler.spec import MemorySpec
-from ..golden.runner import run_golden
 from ..hdl.xmlio.rtg_xml import load_rtg_bundle
 from ..obs.coverage import CoverageCollector
 from ..obs.trace import span
@@ -35,9 +38,9 @@ from ..rtg.context import ReconfigurationContext
 from ..rtg.executor import RtgExecutor
 from ..translate.engine import translate
 from ..translate.to_python import fsm_to_python, rtg_to_python
-from ..util.files import MemoryImage, compare_images
+from ..util.files import MemoryImage
 from .stimulus import write_stimulus_files
-from .verification import MemoryCheck, prepare_images
+from .verification import check_memories, golden_reference, prepare_images
 
 __all__ = ["FlowStage", "StageResult", "FlowReport", "Flow",
            "standard_flow"]
@@ -177,13 +180,7 @@ def standard_flow(func: Callable,
         return f"{len(stimulus)} memory file(s)"
 
     def stage_golden(ctx: Dict[str, Any]) -> str:
-        design = ctx["design"]
-        specs = {name: spec for name, spec in design.arrays.items()
-                 if name != SPILL_MEMORY}
-        golden = {name: image.copy()
-                  for name, image in ctx["images"].items()
-                  if name != SPILL_MEMORY}
-        run_golden(func, specs, golden, design.params)
+        _, golden = golden_reference(ctx["design"], func, inputs)
         ctx["golden_images"] = golden
         return f"{len(golden)} memory(ies)"
 
@@ -205,15 +202,8 @@ def standard_flow(func: Callable,
                 f"{result.reconfigurations} reconfiguration(s)")
 
     def stage_compare(ctx: Dict[str, Any]) -> str:
-        design = ctx["design"]
-        checks: List[MemoryCheck] = []
-        for name, spec in design.arrays.items():
-            if name == SPILL_MEMORY:
-                continue
-            mismatches = compare_images(ctx["golden_images"][name],
-                                        ctx["hw_images"][name], limit=32)
-            checks.append(MemoryCheck(name, spec.role, spec.depth,
-                                      mismatches))
+        checks = check_memories(ctx["design"], ctx["golden_images"],
+                                ctx["hw_images"])
         ctx["checks"] = checks
         ctx["passed"] = all(check.passed for check in checks)
         failing = [check.memory for check in checks if not check.passed]

@@ -5,6 +5,15 @@ algorithm in software and the compiled hardware in simulation over the
 same memory contents, then compare data word by word.  Any divergence —
 a scheduling race, a mis-bound mux, a broken optimization pass — shows
 up as a concrete address/expected/actual triple.
+
+The oracle is two functions, and every entry point that checks hardware
+against software calls them: the suite and the daemon
+(:func:`verify_design`, :func:`verify_design_batch`), fault campaigns,
+the fuzzer, triage and the automated flow.  :func:`golden_reference`
+prepares the start images and runs golden on copies of them;
+:func:`check_memories` compares the hardware's final images with
+golden's on every array but the compiler's spill memory, or on the
+output arrays only.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 
 from ..compiler.partitioning import SPILL_MEMORY
 from ..compiler.pipeline import Design
+from ..compiler.spec import MemorySpec
 from ..golden.runner import run_golden
 from ..obs.coverage import CoverageCollector, CoverageReport
 from ..obs.trace import span
@@ -27,7 +37,9 @@ from ..util.files import MemoryImage, MemoryMismatch, compare_images
 
 __all__ = ["MemoryCheck", "VerificationResult", "verify_design",
            "BatchVerificationResult", "verify_design_batch",
-           "prepare_images"]
+           "prepare_images", "golden_reference", "check_memories"]
+
+Inputs = Optional[Mapping[str, Union[MemoryImage, Sequence[int]]]]
 
 
 @dataclass
@@ -92,9 +104,7 @@ class VerificationResult:
 
 
 def prepare_images(design: Design,
-                   inputs: Optional[Mapping[str, Union[MemoryImage,
-                                                       Sequence[int]]]] = None
-                   ) -> Dict[str, MemoryImage]:
+                   inputs: Inputs = None) -> Dict[str, MemoryImage]:
     """Fresh images for every design memory, filled from *inputs*.
 
     *inputs* values may be :class:`MemoryImage` (copied) or plain word
@@ -128,25 +138,54 @@ def prepare_images(design: Design,
     return images
 
 
-def _checks(array_specs, golden_images, context, compare: str,
-            mismatch_limit: int) -> List[MemoryCheck]:
-    """Compare *context*'s memories with the golden images, word by
-    word: every array, or only output arrays for ``"outputs"``."""
-    checks: List[MemoryCheck] = []
-    for name, spec in array_specs.items():
-        if compare == "outputs" and spec.role != "output":
-            continue
-        mismatches = compare_images(golden_images[name],
-                                    context.memory(name),
-                                    limit=mismatch_limit)
-        checks.append(MemoryCheck(name, spec.role, words=spec.depth,
-                                  mismatches=mismatches))
-    return checks
+def _compared(design: Design, compare: str) -> Dict[str, MemorySpec]:
+    """The arrays the oracle checks: every one but the spill memory for
+    ``"all"``, the ``role="output"`` ones for ``"outputs"``."""
+    if compare not in ("all", "outputs"):
+        raise ValueError(f"compare must be 'all' or 'outputs', got {compare!r}")
+    return {name: spec for name, spec in design.arrays.items()
+            if name != SPILL_MEMORY
+            and (compare == "all" or spec.role == "output")}
 
 
-def verify_design(design: Design, func: Callable,
-                  inputs: Optional[Mapping[str, Union[MemoryImage,
-                                                      Sequence[int]]]] = None,
+def golden_reference(design: Design, func: Callable, inputs: Inputs = None
+                     ) -> Tuple[Dict[str, MemoryImage],
+                                Dict[str, MemoryImage]]:
+    """Run *func* in software on *design*'s start images.
+
+    Returns ``(start, golden)``: *start* holds a fresh image of every
+    array, spill memory included, filled from *inputs* as
+    :func:`prepare_images` does, for the hardware run to start from;
+    *golden* holds *func*'s result on copies of them, for every array
+    but the spill memory, which the compiler adds and software never
+    sees.
+    """
+    start = prepare_images(design, inputs)
+    arrays = _compared(design, "all")
+    golden = {name: start[name].copy() for name in arrays}
+    run_golden(func, arrays, golden, design.params)
+    return start, golden
+
+
+def check_memories(design: Design, golden: Mapping[str, MemoryImage],
+                   memories: Mapping[str, MemoryImage], *,
+                   compare: str = "all",
+                   limit: int = 32) -> List[MemoryCheck]:
+    """Compare the hardware's final *memories* with *golden*, word by word.
+
+    One :class:`MemoryCheck` per array in *design* order: every array
+    but the spill memory for ``compare="all"``, only ``role="output"``
+    arrays for ``"outputs"``.  Each check keeps at most *limit*
+    mismatches.
+    """
+    return [MemoryCheck(name, spec.role, words=spec.depth,
+                        mismatches=compare_images(golden[name],
+                                                  memories[name],
+                                                  limit=limit))
+            for name, spec in _compared(design, compare).items()]
+
+
+def verify_design(design: Design, func: Callable, inputs: Inputs = None,
                   *,
                   compare: str = "all",
                   fsm_mode: str = "generated",
@@ -178,19 +217,9 @@ def verify_design(design: Design, func: Callable,
     :class:`repro.obs.Ledger` or a path) appends the result as one
     ``verify`` row once the comparison is done.
     """
-    if compare not in ("all", "outputs"):
-        raise ValueError(f"compare must be 'all' or 'outputs', got {compare!r}")
-
-    base_images = prepare_images(design, inputs)
-    array_specs = {name: spec for name, spec in design.arrays.items()
-                   if name != SPILL_MEMORY}
-
-    golden_images = {name: image.copy()
-                     for name, image in base_images.items()
-                     if name != SPILL_MEMORY}
     started = time.perf_counter()
     with span("verify.golden", "verify", design=design.name):
-        run_golden(func, array_specs, golden_images, design.params)
+        base_images, golden_images = golden_reference(design, func, inputs)
     golden_seconds = time.perf_counter() - started
 
     collector = CoverageCollector() if coverage else None
@@ -223,8 +252,8 @@ def verify_design(design: Design, func: Callable,
     simulation_seconds = time.perf_counter() - started
 
     with span("verify.compare", "verify", design=design.name):
-        checks = _checks(array_specs, golden_images, context, compare,
-                         mismatch_limit)
+        checks = check_memories(design, golden_images, context.memories,
+                                compare=compare, limit=mismatch_limit)
 
     result = VerificationResult(
         design=design.name,
@@ -308,9 +337,7 @@ class BatchVerificationResult:
 
 
 def verify_design_batch(design: Design, func: Callable,
-                        inputs_list: Sequence[Mapping[str,
-                                                      Union[MemoryImage,
-                                                            Sequence[int]]]],
+                        inputs_list: Sequence[Inputs],
                         *,
                         compare: str = "all",
                         fsm_mode: str = "generated",
@@ -331,29 +358,15 @@ def verify_design_batch(design: Design, func: Callable,
     binding are paid once per configuration instead of once per
     stimulus set.
     """
-    if compare not in ("all", "outputs"):
-        raise ValueError(f"compare must be 'all' or 'outputs', got {compare!r}")
-
-    array_specs = {name: spec for name, spec in design.arrays.items()
-                   if name != SPILL_MEMORY}
-
-    lane_base: List[Dict[str, MemoryImage]] = []
-    lane_golden: List[Dict[str, MemoryImage]] = []
     golden_started = time.perf_counter()
     with span("verify.golden", "verify", design=design.name,
               batch=len(inputs_list)):
-        for inputs in inputs_list:
-            base_images = prepare_images(design, inputs)
-            golden_images = {name: image.copy()
-                             for name, image in base_images.items()
-                             if name != SPILL_MEMORY}
-            run_golden(func, array_specs, golden_images, design.params)
-            lane_base.append(base_images)
-            lane_golden.append(golden_images)
+        references = [golden_reference(design, func, inputs)
+                      for inputs in inputs_list]
     golden_seconds = time.perf_counter() - golden_started
 
-    contexts = [ReconfigurationContext.from_rtg(design.rtg, initial=base)
-                for base in lane_base]
+    contexts = [ReconfigurationContext.from_rtg(design.rtg, initial=start)
+                for start, _ in references]
     started = time.perf_counter()
     with span("verify.simulate", "verify", design=design.name,
               backend=backend, batch=len(inputs_list)):
@@ -371,8 +384,9 @@ def verify_design_batch(design: Design, func: Callable,
             rtg_result = batch_result.lanes[lane]
             lanes.append(VerificationResult(
                 design=design.name,
-                checks=_checks(array_specs, lane_golden[lane], context,
-                               compare, mismatch_limit),
+                checks=check_memories(design, references[lane][1],
+                                      context.memories, compare=compare,
+                                      limit=mismatch_limit),
                 cycles=rtg_result.total_cycles,
                 reconfigurations=rtg_result.reconfigurations,
                 golden_seconds=golden_seconds / max(len(inputs_list), 1),

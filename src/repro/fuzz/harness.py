@@ -36,16 +36,14 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..compiler.partitioning import SPILL_MEMORY
 from ..compiler.pipeline import compile_function
-from ..golden.runner import run_golden
+from ..core.verification import check_memories, golden_reference
 from ..obs.coverage import CoverageCollector
 from ..obs.trace import span
 from ..rtg.context import ReconfigurationContext
 from ..rtg.executor import RtgExecutor
 from ..sim import SIMULATOR_BACKENDS
 from ..sim.errors import SimulationTimeout
-from ..util.files import compare_images
 from ..util.pool import ForkPool
 from .generator import GeneratorConfig, generate, make_images
 from .ir import FuzzProgram
@@ -183,17 +181,15 @@ def run_program(program: FuzzProgram, *,
                        exc_type=type(exc).__name__)
 
     inputs = make_images(program, input_seed)
-    golden_images = {name: image.copy() for name, image in inputs.items()}
     try:
-        run_golden(program.func(), program.arrays, golden_images,
-                   dict(program.params))
+        start, golden = golden_reference(design, program.func(), inputs)
     except Exception as exc:  # noqa: BLE001 - classification boundary
         return Outcome("golden-crash", detail=_crash_detail(exc),
                        exc_type=type(exc).__name__)
 
     cycles: Dict[str, int] = {}
     for position, backend in enumerate(backends):
-        images = {name: image.copy() for name, image in inputs.items()}
+        images = {name: image.copy() for name, image in start.items()}
         context = ReconfigurationContext.from_rtg(design.rtg, initial=images)
         executor = RtgExecutor(design.rtg, context, backend=backend,
                                max_cycles_per_configuration=max_cycles,
@@ -211,17 +207,15 @@ def run_program(program: FuzzProgram, *,
                            exc_type=type(exc).__name__)
         cycles[backend] = result.total_cycles
 
-        for name in program.arrays:
-            if name == SPILL_MEMORY:
-                continue
-            mismatches = compare_images(golden_images[name],
-                                        context.memory(name), limit=4)
-            if mismatches:
-                width = program.arrays[name].width
-                shown = "; ".join(m.describe(width) for m in mismatches)
+        for check in check_memories(design, golden, context.memories,
+                                    limit=4):
+            if not check.passed:
+                width = design.arrays[check.memory].width
+                shown = "; ".join(m.describe(width)
+                                  for m in check.mismatches)
                 return Outcome(
                     "mismatch", backend=backend,
-                    detail=f"memory {name!r}: {shown}",
+                    detail=f"memory {check.memory!r}: {shown}",
                 )
 
     if len(set(cycles.values())) > 1:

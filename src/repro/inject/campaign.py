@@ -45,9 +45,12 @@ import traceback
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from ..compiler.partitioning import SPILL_MEMORY
 from ..compiler.pipeline import Design
-from ..core.verification import prepare_images
+from ..core.verification import (check_memories, golden_reference,
+                                 prepare_images)
+# run_golden and compare_images stay attributes of this module only for
+# benchmarks/e2e/layers.py, which wraps them here as well as in
+# repro.core.verification, whose globals the oracle calls
 from ..golden.runner import run_golden
 from ..obs.trace import span
 from ..rtg.context import ReconfigurationContext
@@ -262,18 +265,6 @@ class _Testbench:
         apply_mem_flip(self.context.memories, fault)
 
 
-def _golden_images(design: Design, func: Callable,
-                   inputs: Optional[Mapping]) -> Dict[str, MemoryImage]:
-    """The fault-free software result every run is classified against."""
-    images = {name: image
-              for name, image in prepare_images(design, inputs).items()
-              if name != SPILL_MEMORY}
-    array_specs = {name: spec for name, spec in design.arrays.items()
-                   if name != SPILL_MEMORY}
-    run_golden(func, array_specs, images, design.params)
-    return images
-
-
 def _classify(design: Design, context, golden_images, fault,
               mismatch_limit: int) -> InjectionResult:
     """Compare memories after a completed run (masked vs sdc).
@@ -284,23 +275,14 @@ def _classify(design: Design, context, golden_images, fault,
     an input memory diverges from golden's pristine inputs by
     construction.
     """
-    outputs_only = fault is not None and fault.kind not in MUTATION_KINDS
-    diffs = []
-    for name, spec in design.arrays.items():
-        if name == SPILL_MEMORY:
-            continue
-        if outputs_only and spec.role != "output":
-            continue
-        mismatches = compare_images(golden_images[name],
-                                    context.memory(name),
-                                    limit=mismatch_limit)
-        if mismatches:
-            diffs.append((name, mismatches))
-    if diffs:
-        name, mismatches = diffs[0]
-        return InjectionResult(
-            fault, "sdc", 0, 0.0,
-            note=f"{name}: {mismatches[0].describe(16)}")
+    hardware = fault is not None and fault.kind not in MUTATION_KINDS
+    for check in check_memories(design, golden_images, context.memories,
+                                compare="outputs" if hardware else "all",
+                                limit=mismatch_limit):
+        if not check.passed:
+            return InjectionResult(
+                fault, "sdc", 0, 0.0,
+                note=f"{check.memory}: {check.mismatches[0].describe(16)}")
     return InjectionResult(fault, "masked", 0, 0.0)
 
 
@@ -358,7 +340,7 @@ def run_injection(design: Design, func: Callable,
         testbench = _Testbench(design, inputs, backend=backend,
                                fsm_mode=fsm_mode)
     if golden_images is None:
-        golden_images = _golden_images(design, func, inputs)
+        golden_images = golden_reference(design, func, inputs)[1]
     upset = (fault is not None and fault.kind == "reg_flip"
              and testbench.fault_free_cycles is not None
              and testbench.fault_free_cycles <= max_cycles)
@@ -529,7 +511,7 @@ def run_campaign(design: Design, func: Callable,
 
     testbench = _Testbench(design, inputs, backend=backend,
                            fsm_mode=fsm_mode)
-    golden_images = _golden_images(design, func, inputs)
+    golden_images = golden_reference(design, func, inputs)[1]
 
     baseline = run_injection(design, func, None, inputs, backend=backend,
                              max_cycles=max_cycles,

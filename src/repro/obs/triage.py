@@ -642,8 +642,8 @@ def triage_fuzz_entry(entry, *,
     div: Optional[Divergence] = None
     datapath = design.configurations[0].datapath
     if not design.multi_configuration:
-        compare = [name for name in sorted(design.arrays)
-                   if name != _spill()]
+        # only a multi-configuration design has a spill memory
+        compare = sorted(design.arrays)
 
         def side(backend):
             return _Side(datapath, design.configurations[0].fsm,
@@ -678,25 +678,17 @@ def triage_fuzz_entry(entry, *,
                         div.capture_sub if div else None)
 
 
-def _spill() -> str:
-    from ..compiler.partitioning import SPILL_MEMORY
-    return SPILL_MEMORY
-
-
 def _golden_memory_divergence(design, program, input_seed: int,
                               backend: str,
                               max_cycles: int) -> Optional[Divergence]:
     """Run golden + failing backend to completion; first memory diff."""
+    from ..core.verification import check_memories, golden_reference
     from ..fuzz.generator import make_images
-    from ..golden.runner import run_golden
     from ..rtg.context import ReconfigurationContext
     from ..rtg.executor import RtgExecutor
-    from ..util.files import compare_images
-    inputs = make_images(program, input_seed)
-    golden = {name: image.copy() for name, image in inputs.items()}
-    run_golden(program.func(), program.arrays, golden,
-               dict(program.params))
-    context = ReconfigurationContext.from_rtg(design.rtg, initial=inputs)
+    start, golden = golden_reference(design, program.func(),
+                                     make_images(program, input_seed))
+    context = ReconfigurationContext.from_rtg(design.rtg, initial=start)
     executor = RtgExecutor(design.rtg, context, backend=backend,
                            max_cycles_per_configuration=max_cycles)
     try:
@@ -704,19 +696,18 @@ def _golden_memory_divergence(design, program, input_seed: int,
     except Exception as exc:  # noqa: BLE001 - still triageable
         return Divergence("none",
                           detail=f"replay {type(exc).__name__}: {exc}")
-    for name in sorted(program.arrays):
-        if name == _spill():
-            continue
-        mismatches = compare_images(golden[name], context.memory(name),
-                                    limit=1)
-        if mismatches:
-            hit = mismatches[0]
-            return Divergence(
-                "memory",
-                memory={"name": name, "word": hit.address,
-                        "ref": hit.expected, "sub": hit.actual},
-                detail=f"{name}: {hit.describe(program.arrays[name].width)}")
-    return None
+    checks = check_memories(design, golden, context.memories, limit=1)
+    failed = {check.memory: check.mismatches[0]
+              for check in checks if not check.passed}
+    if not failed:
+        return None
+    name = min(failed)  # the first failing array in name order
+    hit = failed[name]
+    return Divergence(
+        "memory",
+        memory={"name": name, "word": hit.address,
+                "ref": hit.expected, "sub": hit.actual},
+        detail=f"{name}: {hit.describe(design.arrays[name].width)}")
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..core.cache import payload_passed
 from .workers import run_job
 
 
@@ -30,11 +31,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     payload = run_job(job)
     print(json.dumps(payload, sort_keys=True))
-    failed = payload.get("error") is not None \
-        or payload.get("verification") is None \
-        or any(check["mismatches"]
-               for check in payload["verification"]["checks"])
-    return 1 if failed else 0
+    return 0 if payload_passed(payload) else 1
 
 
 if __name__ == "__main__":

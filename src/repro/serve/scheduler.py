@@ -62,7 +62,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Union
 
-from ..core.cache import ArtifactCache, result_to_payload
+from ..core.cache import ArtifactCache, payload_passed, result_to_payload
 from ..core.testsuite import CaseResult
 from ..obs.metrics import Histogram, render_prometheus_histogram
 from ..obs.trace import start_span
@@ -432,7 +432,7 @@ class ServeScheduler:
     def _finalize(self, queued: _Queued, entry: dict) -> None:
         payload = entry["payload"]
         self._inflight.pop(queued.key, None)
-        passed = _payload_passed(payload)
+        passed = payload_passed(payload)
         if passed:
             self._remember(queued.key, payload)
             if self.cache is not None and entry.get("batch_size", 1) == 1:
@@ -512,7 +512,7 @@ class ServeScheduler:
         v = payload.get("verification") or {}
         self.ledger_rows.append({
             "case": payload.get("case", "?"),
-            "passed": _payload_passed(payload),
+            "passed": payload_passed(payload),
             "cached": cached,
             "error": payload.get("error"),
             "backend": v.get("backend"),
@@ -586,12 +586,3 @@ class ServeScheduler:
                 help_text))
         return "\n".join(lines) + "\n"
 
-
-def _payload_passed(payload: dict) -> bool:
-    """Verdict of a result payload without rebuilding the result."""
-    if payload.get("error") is not None:
-        return False
-    v = payload.get("verification")
-    if v is None:
-        return False
-    return all(not check["mismatches"] for check in v["checks"])

@@ -35,12 +35,13 @@ same exception in the caller.  A worker that dies outright (a hard
 crash, ``os._exit``, the OOM killer) raises one :class:`RuntimeError`
 naming the tasks left unfinished.
 
-No worker outlives its parent.  A worker ignores SIGINT and closes the
-pool's end of every pipe it inherited, so once its parent is gone, even
-by SIGKILL, its next read of its pipe ends it: at once when idle, after
-its current task when busy.  A pool left normally closes its pipes and
-lets the workers finish their current task; a pool left by an
-exception, a Ctrl-C included, terminates them.
+No worker outlives its parent.  A worker ignores SIGINT, dies of
+SIGTERM alone (even when its parent's event loop handles SIGTERM) and
+closes the pool's end of every pipe it inherited, so once its parent is
+gone, even by SIGKILL, its next read of its pipe ends it: at once when
+idle, after its current task when busy.  A pool left normally closes
+its pipes and lets the workers finish their current task; a pool left
+by an exception, a Ctrl-C included, terminates them.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ def _work(conn, inherited: List, state: Any) -> None:
     for end in inherited:
         end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # a worker forked after the parent's event loop took over SIGTERM
+    # would otherwise pass its SIGTERM on to the parent's wakeup fd
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
     while True:
         try:
             fn, task = conn.recv()

@@ -94,11 +94,18 @@ class TestTable1Command:
 
 class TestFlowCommand:
     def test_produces_artifacts(self, tmp_path, capsys):
-        status = main(["flow", "hamming", "--workdir", str(tmp_path)])
-        assert status == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert any(path.suffix == ".xml" for path in tmp_path.iterdir())
+        # fdct2 has two configurations and a spill memory, which gets
+        # no stimulus file and is not compared
+        for case in ("hamming", "fdct2"):
+            workdir = tmp_path / case
+            status = main(["flow", case, "--workdir", str(workdir)])
+            assert status == 0
+            out = capsys.readouterr().out
+            assert "PASS" in out
+            assert any(path.suffix == ".xml" for path in workdir.iterdir())
+        assert "1 reconfiguration(s)" in out
+        assert sorted(path.name for path in workdir.glob("*.mem")) == \
+            ["img_in.mem", "img_mid.mem", "img_out.mem"]
 
     def test_unknown_case(self, tmp_path, capsys):
         assert main(["flow", "ghost", "--workdir", str(tmp_path)]) == 2

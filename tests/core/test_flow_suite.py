@@ -72,21 +72,21 @@ class TestStandardFlow:
         assert "total" in report.summary()
 
     def test_flow_detects_divergence(self, tmp_path):
-        # a *different* golden function than the compiled one
-        def not_double(src, dst, n=8):
+        # the 32-bit datapath wraps the cube before dividing, golden's
+        # unbounded integers do not: every stored word differs
+        def cube_third(src, dst, n=8):
             for i in range(n):
-                dst[i] = src[i] * 5
+                dst[i] = (src[i] * src[i] * src[i]) // 3
 
-        flow = standard_flow(double, ARRAYS, workdir=tmp_path,
-                             inputs=inputs_factory(1))
-        # swap the golden stage target by rebuilding with the wrong func
-        flow2 = standard_flow(not_double, ARRAYS, workdir=tmp_path,
-                              inputs=inputs_factory(1))
-        # compile not_double but compare against double's outputs: compile
-        # and golden use the same func here, so instead verify the honest
-        # case: flow2 passes because it is self-consistent
-        report = flow2.run()
-        assert report.context["passed"]
+        inputs = {"src": MemoryImage(16, 8, name="src",
+                                     words=[2000 + i for i in range(8)])}
+        report = standard_flow(cube_third, ARRAYS, workdir=tmp_path,
+                               inputs=inputs).run()
+        assert not report.context["passed"]
+        assert report.stage("compare").detail == "FAIL: ['dst']"
+        (failed,) = [check for check in report.context["checks"]
+                     if not check.passed]
+        assert failed.mismatches[0].expected == 2000 ** 3 // 3
 
 
 class TestSuiteRunner:

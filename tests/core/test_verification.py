@@ -1,10 +1,15 @@
 """Tests for verification, stimulus and metrics reporting."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.compiler import MemorySpec, compile_function
-from repro.core import (collect_metrics, format_table, prepare_images,
-                        ramp_image, random_words, synthetic_image,
+from repro.apps import suite_case
+from repro.compiler import SPILL_MEMORY, MemorySpec, compile_function
+from repro.core import (check_memories, collect_metrics, format_table,
+                        golden_reference, prepare_images, ramp_image,
+                        random_words, synthetic_image, verification,
                         verify_design, write_stimulus_files,
                         load_stimulus_files)
 from repro.util.files import MemoryImage
@@ -119,6 +124,66 @@ class TestPrepareImages:
         images = prepare_images(design, {"src": src})
         images["src"].write(0, 9)
         assert src.read(0) == 5
+
+
+class TestOracle:
+    @pytest.fixture(scope="class")
+    def fdct2(self):
+        """Two configurations and a spill memory, which golden never
+        sees and the oracle never compares."""
+        case = suite_case("fdct2", pixels=64)
+        design = case.compile()
+        return design, golden_reference(design, case.func, case.inputs(0))
+
+    def test_golden_runs_on_copies_of_the_start_images(self, fdct2):
+        design, (start, golden) = fdct2
+        assert list(start) == list(design.arrays)
+        assert SPILL_MEMORY in start and SPILL_MEMORY not in golden
+        assert list(golden) == ["img_in", "img_mid", "img_out"]
+        assert golden["img_in"] == start["img_in"]
+        assert start["img_out"].words() == [0] * 64
+        assert golden["img_out"].words() != [0] * 64
+
+    def test_arrays_compared(self, fdct2):
+        design, (start, golden) = fdct2
+        memories = {**start, **{name: image.copy()
+                                for name, image in golden.items()}}
+        memories["img_mid"].write(3, memories["img_mid"].read(3) ^ 1)
+        checks = check_memories(design, golden, memories)
+        assert [(check.memory, check.role, check.words, check.passed)
+                for check in checks] == [
+            ("img_in", "input", 64, True),
+            ("img_mid", "intermediate", 64, False),
+            ("img_out", "output", 64, True)]
+        (outputs,) = check_memories(design, golden, memories,
+                                    compare="outputs")
+        assert (outputs.memory, outputs.passed) == ("img_out", True)
+
+    def test_mismatches_are_limited(self, fdct2):
+        design, (start, golden) = fdct2
+        (check,) = check_memories(design, golden, start,
+                                  compare="outputs", limit=3)
+        assert [mismatch.address for mismatch in check.mismatches] == \
+            [0, 1, 2]
+
+    def test_no_other_module_runs_golden_or_compares(self):
+        """The oracle is the one place in the package that calls
+        ``run_golden`` or ``compare_images``; definitions, imports and
+        re-exports elsewhere are fine."""
+        oracle = Path(verification.__file__).resolve()
+        package = oracle.parents[1]
+
+        def callee(node):
+            func = node.func
+            return getattr(func, "id", None) or getattr(func, "attr", None)
+
+        callers = sorted(
+            f"{path.relative_to(package).as_posix()}:{node.lineno}"
+            for path in package.rglob("*.py") if path != oracle
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and callee(node) in ("run_golden", "compare_images"))
+        assert callers == []
 
 
 class TestVerifyDesign:

@@ -110,8 +110,8 @@ def test_mismatch_classification(monkeypatch):
 
     monkeypatch.setattr(harness_module, "make_images", overflowing_inputs)
     outcome = run_program(program)
-    assert outcome.kind == "mismatch"
-    assert "dst" in outcome.detail
+    assert (outcome.kind, outcome.backend) == ("mismatch", "compiled")
+    assert outcome.detail == "memory 'dst': @0000: expected 0x5555, got 0x0000"
 
 
 def test_sim_crash_classification(monkeypatch):

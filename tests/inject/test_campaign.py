@@ -11,7 +11,7 @@ import pytest
 
 import repro.sim.compiled as compiled_mod
 from repro.apps import CASE_BUILDERS, suite_case
-from repro.core import verify_design
+from repro.core import golden_reference, verify_design
 from repro.core.kernelcache import KernelCache, set_default_cache
 from repro.inject import (FaultDescriptor, FaultloadGenerator,
                           enumerate_mutants, run_campaign, run_injection)
@@ -140,6 +140,26 @@ class TestClassification:
         assert result.cycles == cycles
         assert bench.context.memory("pixels_out").words() == \
             reference.context.memory("pixels_out").words()
+
+    def test_sdc_notes_name_the_first_mismatching_word(self, threshold):
+        """A hardware fault and a mutant that corrupt the output each
+        note the first mismatching word of the first failing array."""
+        case, design, inputs = threshold
+        stuck = FaultDescriptor(fault_id="sa1", kind="stuck",
+                                target="n_tr_pixels_out_y", bit=0,
+                                stuck_value=1)
+        (mutant,) = [fault for fault in enumerate_mutants(design)
+                     if (fault.kind, fault.target)
+                     == ("mux_swap", "amux_pixels_in")]
+        report = run_campaign(design, case.func, [stuck, mutant], inputs,
+                              backend="compiled")
+        assert [(result.verdict, result.cycles, result.mechanism,
+                 result.note) for result in report.results] == [
+            ("sdc", 163, "kernel",
+             "pixels_out: @0000: expected 0x0000, got 0x0001"),
+            ("sdc", 163, "design",
+             "pixels_out: @0011: expected 0x00ff, got 0x0000"),
+        ]
 
     def test_replayed_faultload_yields_identical_verdicts(self, threshold):
         """Acceptance: a seeded faultload is deterministic end-to-end —
@@ -395,7 +415,7 @@ def boundary_plan(fdct1):
     # no fault-free run recorded on it: every injection starts at cycle 0
     bench = campaign_mod._Testbench(design, inputs, backend="compiled",
                                     fsm_mode="generated")
-    golden = campaign_mod._golden_images(design, case.func, inputs)
+    _, golden = golden_reference(design, case.func, inputs)
     registers = FaultloadGenerator(design).space.registers
     rng = random.Random(0)
     flips = []

@@ -151,7 +151,10 @@ def test_fuzz_corpus_mismatch_triage(tmp_path):
     result = triage_fuzz_entry(entry)
     record = result.record
     assert record.kind == "fuzz-mismatch"
-    assert record.mode in ("cycle", "memory")
+    # the kernels agree, so the divergence is the golden memory fallback
+    assert (record.mode, record.cycle) == ("memory", None)
+    assert record.memory == {"name": "aux", "word": 8, "ref": 0, "sub": 1}
+    assert record.detail == "aux: @0008: expected 0x00, got 0x01"
     assert record.top_suspect is not None
     written = result.write(tmp_path, "fuzz")
     assert written["json"].exists() and written["html"].exists()

@@ -15,7 +15,7 @@ import pytest
 
 from repro.apps import threshold
 from repro.apps.registry import CASE_BUILDERS
-from repro.core import ArtifactCache, kernelcache
+from repro.core import ArtifactCache, kernelcache, payload_passed
 from repro.core.kernelcache import KernelCache, set_default_cache
 from repro.core.testsuite import SuiteCase
 from repro.serve import ServeScheduler
@@ -27,12 +27,6 @@ TINY = {"case": "threshold", "size": {"n_pixels": 32}}
 
 def run(coro):
     return asyncio.run(coro)
-
-
-def payload_passed(payload):
-    v = payload.get("verification")
-    return payload.get("error") is None and v is not None \
-        and all(not c["mismatches"] for c in v["checks"])
 
 
 async def drain(scheduler, submissions):

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core import payload_passed
 from repro.obs.ledger import Ledger
 from repro.serve import ServeClient, ServeDaemon, ServeScheduler, \
     wait_for_socket
@@ -240,18 +241,45 @@ def _running(pid):
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
-                    reason="reads worker pids from /proc")
-def test_workers_exit_when_the_daemon_is_killed(tmp_path):
-    socket_path = tmp_path / "serve.sock"
+def _serve_process(socket_path, jobs):
+    """A real ``repro serve`` daemon in a child process."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, REPRO_KERNEL_CACHE="off",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    daemon = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--socket", str(socket_path), "--jobs", "2"],
+         "--socket", str(socket_path), "--jobs", str(jobs)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+def _replacement(daemon, dead):
+    """The worker *daemon* forks after worker *dead* died."""
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        assert daemon.poll() is None, \
+            f"the daemon exited with {daemon.returncode}"
+        fresh = [pid for pid in _children(daemon.pid)
+                 if pid != dead and _running(pid)]
+        if fresh:
+            return fresh[0]
+        time.sleep(0.05)
+    raise AssertionError(f"no worker replaced {dead}")
+
+
+def _kill_all(pids):
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads worker pids from /proc")
+def test_workers_exit_when_the_daemon_is_killed(tmp_path):
+    socket_path = tmp_path / "serve.sock"
+    daemon = _serve_process(socket_path, jobs=2)
     workers = []
     try:
         wait_for_socket(socket_path, timeout=60)
@@ -264,9 +292,36 @@ def test_workers_exit_when_the_daemon_is_killed(tmp_path):
             time.sleep(0.05)
         assert not [pid for pid in workers if _running(pid)]
     finally:
-        for pid in [daemon.pid] + workers:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                pass
+        _kill_all([daemon.pid] + workers)
+        daemon.wait(timeout=10)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads worker pids from /proc")
+def test_sigterm_to_a_respawned_worker_ends_only_that_worker(tmp_path):
+    """A replacement worker is forked after the daemon installed its
+    SIGTERM handler; a SIGTERM to it must end the worker, which the
+    daemon replaces again, and not reach the daemon."""
+    socket_path = tmp_path / "serve.sock"
+    daemon = _serve_process(socket_path, jobs=1)
+    workers = []
+    try:
+        wait_for_socket(socket_path, timeout=60)
+        workers = _children(daemon.pid)
+        assert len(workers) == 1
+        with ServeClient(socket_path) as client:
+            os.kill(workers[0], signal.SIGKILL)
+            workers.append(_replacement(daemon, workers[0]))
+            # the replacement answers a job: it is past its start-up
+            (event,) = client.run_jobs([{**TINY, "seed": 1}])
+            assert payload_passed(event["result"])
+            os.kill(workers[1], signal.SIGTERM)
+            workers.append(_replacement(daemon, workers[1]))
+            (event,) = client.run_jobs([{**TINY, "seed": 2}])
+            assert payload_passed(event["result"])
+            assert client.status()["respawns"] == 2
+            client.shutdown()
+        assert daemon.wait(timeout=30) == 0
+    finally:
+        _kill_all([daemon.pid] + workers)
         daemon.wait(timeout=10)
