@@ -1,29 +1,31 @@
-"""Content-hash artifact cache for suite verification results.
+"""Content-hash artifact cache: the one store of passing verdicts.
 
 The paper's scenario is re-running the whole benchmark suite after every
 compiler change.  The cache keys a case by everything that determines
 its outcome — the algorithm's source text, the memory specifications,
 the compile options, the stimulus seed, the execution options and the
 toolchain itself (:func:`~repro.core.kernelcache.toolchain_fingerprint`)
-— so a rerun with nothing changed is answered from disk, and any edit to
-the toolchain re-verifies every case.
+— so a rerun with nothing changed is answered from the store, and any
+edit to the toolchain re-verifies every case.
 
 Only *passing* results are cached: failures must re-execute every time so
 their diagnostics (mismatch triples, error messages) stay live, and so a
 fixed compiler immediately re-verifies them.
 
-Entries are single JSON files named by the SHA-256 of the key material,
-safe for concurrent writers (atomic rename) and trivially inspectable.
+Directory entries are single JSON files named by the SHA-256 of the key
+material, safe for concurrent writers (atomic rename) and trivially
+inspectable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from ..obs.coverage import CoverageReport
 from ..util.loc import function_source
@@ -36,6 +38,10 @@ __all__ = ["ArtifactCache", "case_key", "structure_key", "design_key",
 
 #: bump when the layout of :func:`result_to_payload` changes
 _PAYLOAD_VERSION = 2
+
+#: memory-layer entries kept before oldest-first eviction; passing
+#: payloads are a few KB each, so this bounds memory at a few tens of MB
+_MEMORY_ENTRIES = 4096
 
 
 def _function_fingerprint(func) -> str:
@@ -231,82 +237,99 @@ def result_from_payload(payload: dict, *, cached: bool = False):
     )
 
 
-class ArtifactCache:
-    """Directory-backed result cache keyed by case content."""
+def _answers(payload) -> bool:
+    """A pass of the current layout, metrics included: all the store keeps."""
+    return payload.get("version") == _PAYLOAD_VERSION \
+        and payload.get("metrics") is not None and payload_passed(payload)
 
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise NotADirectoryError(
-                f"cache path {self.root} exists and is not a directory")
-        self.root.mkdir(parents=True, exist_ok=True)
+
+class ArtifactCache:
+    """The one store of passing :func:`result_to_payload` payloads, keyed
+    by :func:`case_key`, for the suite runner and the serve daemon: a
+    memory layer of the newest ``_MEMORY_ENTRIES`` (oldest out first)
+    over an optional directory of ``<key>.json`` files."""
+
+    def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
+        self.root = None if root is None else Path(root)
+        if self.root is not None:
+            if self.root.exists() and not self.root.is_dir():
+                raise NotADirectoryError(
+                    f"cache path {self.root} exists and is not a directory")
+            self.root.mkdir(parents=True, exist_ok=True)
+        self._memory: Dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
 
-    # -- keys -----------------------------------------------------------
-    def key_for(self, case, *, seed: int, fsm_mode: str,
-                backend: str, coverage: bool = False,
-                batch: int = 0) -> str:
-        """SHA-256 over everything that determines the case outcome
-        (see :func:`case_key`, which this delegates to)."""
-        return case_key(case, seed=seed, fsm_mode=fsm_mode,
-                        backend=backend, coverage=coverage, batch=batch)
+    def __len__(self) -> int:
+        return len(self._memory)
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    # -- lookup / store -------------------------------------------------
+    def recall(self, key: str) -> Optional[dict]:
+        """The memory layer's payload for *key*, or ``None``."""
+        return self._memory.get(key)
 
-    # -- load / store ---------------------------------------------------
-    def load(self, key: str):
-        """The cached :class:`CaseResult` for *key*, or ``None``."""
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
+    def load(self, key: str) -> Optional[dict]:
+        """The payload for *key* from memory, else from the directory
+        (promoted into memory), or ``None``.  An unreadable entry, another
+        layout version or a non-pass is a miss, never a verdict."""
+        payload = self._memory.get(key)
+        if payload is None and self.root is not None:
+            try:
+                payload = json.loads((self.root / f"{key}.json").read_text())
+                if not _answers(payload):
+                    payload = None
+            except (OSError, ValueError, AttributeError, KeyError,
+                    TypeError):
+                payload = None
+            if payload is not None:
+                self._remember(key, payload)
+        if payload is None:
             self.misses += 1
-            return None
-        if payload.get("version") != _PAYLOAD_VERSION \
-                or payload.get("metrics") is None \
-                or payload.get("verification") is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result_from_payload(payload, cached=True)
+        else:
+            self.hits += 1
+        return payload
 
-    def store(self, key: str, result) -> bool:
-        """Persist *result* if it is a cacheable pass; returns stored?"""
-        if not result.passed or result.verification is None \
-                or result.metrics is None:
+    def store(self, key: str, payload: dict, *,
+              persist: bool = True) -> bool:
+        """Keep *payload* if it is a pass, in memory only unless
+        *persist*; returns stored?"""
+        if not _answers(payload):
             return False
-        payload = result_to_payload(result)
-        path = self._path(key)
+        self._remember(key, payload)
+        if not persist or self.root is None:
+            return True
         handle, staging = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(handle, "w") as stream:
                 json.dump(payload, stream)
-            os.replace(staging, path)
+            os.replace(staging, self.root / f"{key}.json")
         except OSError:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(staging)
-            except OSError:
-                pass
             return False
         return True
+
+    def _remember(self, key: str, payload: dict) -> None:
+        if key not in self._memory \
+                and len(self._memory) >= _MEMORY_ENTRIES:
+            self._memory.pop(next(iter(self._memory)))
+        self._memory[key] = payload
 
     def summary(self) -> str:
         """One-line hit/miss account, printed when ``--cache`` is active."""
         total = self.hits + self.misses
         rate = f", {100 * self.hits / total:.0f}% hit rate" if total else ""
-        entries = sum(1 for _ in self.root.glob("*.json"))
+        entries = sum(1 for _ in self.root.glob("*.json")) \
+            if self.root is not None else len(self)
         return (f"cache: {self.hits} hit(s), {self.misses} miss(es)"
-                f"{rate}, {entries} entr(ies) in {self.root}")
+                f"{rate}, {entries} entr(ies) in {self.root or 'memory'}")
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Empty both layers; returns how many files were removed."""
+        self._memory.clear()
         removed = 0
-        for path in self.root.glob("*.json"):
-            try:
+        for path in self.root.glob("*.json") if self.root else ():
+            with contextlib.suppress(OSError):
                 path.unlink()
                 removed += 1
-            except OSError:
-                pass
         return removed

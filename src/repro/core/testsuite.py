@@ -23,7 +23,8 @@ from ..obs.trace import span
 from ..util.files import MemoryImage
 from ..util.loc import function_source
 from ..util.pool import ForkPool
-from .cache import ArtifactCache, design_key
+from .cache import (ArtifactCache, case_key, design_key,
+                    result_from_payload, result_to_payload)
 from .kernelcache import default_cache
 from .report import DesignMetrics, collect_metrics, format_table
 from .verification import (VerificationResult, verify_design,
@@ -108,6 +109,7 @@ class SuiteReport:
     wall_seconds: float = 0.0
     backend: str = "event"
     jobs: int = 1
+    #: this run's artifact-cache lookups that answered / missed
     cache_hits: int = 0
     cache_misses: int = 0
     #: merged functional coverage across all cases (``coverage=True``)
@@ -163,10 +165,10 @@ def run_case(case: SuiteCase, *, seed: int, fsm_mode: str = "generated",
              batch: int = 0) -> CaseResult:
     """Compile + verify one case; never raises (errors become results).
 
-    This is the unit of work everything schedules: the suite runner's
-    pool tasks and the serve workers (:mod:`repro.serve`) all execute
-    jobs through this one function, so a verdict is the same object no
-    matter which entry point produced it.  ``batch`` > 1 verifies that
+    The suite runner's pool tasks and a serve worker's one-job
+    dispatches (:mod:`repro.serve`) run this function, so their verdicts
+    are the same object; a gathered serve dispatch calls
+    :func:`verify_design_batch` itself.  ``batch`` > 1 verifies that
     many seeded stimulus sets (``seed`` .. ``seed + batch - 1``) on one
     elaboration per configuration and returns a result whose
     verification is a
@@ -274,7 +276,8 @@ class TestSuite:
         missing, and always under ``stop_on_failure``, so the early-exit
         semantics hold).  ``cache`` (an
         :class:`~repro.core.cache.ArtifactCache` or a directory path)
-        answers unchanged passing cases from disk.  ``coverage=True``
+        answers unchanged passing cases and keeps new passes; a
+        batched run neither looks up nor stores.  ``coverage=True``
         collects functional coverage per case and merges it into
         ``report.coverage``; when a trace recorder is installed
         (:func:`repro.obs.install`) every case — including pool
@@ -291,7 +294,9 @@ class TestSuite:
             raise ValueError(
                 "coverage collection is per-run and not supported "
                 "in batched mode")
-        if isinstance(cache, (str, Path)):
+        if batch > 1:  # a lane's time is a share of its batch: no store
+            cache = None
+        elif isinstance(cache, (str, Path)):
             cache = ArtifactCache(cache)
         report = SuiteReport(backend=backend, jobs=jobs)
         suite_started = time.perf_counter()
@@ -301,15 +306,15 @@ class TestSuite:
         pending: List[int] = []
         for index, case in enumerate(self.cases):
             if cache is not None:
-                key = cache.key_for(case, seed=seed, fsm_mode=fsm_mode,
-                                    backend=backend, coverage=coverage,
-                                    batch=batch)
-                keys[index] = key
-                hit = cache.load(key)
-                if hit is not None:
-                    slots[index] = hit
+                keys[index] = case_key(case, seed=seed, fsm_mode=fsm_mode,
+                                       backend=backend, coverage=coverage,
+                                       batch=batch)
+                payload = cache.load(keys[index])
+                if payload is not None:
+                    slots[index] = result_from_payload(payload, cached=True)
                     report.cache_hits += 1
                     continue
+                report.cache_misses += 1
             pending.append(index)
 
         # read the sources here, once: fork workers inherit them
@@ -329,14 +334,10 @@ class TestSuite:
                                label=lambda index: [self.cases[index].name])
             for index, result in zip(pending, results):
                 slots[index] = result
+                if cache is not None and result.passed:
+                    cache.store(keys[index], result_to_payload(result))
                 if stop_on_failure and not result.passed:
                     break
-
-        if cache is not None:
-            for index in pending:
-                if slots[index] is not None:
-                    cache.store(keys[index], slots[index])
-            report.cache_misses = cache.misses
 
         # preserve case order; under stop_on_failure, truncate at the
         # first case that never ran (matching the historical serial
@@ -360,6 +361,5 @@ class TestSuite:
                 sink.record_suite(
                     report, suite=self.name,
                     sizes={case.name: dict(case.params)
-                           for case in self.cases},
-                    cache=cache)
+                           for case in self.cases})
         return report

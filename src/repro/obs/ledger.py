@@ -555,13 +555,12 @@ class Ledger:
     @_retry_once
     def record_suite(self, report, *, suite: str = "suite",
                      sizes: Optional[Mapping[str, Mapping[str, Any]]] = None,
-                     cache=None,
                      argv: Optional[Sequence[str]] = None) -> int:
         """Record one :class:`repro.core.SuiteReport`; returns run id.
 
         *sizes* maps app name to its sizing parameters (the suite knows
-        them as ``SuiteCase.params``); *cache* is the
-        :class:`~repro.core.cache.ArtifactCache` used, if any.
+        them as ``SuiteCase.params``).  The ``artifact`` cache row holds
+        the report's own hit and miss counts.
         """
         sizes = sizes or {}
         with self._conn as conn:
@@ -597,10 +596,7 @@ class Ledger:
             if report.coverage is not None:
                 self._insert_coverage(conn, run_id, "aggregate",
                                       report.coverage)
-            if cache is not None:
-                self._insert_cache(conn, run_id, "artifact",
-                                   cache.hits, cache.misses)
-            elif report.cache_hits or report.cache_misses:
+            if report.cache_hits or report.cache_misses:
                 self._insert_cache(conn, run_id, "artifact",
                                    report.cache_hits, report.cache_misses)
             kernel = self._kernel_cache_stats()

@@ -342,8 +342,7 @@ def suite_metrics(report, cache=None) -> Metrics:
             metrics.merge_counts(sub.counters)
     if cache is not None:
         metrics.set_info("cache_dir", str(cache.root))
-        metrics.counters["cache_hits"] = cache.hits
-        metrics.inc("cache_misses", cache.misses)
+        metrics.inc("cache_misses", report.cache_misses)
     coverage = getattr(report, "coverage", None)
     if coverage is not None:
         metrics.coverage = coverage.as_dict()

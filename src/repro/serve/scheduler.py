@@ -1,13 +1,15 @@
 """The serve scheduler: dedup, coalescing, sharding, stealing, batching.
 
 The parent process owns all scheduling state; workers are pure
-executors.  A submitted job flows through four gates, cheapest first:
+executors.  A submitted job flows through four gates, cheapest first
+(the first two are the layers of the :class:`ArtifactCache` that
+``repro suite --cache`` also uses):
 
-1. **memo** — a passing payload already produced this session is
-   answered immediately, no worker touched.
-2. **artifact cache** — the on-disk :class:`ArtifactCache` (shared with
-   ``repro suite --cache``) is probed by the identical content-hash
-   key; a hit is promoted into the memo and answered immediately.
+1. **memo** — the memory layer: a passing payload already produced or
+   loaded this session is answered immediately, no worker touched.
+2. **artifact** — with ``--cache DIR``, the directory layer is probed
+   by the identical content-hash key; a hit is promoted into the
+   memory layer and answered immediately.
 3. **coalesce** — a job whose key is already in flight (queued or
    executing) attaches its future to the existing execution instead of
    queueing a duplicate; one execution fans out to every waiter.
@@ -35,10 +37,10 @@ shutdown, or at their next read of the pipe once the daemon is gone,
 even by SIGKILL.
 
 Results are finalized in the parent: futures resolve, passing payloads
-enter the memo, singly-executed passes are written to the artifact
-cache (batched lanes are memo-only — their ``simulation_seconds`` is a
-share of the batch, which must not masquerade on disk as a plain run),
-and one ledger row per job is accumulated for
+enter the store — singly-executed passes both layers, batched lanes
+the memory layer only (their ``simulation_seconds`` is a share of the
+batch, which must not masquerade on disk as a plain run) — and one
+ledger row per job is accumulated for
 :meth:`repro.obs.Ledger.record_serve` at shutdown.
 
 Every job is telemetered end to end.  When a trace recorder is
@@ -62,8 +64,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Union
 
-from ..core.cache import ArtifactCache, payload_passed, result_to_payload
-from ..core.testsuite import CaseResult
+from ..core.cache import ArtifactCache, payload_passed
 from ..obs.metrics import Histogram, render_prometheus_histogram
 from ..obs.trace import start_span
 from ..util.pool import ForkPool
@@ -88,10 +89,6 @@ def _make_histograms() -> Dict[str, Histogram]:
     names += ["queue_wait_seconds", "execute_seconds",
               "job_latency_seconds", "batch_size"]
     return {name: Histogram(name) for name in names}
-
-#: memo entries kept before oldest-first eviction; passing payloads are
-#: a few KB each, so this bounds parent memory at a few tens of MB
-_MEMO_LIMIT = 4096
 
 
 class Submission:
@@ -164,9 +161,9 @@ class ServeScheduler:
                 "inherit the case registry and kernel caches)")
         self.jobs = jobs
         self.batch_max = batch_max
-        if isinstance(cache, str):
-            cache = ArtifactCache(cache)
-        self.cache = cache
+        #: memory-only without a directory
+        self.cache = cache if isinstance(cache, ArtifactCache) \
+            else ArtifactCache(cache)
         self.max_respawns = max_respawns
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: a worker's ``task`` is the list of jobs it is executing
@@ -174,7 +171,6 @@ class ServeScheduler:
         self._deques: List[Deque[_Queued]] = [deque()
                                               for _ in range(jobs)]
         self._inflight: Dict[str, _Queued] = {}
-        self._memo: Dict[str, dict] = {}
         self._started: Optional[float] = None
         self._respawns = 0
         self._kick_scheduled = False
@@ -245,9 +241,7 @@ class ServeScheduler:
                 name = spec.get("case", "?")
             else:
                 name = "?"
-            payload = result_to_payload(
-                CaseResult(str(name), None, None, 0.0, error=str(exc)))
-            future.set_result(payload)
+            future.set_result(workers.error_payload(str(name), str(exc)))
             job_span.set("case", str(name)).set("served", "invalid")
             job_span.finish()
             # no ledger row: a rejected request never became a job, and
@@ -258,8 +252,7 @@ class ServeScheduler:
         job_span.set("case", spec.case).set("key", resolved.key[:16])
         gate_span = start_span("serve.gates", category="serve",
                                parent=job_span.context, case=spec.case)
-        served, queued = self._admit(resolved, future, job_span,
-                                     submitted_at)
+        served = self._admit(resolved, future, job_span, submitted_at)
         gate_span.set("verdict", served)
         gate_span.finish()
         if served in ("memo", "artifact"):
@@ -272,34 +265,27 @@ class ServeScheduler:
         return Submission(resolved.key, served, future)
 
     def _admit(self, resolved: ResolvedJob, future: "asyncio.Future",
-               job_span, submitted_at: float) -> tuple:
-        """Run the four admission gates, cheapest first, timing each.
-
-        Returns ``(served, queued-or-None)``; resolves *future* itself
-        when a gate answers without execution.
-        """
+               job_span, submitted_at: float) -> str:
+        """Run the four admission gates, cheapest first, timing each;
+        returns the gate that took the job.  The two store gates resolve
+        *future* themselves."""
         key = resolved.key
         hist = self.histograms
         t0 = time.perf_counter()
-        payload = self._memo.get(key)
+        payload = self.cache.recall(key)
         hist["gate_memo_seconds"].observe(time.perf_counter() - t0)
-        if payload is not None:
-            self.counters["memo_hits"] += 1
-            future.set_result(payload)
-            self._record(payload, cached=True, batch_size=0)
-            return "memo", None
-        if self.cache is not None:
+        served = "memo"
+        if payload is None and self.cache.root is not None:
             t0 = time.perf_counter()
-            hit = self.cache.load(key)
+            payload = self.cache.load(key)
             hist["gate_artifact_seconds"].observe(
                 time.perf_counter() - t0)
-            if hit is not None:
-                payload = result_to_payload(hit)
-                self._remember(key, payload)
-                self.counters["artifact_hits"] += 1
-                future.set_result(payload)
-                self._record(payload, cached=True, batch_size=0)
-                return "artifact", None
+            served = "artifact"
+        if payload is not None:
+            self.counters[f"{served}_hits"] += 1
+            future.set_result(payload)
+            self._record(payload, cached=True, batch_size=0)
+            return served
         t0 = time.perf_counter()
         queued = self._inflight.get(key)
         hist["gate_coalesce_seconds"].observe(time.perf_counter() - t0)
@@ -307,7 +293,7 @@ class ServeScheduler:
             self.counters["coalesced"] += 1
             queued.futures.append(future)
             queued.extra_spans.append((job_span, submitted_at))
-            return "coalesced", queued
+            return "coalesced"
 
         t0 = time.perf_counter()
         queued = _Queued(resolved, future)
@@ -322,7 +308,7 @@ class ServeScheduler:
         self._deques[shard].append(queued)
         self._kick()
         hist["gate_queue_seconds"].observe(time.perf_counter() - t0)
-        return "queued", queued
+        return "queued"
 
     def _kick(self) -> None:
         """Schedule one dispatch pass per event-loop tick, so a burst
@@ -433,13 +419,9 @@ class ServeScheduler:
         payload = entry["payload"]
         self._inflight.pop(queued.key, None)
         passed = payload_passed(payload)
-        if passed:
-            self._remember(queued.key, payload)
-            if self.cache is not None and entry.get("batch_size", 1) == 1:
-                from ..core.cache import result_from_payload
-                self.cache.store(queued.key,
-                                 result_from_payload(payload))
-        else:
+        self.cache.store(queued.key, payload,
+                         persist=entry.get("batch_size", 1) == 1)
+        if not passed:
             self.counters["failed"] += 1
         self.counters["completed"] += 1
         self._record(payload, cached=False,
@@ -496,17 +478,12 @@ class ServeScheduler:
         self._kick()
 
     def _fail(self, queued: _Queued) -> None:
-        payload = result_to_payload(CaseResult(
-            queued.spec.case, None, None, 0.0,
-            error="serve worker died and respawn budget is exhausted"))
+        payload = workers.error_payload(
+            queued.spec.case,
+            "serve worker died and respawn budget is exhausted")
         self._finalize(queued, {"payload": payload, "batch_size": 1})
 
-    # -- memo / accounting ----------------------------------------------
-    def _remember(self, key: str, payload: dict) -> None:
-        if key not in self._memo and len(self._memo) >= _MEMO_LIMIT:
-            self._memo.pop(next(iter(self._memo)))
-        self._memo[key] = payload
-
+    # -- accounting -----------------------------------------------------
     def _record(self, payload: dict, *, cached: bool,
                 batch_size: int) -> None:
         v = payload.get("verification") or {}
@@ -537,7 +514,7 @@ class ServeScheduler:
             "batch_max": self.batch_max,
             "queue_depths": [len(dq) for dq in self._deques],
             "inflight": len(self._inflight),
-            "memo_entries": len(self._memo),
+            "memo_entries": len(self.cache),
             "coalesce_rate": counters["coalesced"] / submitted,
             "cache_served_rate": served_without_execution / submitted,
             "histograms": {name: hist.as_dict()

@@ -45,7 +45,7 @@ from ..core.verification import verify_design_batch
 from ..obs.trace import start_span
 from .jobs import JobError, JobSpec, resolve_job
 
-__all__ = ["run_job", "execute_jobs"]
+__all__ = ["run_job", "execute_jobs", "error_payload"]
 
 
 def _pop_contexts(spec_dicts: List[dict]) -> List[Optional[dict]]:
@@ -63,8 +63,9 @@ def _case_name(spec_dict) -> str:
         if isinstance(spec_dict, dict) else "?"
 
 
-def _error_payload(name: str, error: str,
-                   trace: Optional[str] = None) -> dict:
+def error_payload(name: str, error: str,
+                  trace: Optional[str] = None) -> dict:
+    """The payload of a job that never reached a verdict."""
     return result_to_payload(CaseResult(name, None, None, 0.0, error=error,
                                         traceback=trace))
 
@@ -76,7 +77,7 @@ def run_job(spec_dict: dict) -> dict:
         spec = JobSpec.from_dict(spec_dict)
         resolved = resolve_job(spec)
     except JobError as exc:
-        return _error_payload(_case_name(spec_dict), str(exc))
+        return error_payload(_case_name(spec_dict), str(exc))
     result = run_case(resolved.case, seed=spec.seed,
                       fsm_mode=spec.fsm_mode, backend=spec.backend)
     return result_to_payload(result)
@@ -149,7 +150,7 @@ def execute_jobs(state: Any, spec_dicts: List[dict]) -> List[dict]:
         try:
             payload = run_job(spec_dict)
         except Exception as exc:  # noqa: BLE001 - worker boundary
-            payload = _error_payload(
+            payload = error_payload(
                 _case_name(spec_dict), f"{type(exc).__name__}: {exc}",
                 traceback.format_exc())
         entries.append({"payload": payload, "batch_size": 1,

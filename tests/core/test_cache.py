@@ -1,10 +1,16 @@
-"""The artifact cache: keying, hit/miss behaviour, pass-only storage."""
+"""The artifact cache: keying, hit/miss behaviour, pass-only storage,
+its two layers, and the suite runner's use of it."""
 
 import importlib.util
+import json
 import os
 
+import pytest
+
 from repro.apps import suite_case, threshold
-from repro.core import ArtifactCache, CaseResult, case_key
+from repro.core import (ArtifactCache, CaseResult, TestSuite, case_key,
+                        result_from_payload, result_to_payload)
+from repro.core import cache as cache_module
 from repro.core.testsuite import SuiteCase, _run_case
 
 
@@ -13,35 +19,32 @@ def _case(**sizes):
 
 
 class TestKeying:
-    def test_key_is_deterministic(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+    def test_key_is_deterministic(self):
         case = _case()
-        key1 = cache.key_for(case, seed=0, fsm_mode="generated",
-                             backend="event")
-        key2 = cache.key_for(_case(), seed=0, fsm_mode="generated",
-                             backend="event")
+        key1 = case_key(case, seed=0, fsm_mode="generated",
+                        backend="event")
+        key2 = case_key(_case(), seed=0, fsm_mode="generated",
+                        backend="event")
         assert key1 == key2
 
-    def test_key_depends_on_run_options(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+    def test_key_depends_on_run_options(self):
         case = _case()
-        base = cache.key_for(case, seed=0, fsm_mode="generated",
-                             backend="event")
-        assert base != cache.key_for(case, seed=1, fsm_mode="generated",
-                                     backend="event")
-        assert base != cache.key_for(case, seed=0, fsm_mode="interpreted",
-                                     backend="event")
-        assert base != cache.key_for(case, seed=0, fsm_mode="generated",
-                                     backend="compiled")
+        base = case_key(case, seed=0, fsm_mode="generated",
+                        backend="event")
+        assert base != case_key(case, seed=1, fsm_mode="generated",
+                                backend="event")
+        assert base != case_key(case, seed=0, fsm_mode="interpreted",
+                                backend="event")
+        assert base != case_key(case, seed=0, fsm_mode="generated",
+                                backend="compiled")
 
-    def test_key_depends_on_case_content(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+    def test_key_depends_on_case_content(self):
         small = _case(n_words=16)
         large = _case(n_words=32)
-        assert cache.key_for(small, seed=0, fsm_mode="generated",
-                             backend="event") != \
-            cache.key_for(large, seed=0, fsm_mode="generated",
-                          backend="event")
+        assert case_key(small, seed=0, fsm_mode="generated",
+                        backend="event") != \
+            case_key(large, seed=0, fsm_mode="generated",
+                     backend="event")
 
 
 KERNEL_V1 = """\
@@ -84,18 +87,24 @@ def test_key_compile_and_golden_agree_after_an_edit(tmp_path):
     assert result.passed, result.error
 
 
+def _passing_payload(case=None):
+    case = case or _case()
+    result = _run_case(case, seed=0, fsm_mode="generated",
+                       backend="event")
+    assert result.passed
+    key = case_key(case, seed=0, fsm_mode="generated", backend="event")
+    return key, result, result_to_payload(result)
+
+
 class TestRoundTrip:
     def test_store_then_load(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        case = _case()
-        result = _run_case(case, seed=0, fsm_mode="generated",
-                           backend="event")
-        assert result.passed
-        key = cache.key_for(case, seed=0, fsm_mode="generated",
-                            backend="event")
-        assert cache.store(key, result)
-        loaded = cache.load(key)
-        assert loaded is not None
+        key, result, payload = _passing_payload()
+        assert cache.store(key, payload)
+        # a new store on the directory answers from the file
+        stored = ArtifactCache(tmp_path).load(key)
+        assert stored is not None
+        loaded = result_from_payload(stored, cached=True)
         assert loaded.cached
         assert loaded.passed
         assert loaded.case == result.case
@@ -113,16 +122,104 @@ class TestRoundTrip:
     def test_failures_are_never_cached(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         failed = CaseResult("broken", None, None, 0.1, error="boom")
-        assert not cache.store("f" * 64, failed)
+        assert not cache.store("f" * 64, result_to_payload(failed))
         assert cache.load("f" * 64) is None
 
     def test_clear(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        case = _case()
-        result = _run_case(case, seed=0, fsm_mode="generated",
-                           backend="event")
-        key = cache.key_for(case, seed=0, fsm_mode="generated",
-                            backend="event")
-        cache.store(key, result)
+        key, _, payload = _passing_payload()
+        cache.store(key, payload)
         assert cache.clear() == 1
         assert cache.load(key) is None
+
+
+class TestLayers:
+    def test_memory_only_store(self):
+        cache = ArtifactCache()
+        key, _, payload = _passing_payload()
+        assert cache.root is None and cache.load(key) is None
+        assert cache.store(key, payload)
+        assert cache.recall(key) is payload
+        assert cache.load(key) is payload
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+
+    def test_a_directory_hit_is_promoted_into_memory(self, tmp_path):
+        key, _, payload = _passing_payload()
+        ArtifactCache(tmp_path).store(key, payload)
+        fresh = ArtifactCache(tmp_path)
+        assert fresh.recall(key) is None
+        assert fresh.load(key) == payload
+        assert fresh.recall(key) == payload
+
+    def test_persist_false_keeps_the_payload_off_disk(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        key, _, payload = _passing_payload()
+        assert cache.store(key, payload, persist=False)
+        assert cache.load(key) is payload
+        assert not list(tmp_path.glob("*.json"))
+        assert ArtifactCache(tmp_path).load(key) is None
+
+    @pytest.mark.parametrize("entry", ["truncated", "mismatch", "list"])
+    def test_a_non_passing_entry_is_a_miss(self, tmp_path, entry):
+        key, _, payload = _passing_payload()
+        text = json.dumps(payload)
+        if entry == "truncated":
+            text = text[:len(text) // 2]
+        elif entry == "mismatch":
+            payload["verification"]["checks"][0]["mismatches"] = [[0, 1, 2]]
+            text = json.dumps(payload)
+        else:
+            text = json.dumps([payload])
+        (tmp_path / f"{key}.json").write_text(text)
+        cache = ArtifactCache(tmp_path)
+        assert cache.load(key) is None
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 0)
+
+    def test_memory_layer_drops_its_oldest_entry(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_MEMORY_ENTRIES", 2)
+        cache = ArtifactCache()
+        _, _, payload = _passing_payload()
+        for key in ("a", "b", "a", "c"):
+            cache.store(key, payload)
+        assert len(cache) == 2
+        assert cache.recall("a") is None
+        assert cache.recall("b") is cache.recall("c") is payload
+
+
+def _two_case_suite():
+    suite = TestSuite("cached")
+    suite.add(suite_case("threshold", n_pixels=32))
+    suite.add(suite_case("popcount", n_words=16))
+    return suite
+
+
+class TestSuiteCache:
+    def test_counts_are_per_run(self, tmp_path):
+        from repro.obs import Ledger, suite_metrics
+
+        suite = _two_case_suite()
+        cache = ArtifactCache(tmp_path / "cache")
+        counts = []
+        for seed in (0, 1, 1):
+            report = suite.run(seed=seed, cache=cache,
+                               ledger=tmp_path / "l.sqlite")
+            counts.append((report.cache_hits, report.cache_misses))
+            assert report.passed
+        assert counts == [(0, 2), (0, 2), (2, 0)]
+        metrics = suite_metrics(report, cache=cache)
+        assert (metrics.counters["cache_hits"],
+                metrics.counters["cache_misses"]) == (2, 0)
+        with Ledger(tmp_path / "l.sqlite") as ledger:
+            run_id = ledger.latest_run("suite").run_id
+            rows = {row.cache: row for row in ledger.cache_rows(run_id)}
+        assert (rows["artifact"].hits, rows["artifact"].misses) == (2, 0)
+
+    def test_a_batched_run_neither_looks_up_nor_stores(self, tmp_path):
+        suite = _two_case_suite()
+        for _ in range(2):
+            report = suite.run(batch=2, backend="traced",
+                               cache=tmp_path)
+            assert report.passed
+            assert (report.cache_hits, report.cache_misses) == (0, 0)
+            assert not any(result.cached for result in report.results)
+        assert not list(tmp_path.glob("*.json"))

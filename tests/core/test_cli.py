@@ -78,6 +78,20 @@ class TestSuiteCommand:
                      "--backend", "event"]) == 0
         assert "backend=event" in capsys.readouterr().out
 
+    def test_batch_with_a_cache_verifies_on_every_run(self, tmp_path,
+                                                      capsys):
+        """A batched verdict never reaches the artifact cache: both runs
+        verify and exit 0, and neither answers a case from the cache."""
+        argv = ["suite", "--case", "threshold", "--batch", "2",
+                "--cache", str(tmp_path)]
+        for _ in range(2):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            head = next(line for line in out.splitlines()
+                        if line.startswith("suite:"))
+            assert "cached" not in head and "(cached)" not in out
+            assert "[PASS] threshold" in out
+
     def test_batch_refuses_coverage(self, capsys):
         assert main(["suite", "--case", "popcount", "--batch", "2",
                      "--coverage"]) == 2

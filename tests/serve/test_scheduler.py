@@ -7,15 +7,17 @@ are unreachable by construction.
 """
 
 import asyncio
+import json
 import os
 import signal
 import time
 
 import pytest
 
-from repro.apps import threshold
+from repro.apps import suite_case, threshold
 from repro.apps.registry import CASE_BUILDERS
-from repro.core import ArtifactCache, kernelcache, payload_passed
+from repro.core import (ArtifactCache, TestSuite, kernelcache,
+                        payload_passed, testsuite)
 from repro.core.kernelcache import KernelCache, set_default_cache
 from repro.core.testsuite import SuiteCase
 from repro.serve import ServeScheduler
@@ -176,6 +178,84 @@ class TestArtifactCache:
         assert scheduler.stats()["batched_jobs"] == 3
         assert ArtifactCache(cache_dir).load(
             resolve_job(JobSpec.from_dict({**TINY, "seed": 0})).key) is None
+
+
+def _serve_once(cache_dir, job=TINY):
+    async def go():
+        scheduler = ServeScheduler(jobs=1, cache=cache_dir)
+        await scheduler.start()
+        sub = scheduler.submit(dict(job))
+        payload = await sub.future
+        await scheduler.shutdown()
+        return scheduler, sub, payload
+    return run(go())
+
+
+def _suite_of_tiny():
+    """The suite twin of TINY: same case, size, seed and backend."""
+    suite = TestSuite("tiny")
+    suite.add(suite_case("threshold", n_pixels=32))
+    return suite
+
+
+class TestOneStore:
+    """The suite and the daemon answer a case from one store."""
+
+    def test_a_daemon_verdict_answers_the_suite(self, tmp_path,
+                                                monkeypatch):
+        cache_dir = tmp_path / "cache"
+        _, sub, payload = _serve_once(str(cache_dir))
+        assert sub.served == "queued" and payload_passed(payload)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a cached case was executed")
+
+        monkeypatch.setattr(testsuite, "_run_case", never)
+        report = _suite_of_tiny().run(seed=0, backend="traced",
+                                      cache=cache_dir)
+        assert report.passed
+        assert (report.cache_hits, report.cache_misses) == (1, 0)
+        assert report.results[0].cached
+
+    def test_a_suite_verdict_answers_the_daemon(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        report = _suite_of_tiny().run(seed=0, backend="traced",
+                                      cache=cache_dir)
+        assert report.passed and report.cache_misses == 1
+        scheduler, sub, payload = _serve_once(str(cache_dir))
+        assert sub.served == "artifact"
+        assert scheduler.stats()["executed"] == 0
+        assert payload_passed(payload)
+
+    @pytest.mark.parametrize("entry", ["truncated", "mismatch"])
+    def test_a_non_passing_entry_is_a_miss(self, tmp_path, entry):
+        """A file under the job's key that does not record a pass is
+        neither the suite's verdict nor the daemon's: both execute."""
+        cache_dir = tmp_path / "cache"
+        _, sub, payload = _serve_once(str(cache_dir))
+        path = cache_dir / f"{sub.key}.json"
+        assert path.exists()
+        if entry == "truncated":
+            text = path.read_text()
+            planted = text[:len(text) // 2]
+        else:
+            payload = json.loads(path.read_text())
+            payload["verification"]["checks"][0]["mismatches"] = \
+                [[0, 0, 255]]
+            planted = json.dumps(payload)
+
+        path.write_text(planted)
+        report = _suite_of_tiny().run(seed=0, backend="traced",
+                                      cache=cache_dir)
+        assert report.passed
+        assert (report.cache_hits, report.cache_misses) == (0, 1)
+        assert not report.results[0].cached
+
+        path.write_text(planted)
+        scheduler, again, payload = _serve_once(str(cache_dir))
+        assert again.served == "queued"
+        assert scheduler.stats()["executed"] == 1
+        assert payload_passed(payload)
 
 
 class TestDigestInvalidation:

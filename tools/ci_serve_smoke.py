@@ -3,8 +3,8 @@
 Boots the daemon exactly as a user would (``python -m repro serve``,
 with the HTTP shim, an artifact cache and ``--trace``), replays a mixed
 batch over the NDJSON socket — a fresh job, an exact repeat of it, a
-second distinct design, and an invalid design — and gates on the
-service contract:
+second distinct design, the CLI suite's threshold case, and an invalid
+design — and gates on the service contract:
 
 1. every valid job verifies (no mismatches, no errors), and the repeat
    is answered without a second execution (``coalesce + memo >= 1``);
@@ -20,18 +20,24 @@ service contract:
 6. the stitched trace the daemon exported holds one cross-process
    timeline per queued job (submit and execute spans from different
    pids sharing a trace id).  The trace is uploaded as a CI artifact,
-   so a failed smoke leaves its timeline behind for triage.
+   so a failed smoke leaves its timeline behind for triage;
+7. one store answers both entry points: after shutdown, ``python -m
+   repro suite --case threshold --backend traced`` on the daemon's
+   cache directory reports the threshold case the daemon verified at
+   the suite's size as ``1 cached``.
 
 Exit status 0 = all gates pass.
 """
 
 import json
+import shutil
 import socket
 import subprocess
 import sys
 import urllib.request
 from pathlib import Path
 
+from repro.core.cache import payload_passed
 from repro.obs.ledger import Ledger
 from repro.serve import ServeClient, wait_for_socket
 
@@ -44,15 +50,12 @@ CACHE = Path("serve-smoke-cache")
 FRESH = {"case": "threshold", "size": {"n_pixels": 32}}
 REPEAT = dict(FRESH)
 DISTINCT = {"case": "popcount", "size": {"n_words": 16}}
+#: ``repro suite --case threshold``'s size, on the daemon's default
+#: backend (traced)
+SUITE_SIZED = {"case": "threshold", "size": {"n_pixels": 512}}
 INVALID = {"case": "no-such-design"}
 
 GATES = ("memo", "artifact", "coalesce", "queue")
-
-
-def _passed(payload):
-    v = payload.get("verification")
-    return payload.get("error") is None and v is not None \
-        and all(not c["mismatches"] for c in v["checks"])
 
 
 def _free_port() -> int:
@@ -73,6 +76,7 @@ def main() -> int:
     for stale in (SOCKET, LEDGER, TRACE, EVENTS):
         if stale.exists():
             stale.unlink()
+    shutil.rmtree(CACHE, ignore_errors=True)
     port = _free_port()
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
@@ -82,7 +86,8 @@ def main() -> int:
     try:
         wait_for_socket(SOCKET, timeout=60)
         with ServeClient(SOCKET, timeout=120) as client:
-            events = client.run_jobs([FRESH, REPEAT, DISTINCT, INVALID])
+            events = client.run_jobs([FRESH, REPEAT, DISTINCT,
+                                      SUITE_SIZED, INVALID])
             stats = client.status()
             # scrape the warm daemon, as a Prometheus collector would
             with urllib.request.urlopen(
@@ -98,15 +103,16 @@ def main() -> int:
     failures = []
     served = [event["served"] for event in events]
     print(f"served: {served}")
-    for label, event in zip(("fresh", "repeat", "distinct"), events):
-        if not _passed(event["result"]):
+    for label, event in zip(("fresh", "repeat", "distinct",
+                             "suite-sized"), events):
+        if not payload_passed(event["result"]):
             failures.append(f"{label} job did not verify: "
                             f"{event['result'].get('error')}")
         else:
             cycles = event["result"]["verification"]["cycles"]
             print(f"[ok]   {label} ({event['served']}): "
                   f"{cycles} cycles, all checks match")
-    invalid = events[3]
+    invalid = events[4]
     if invalid["served"] != "invalid" \
             or "unknown case" not in (invalid["result"]["error"] or ""):
         failures.append(f"invalid design mis-handled: {invalid}")
@@ -150,7 +156,7 @@ def main() -> int:
     with Ledger(LEDGER) as ledger:
         run = ledger.latest_run("serve")
         rows = ledger.case_rows(run.run_id) if run else []
-    if run is None or not run.passed or len(rows) != 3:
+    if run is None or not run.passed or len(rows) != 4:
         failures.append(
             f"ledger harvest wrong: run={run} rows={len(rows)}")
     else:
@@ -182,6 +188,21 @@ def main() -> int:
         else:
             print(f"[ok]   trace: {len(stitched)} stitched "
                   f"cross-process job timeline(s) -> {TRACE}")
+
+    # one store: the daemon's verdict answers the suite runner
+    suite = subprocess.run(
+        [sys.executable, "-m", "repro", "suite", "--case", "threshold",
+         "--backend", "traced", "--cache", str(CACHE)],
+        capture_output=True, text=True, timeout=300)
+    head = next((line for line in suite.stdout.splitlines()
+                 if line.startswith("suite:")), "")
+    if suite.returncode != 0 or not head.endswith(", 1 cached)"):
+        failures.append(
+            f"suite on {CACHE} did not answer the daemon's verdict "
+            f"(exit {suite.returncode}): {head or suite.stderr[-500:]}")
+    else:
+        print(f"[ok]   one store: the suite read the daemon's verdict "
+              f"({head})")
 
     if failures:
         print("serve smoke FAILED:\n  " + "\n  ".join(failures))
