@@ -270,13 +270,16 @@ class ArtifactCache:
 
     def load(self, key: str) -> Optional[dict]:
         """The payload for *key* from memory, else from the directory
-        (promoted into memory), or ``None``.  An unreadable entry, another
-        layout version or a non-pass is a miss, never a verdict."""
+        (promoted into memory), or ``None``.  An unreadable or malformed
+        entry, another layout version or a non-pass is a miss, never a
+        verdict."""
         payload = self._memory.get(key)
         if payload is None and self.root is not None:
             try:
                 payload = json.loads((self.root / f"{key}.json").read_text())
-                if not _answers(payload):
+                if _answers(payload):
+                    result_from_payload(payload)  # a missing field raises
+                else:
                     payload = None
             except (OSError, ValueError, AttributeError, KeyError,
                     TypeError):

@@ -159,7 +159,8 @@ class TestLayers:
         assert not list(tmp_path.glob("*.json"))
         assert ArtifactCache(tmp_path).load(key) is None
 
-    @pytest.mark.parametrize("entry", ["truncated", "mismatch", "list"])
+    @pytest.mark.parametrize("entry", ["truncated", "mismatch", "list",
+                                       "missing field"])
     def test_a_non_passing_entry_is_a_miss(self, tmp_path, entry):
         key, _, payload = _passing_payload()
         text = json.dumps(payload)
@@ -168,8 +169,11 @@ class TestLayers:
         elif entry == "mismatch":
             payload["verification"]["checks"][0]["mismatches"] = [[0, 1, 2]]
             text = json.dumps(payload)
-        else:
+        elif entry == "list":
             text = json.dumps([payload])
+        else:
+            del payload["verification"]["cycles"]
+            text = json.dumps(payload)
         (tmp_path / f"{key}.json").write_text(text)
         cache = ArtifactCache(tmp_path)
         assert cache.load(key) is None
