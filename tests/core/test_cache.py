@@ -161,7 +161,8 @@ class TestLayers:
 
     @pytest.mark.parametrize("entry", ["truncated", "mismatch", "list",
                                        "missing field"])
-    def test_a_non_passing_entry_is_a_miss(self, tmp_path, entry):
+    def test_an_entry_that_is_not_a_whole_pass_is_a_miss(self, tmp_path,
+                                                         entry):
         key, _, payload = _passing_payload()
         text = json.dumps(payload)
         if entry == "truncated":
