@@ -22,14 +22,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..obs.coverage import CoverageReport
 from ..util.loc import function_source
-from .kernelcache import toolchain_fingerprint
+from .kernelcache import toolchain_fingerprint, write_json
 from .report import ConfigurationMetrics, DesignMetrics
 from .verification import MemoryCheck, VerificationResult
 
@@ -112,8 +110,7 @@ def structure_key(case, *, fsm_mode: str = "generated") -> str:
 
     Jobs that share a structure key compile to the same design and so
     elaborate to the same kernels — the serve scheduler uses this to
-    shard same-structure jobs onto the same warm worker and to group
-    them into one batched dispatch.
+    group them into one batched dispatch.
     """
     material = _structure_material(case)
     material["fsm_mode"] = fsm_mode
@@ -301,16 +298,7 @@ class ArtifactCache:
         self._remember(key, payload)
         if not persist or self.root is None:
             return True
-        handle, staging = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(payload, stream)
-            os.replace(staging, self.root / f"{key}.json")
-        except OSError:
-            with contextlib.suppress(OSError):
-                os.unlink(staging)
-            return False
-        return True
+        return write_json(self.root / f"{key}.json", payload)
 
     def _remember(self, key: str, payload: dict) -> None:
         if key not in self._memory \

@@ -34,6 +34,7 @@ them, into the cache directory it also ``exec``s kernels from.
 from __future__ import annotations
 
 import base64
+import contextlib
 import gc
 import hashlib
 import importlib.util
@@ -49,7 +50,8 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = ["KernelCache", "default_cache", "set_default_cache",
            "digest_parts", "datapath_digest", "fsm_digest",
            "toolchain_fingerprint", "kernel_fingerprint",
-           "fsm_fingerprint", "MEMO_ENTRIES", "memo_get", "memo_put"]
+           "fsm_fingerprint", "MEMO_ENTRIES", "memo_get", "memo_put",
+           "write_json"]
 
 #: bump when the payload schema changes
 _SCHEMA_VERSION = 1
@@ -246,6 +248,32 @@ def memo_put(memo: dict, key, value) -> None:
         del memo[next(iter(memo))]
 
 
+def write_json(path: Path, value: Any) -> bool:
+    """Write *value* to *path* as JSON, atomically; returns written?
+
+    Creates the directory, writes a staging file beside *path* and
+    renames it over *path*, so a reader sees the old entry or the new
+    one, never a part.  An :class:`OSError` (an unwritable or vanished
+    directory, a full disk) means "not written"; no staging file is
+    left behind either way.
+    """
+    staging = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle, staging = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with os.fdopen(handle, "w") as stream:
+            json.dump(value, stream)
+        os.replace(staging, path)
+        staging = None
+        return True
+    except OSError:
+        return False
+    finally:
+        if staging is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(staging)
+
+
 # ----------------------------------------------------------------------
 # The cache
 # ----------------------------------------------------------------------
@@ -358,21 +386,7 @@ class KernelCache:
         if code is not None:
             on_disk["code"] = base64.b64encode(
                 marshal.dumps(code)).decode("ascii")
-        try:
-            path = self._path(kind, key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(on_disk, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
+        if not write_json(self._path(kind, key), on_disk):
             # unwritable cache dir: degrade to memory-only for this entry
             self.errors += 1
 

@@ -195,8 +195,7 @@ def verify_design(design: Design, func: Callable, inputs: Inputs = None,
                   mismatch_limit: int = 32,
                   trace_dir=None,
                   coverage: bool = False,
-                  probe_signals: Sequence[str] = (),
-                  ledger=None) -> VerificationResult:
+                  probe_signals: Sequence[str] = ()) -> VerificationResult:
     """Run golden + simulation over identical inputs and compare memories.
 
     ``compare`` selects which memories are checked: ``"all"`` (every
@@ -213,9 +212,7 @@ def verify_design(design: Design, func: Callable, inputs: Inputs = None,
     the run) and the ``(time, value)`` samples land in
     ``result.probe_samples``.  Note a probe is a foreign watcher to the
     compiled kernel, which then conservatively falls back to the event
-    kernel — observation costs speed, never correctness.  ``ledger`` (a
-    :class:`repro.obs.Ledger` or a path) appends the result as one
-    ``verify`` row once the comparison is done.
+    kernel — observation costs speed, never correctness.
     """
     started = time.perf_counter()
     with span("verify.golden", "verify", design=design.name):
@@ -268,10 +265,6 @@ def verify_design(design: Design, func: Callable, inputs: Inputs = None,
         coverage=collector.report if collector is not None else None,
         probe_samples=probe_samples,
     )
-    if ledger is not None:
-        from ..obs.ledger import ledger_sink
-        with ledger_sink(ledger) as sink:
-            sink.record_verification(result, size=design.params)
     return result
 
 
@@ -344,8 +337,8 @@ def verify_design_batch(design: Design, func: Callable,
                         control_mode: str = "generated",
                         backend: str = "event",
                         max_cycles: int = 50_000_000,
-                        mismatch_limit: int = 32,
-                        ledger=None) -> BatchVerificationResult:
+                        mismatch_limit: int = 32
+                        ) -> BatchVerificationResult:
     """Verify *design* against N stimulus sets, elaborating each
     configuration once.
 
@@ -405,8 +398,4 @@ def verify_design_batch(design: Design, func: Callable,
         simulation_seconds=simulation_seconds,
         elaborations=batch_result.elaborations,
     )
-    if ledger is not None:
-        from ..obs.ledger import ledger_sink
-        with ledger_sink(ledger) as sink:
-            sink.record_batch_verification(result, size=design.params)
     return result

@@ -803,29 +803,15 @@ def export_prometheus(ledger: Ledger) -> str:
     if serve is not None:
         payload = serve.extra.get("histograms")
         if isinstance(payload, Mapping) and payload:
-            from .metrics import Histogram, render_prometheus_histogram
+            from .metrics import Histogram, render_serve_histograms
 
-            gate_series: List[Tuple[Dict[str, str], Any]] = []
-            plain: List[Tuple[str, Any]] = []
+            histograms = {}
             for name in sorted(payload):
                 try:
-                    hist = Histogram.from_dict(payload[name])
+                    histograms[name] = Histogram.from_dict(payload[name])
                 except (TypeError, ValueError, KeyError):
                     continue
-                if name.startswith("gate_") and name.endswith("_seconds"):
-                    gate = name[len("gate_"):-len("_seconds")]
-                    gate_series.append(({"gate": gate}, hist))
-                else:
-                    plain.append((name, hist))
-            if gate_series:
-                lines.extend(render_prometheus_histogram(
-                    "repro_serve_gate_seconds", gate_series,
-                    "Admission-gate latency of the latest serve "
-                    "session, by gate."))
-            for name, hist in plain:
-                lines.extend(render_prometheus_histogram(
-                    f"repro_serve_{name}", [({}, hist)],
-                    f"Latest serve-session {name} distribution."))
+            lines.extend(render_serve_histograms(histograms))
 
     return "\n".join(lines) + "\n" if lines else ""
 

@@ -605,62 +605,6 @@ class Ledger:
             return run_id
 
     @_retry_once
-    def record_verification(self, result, *, app: Optional[str] = None,
-                            size: Optional[Mapping[str, Any]] = None,
-                            compile_seconds: Optional[float] = None,
-                            argv: Optional[Sequence[str]] = None) -> int:
-        """Record one standalone :class:`VerificationResult`."""
-        app = app or result.design
-        with self._conn as conn:
-            run_id = self._insert_run(
-                conn, "verify",
-                wall_seconds=result.golden_seconds
-                + result.simulation_seconds,
-                passed=result.passed, backend=result.backend, argv=argv,
-                extra={"design": result.design,
-                       "reconfigurations": result.reconfigurations})
-            self._insert_case(
-                conn, run_id, app, result.backend, _size_key(size),
-                sim_seconds=result.simulation_seconds,
-                compile_seconds=compile_seconds, cycles=result.cycles,
-                evaluations=result.evaluations, passed=result.passed)
-            if result.coverage is not None:
-                self._insert_coverage(conn, run_id, app, result.coverage)
-            return run_id
-
-    @_retry_once
-    def record_batch_verification(self, result, *,
-                                  app: Optional[str] = None,
-                                  size: Optional[Mapping[str, Any]] = None,
-                                  compile_seconds: Optional[float] = None,
-                                  argv: Optional[Sequence[str]] = None
-                                  ) -> int:
-        """Record one :class:`BatchVerificationResult` as a single case
-        row carrying the batch columns (total seconds in
-        ``sim_seconds``, amortized per-lane seconds in
-        ``lane_seconds``)."""
-        app = app or result.design
-        with self._conn as conn:
-            run_id = self._insert_run(
-                conn, "verify",
-                wall_seconds=result.golden_seconds
-                + result.simulation_seconds,
-                passed=result.passed, backend=result.backend, argv=argv,
-                extra={"design": result.design,
-                       "batch_size": result.batch_size,
-                       "elaborations": result.elaborations})
-            self._insert_case(
-                conn, run_id, app, result.backend, _size_key(size),
-                sim_seconds=result.simulation_seconds,
-                compile_seconds=compile_seconds,
-                cycles=sum(lane.cycles for lane in result.lanes),
-                evaluations=sum(lane.evaluations for lane in result.lanes),
-                passed=result.passed,
-                batch_size=result.batch_size,
-                lane_seconds=result.lane_seconds)
-            return run_id
-
-    @_retry_once
     def record_flow(self, report, *, app: str, backend: str = "event",
                     size: Optional[Mapping[str, Any]] = None,
                     argv: Optional[Sequence[str]] = None) -> int:

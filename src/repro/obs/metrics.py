@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 __all__ = ["Metrics", "Histogram", "render_prometheus_histogram",
+           "render_serve_histograms",
            "verification_metrics", "suite_metrics",
            "flow_metrics", "campaign_metrics", "serve_metrics"]
 
@@ -276,6 +277,40 @@ def render_prometheus_histogram(
         lines.append(f"{name}_count{_prom_label_text(dict(labels))} "
                      f"{hist.count}")
     return lines
+
+
+#: HELP text of each ``repro_serve_*`` histogram family
+_SERVE_HELP = {
+    "gate_seconds": "Admission gate latency by gate, seconds",
+    "queue_wait_seconds": "Time from enqueue to worker dispatch, seconds",
+    "execute_seconds": "Per-job worker execution wall time, seconds",
+    "job_latency_seconds": "End-to-end submit-to-reply latency, seconds",
+    "batch_size": "Jobs per worker dispatch",
+}
+
+
+def render_serve_histograms(
+        histograms: Mapping[str, "Histogram"]) -> List[str]:
+    """The serve daemon's histograms as ``repro_serve_*`` families, for
+    its live ``/metrics`` and for ``repro obs export``: the
+    ``gate_<gate>_seconds`` series fold into one
+    ``repro_serve_gate_seconds`` family labelled by gate, and every
+    other histogram renders as ``repro_serve_<name>``."""
+    gates: List[Tuple[Mapping[str, Any], Histogram]] = []
+    lines: List[str] = []
+    for name, hist in histograms.items():
+        if name.startswith("gate_") and name.endswith("_seconds"):
+            gates.append(({"gate": name[len("gate_"):-len("_seconds")]},
+                          hist))
+        else:
+            lines.extend(render_prometheus_histogram(
+                f"repro_serve_{name}", [({}, hist)],
+                _SERVE_HELP.get(name, "")))
+    if not gates:
+        return lines
+    return render_prometheus_histogram(
+        "repro_serve_gate_seconds", gates,
+        _SERVE_HELP["gate_seconds"]) + lines
 
 
 # ----------------------------------------------------------------------

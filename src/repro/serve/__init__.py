@@ -4,9 +4,10 @@ Long-lived asyncio parent + forked worker pool (the one
 :class:`~repro.util.pool.ForkPool` the batch runners use) answering
 compile+simulate+verify jobs over an NDJSON Unix socket (plus an
 optional HTTP shim), with request dedup/coalescing keyed by the
-artifact-cache content hash, structure-sharded work stealing, and
-batched dispatches of same-structure jobs on one elaboration.  See
-:doc:`docs/serving.md` for the protocol and policies.
+artifact-cache content hash, one run queue whose oldest job goes to the
+next idle worker, and batched dispatches of same-structure jobs on one
+elaboration.  See :doc:`docs/serving.md` for the protocol and
+policies.
 """
 
 from .client import ServeClient, wait_for_socket

@@ -2,11 +2,11 @@
 
 A *job* is one compile+simulate+verify request against a registered
 benchmark app: the case name, its sizing options, the stimulus seed and
-the execution options.  Everything else — the dedup key, the batch
-group, the shard — is derived, never sent, so a client cannot lie about
-identity: two requests that hash alike *are* alike by construction.
+the execution options.  Everything else — the dedup key and the batch
+group — is derived, never sent, so a client cannot lie about identity:
+two requests that hash alike *are* alike by construction.
 
-Three derived identities drive the scheduler:
+Two derived identities drive the scheduler:
 
 * **job key** — :func:`repro.core.cache.case_key` over the resolved
   case.  Identical to the artifact-cache digest, so "dedup against the
@@ -16,8 +16,6 @@ Three derived identities drive the scheduler:
   the same design and run on the same backend, differing only in
   stimulus, which is exactly the precondition for one batched dispatch
   on one elaboration.
-* **shard** — ``int(group_key, 16) % n_workers``: same-structure jobs
-  land on the same worker, whose kernel cache is already warm for them.
 """
 
 from __future__ import annotations
@@ -112,14 +110,11 @@ class ResolvedJob:
     case: SuiteCase
     #: the content-hash artifact digest (dedup/coalesce/cache key)
     key: str
-    #: structure + options minus seed (batch grouping / shard key)
+    #: structure + options minus seed (batch grouping)
     group: str
     #: may this job be folded into a batched dispatch? (it needs a
     #: seeded stimulus factory, one input set per lane)
     batchable: bool
-
-    def shard(self, n_workers: int) -> int:
-        return int(self.group[:16], 16) % max(n_workers, 1)
 
 
 def resolve_job(spec: JobSpec) -> ResolvedJob:

@@ -1,4 +1,4 @@
-"""The serve scheduler: dedup, coalescing, sharding, stealing, batching.
+"""The serve scheduler: dedup, coalescing, one run queue, batching.
 
 The parent process owns all scheduling state; workers are pure
 executors.  A submitted job flows through four gates, cheapest first
@@ -13,28 +13,25 @@ executors.  A submitted job flows through four gates, cheapest first
 3. **coalesce** — a job whose key is already in flight (queued or
    executing) attaches its future to the existing execution instead of
    queueing a duplicate; one execution fans out to every waiter.
-4. **queue** — the job lands on the deque of the worker its *group*
-   key shards to, so same-structure jobs hit the same warm kernel
-   cache.
+4. **queue** — the job joins the back of the one run queue.
 
-Idle workers first drain their own deque; an empty deque *steals* from
-the tail of the longest other deque (the head is the victim's warm,
-soon-to-run work; the tail is the coldest).  When a dispatch is taken,
-the scheduler gathers up to ``batch_max - 1`` more same-group jobs from
-the same deque into one batched dispatch, which the worker runs on the
-jobs' own backend, one after another on one elaboration per
-configuration.
+A worker that goes idle takes the oldest queued job plus up to
+``batch_max - 1`` younger queued jobs of its group as one dispatch,
+which it runs on the jobs' own backend, one after another on one
+elaboration per configuration.  That is the fork pool's own rule:
+:meth:`~repro.util.pool.ForkPool.map` hands a task only to an idle
+worker, in task order.
 
 The workers come from a :class:`~repro.util.pool.ForkPool` (the one
-the batch runners use): the scheduler forks one per shard, sends each
-dispatch as the pool task ``(workers.execute_jobs, specs)`` and reads
-the replies from the event loop.  A worker that dies is forked again
-and its jobs go back to the front of its deque, up to ``max_respawns``
-times ``jobs`` deaths; past that budget its jobs, and once no worker is
-left every queued and later job, resolve to an error payload.  Workers
-ignore SIGINT; they exit when the daemon closes their pipes at
-shutdown, or at their next read of the pipe once the daemon is gone,
-even by SIGKILL.
+the batch runners use): the scheduler forks ``jobs`` of them by index,
+sends each dispatch as the pool task ``(workers.execute_jobs, specs)``
+and reads the replies from the event loop.  A worker that dies is
+forked again and its jobs go back to the front of the queue, up to
+``max_respawns`` times ``jobs`` deaths; past that budget its jobs, and
+once no worker is left the queue and every later job, resolve to an
+error payload.  Workers ignore SIGINT; they exit when the daemon closes
+their pipes at shutdown, or at their next read of the pipe once the
+daemon is gone, even by SIGKILL.
 
 Results are finalized in the parent: futures resolve, passing payloads
 enter the store — singly-executed passes both layers, batched lanes
@@ -65,7 +62,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Union
 
 from ..core.cache import ArtifactCache, payload_passed
-from ..obs.metrics import Histogram, render_prometheus_histogram
+from ..obs.metrics import Histogram, render_serve_histograms
 from ..obs.trace import start_span
 from ..util.pool import ForkPool
 from . import workers
@@ -168,8 +165,8 @@ class ServeScheduler:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: a worker's ``task`` is the list of jobs it is executing
         self._pool = ForkPool(jobs, None)
-        self._deques: List[Deque[_Queued]] = [deque()
-                                              for _ in range(jobs)]
+        #: the run queue, oldest job first
+        self._queue: Deque[_Queued] = deque()
         self._inflight: Dict[str, _Queued] = {}
         self._started: Optional[float] = None
         self._respawns = 0
@@ -182,7 +179,10 @@ class ServeScheduler:
             "coalesced": 0, "memo_hits": 0, "artifact_hits": 0,
             "invalid": 0, "failed": 0,
             "dispatches": 0, "batches": 0, "batched_jobs": 0,
-            "steals": 0, "stolen_jobs": 0, "respawns": 0,
+            "respawns": 0,
+            # one queue leaves nothing to steal; the keys stay for the
+            # readers of stats() and read 0
+            "steals": 0, "stolen_jobs": 0,
         }
 
     # -- lifecycle ------------------------------------------------------
@@ -304,8 +304,7 @@ class ServeScheduler:
                                        case=resolved.spec.case)
         queued.enqueued_at = time.perf_counter()
         self._inflight[key] = queued
-        shard = resolved.shard(self.jobs)
-        self._deques[shard].append(queued)
+        self._queue.append(queued)
         self._kick()
         hist["gate_queue_seconds"].observe(time.perf_counter() - t0)
         return "queued"
@@ -323,49 +322,28 @@ class ServeScheduler:
         self._kick_scheduled = False
         self._dispatch_all()
 
-    # -- dispatch / stealing / batching ---------------------------------
+    # -- dispatch / batching ---------------------------------------------
     def _dispatch_all(self) -> None:
         for index, worker in enumerate(self._pool.workers):
-            if not worker.conn.closed and worker.task is None:
-                batch = self._take_work(index)
-                if batch:
-                    self._send(index, batch)
+            if self._queue and not worker.conn.closed \
+                    and worker.task is None:
+                self._send(index, self._take_work())
         if all(worker.conn.closed for worker in self._pool.workers):
             # the respawn budget is spent and no worker is left
-            for shard in self._deques:
-                while shard:
-                    self._fail(shard.popleft())
+            while self._queue:
+                self._fail(self._queue.popleft())
 
-    def _take_work(self, index: int) -> List[_Queued]:
-        source = self._deques[index]
-        stolen = False
-        if source:
-            first = source.popleft()
-        else:
-            victim = max(
-                (i for i in range(self.jobs) if i != index),
-                key=lambda i: len(self._deques[i]), default=None)
-            if victim is None or not self._deques[victim]:
-                return []
-            source = self._deques[victim]
-            first = source.pop()
-            stolen = True
-            self.counters["steals"] += 1
-            self.counters["stolen_jobs"] += 1
+    def _take_work(self) -> List[_Queued]:
+        """The oldest queued job and up to ``batch_max - 1`` younger
+        queued jobs of its group, oldest first."""
+        first = self._queue.popleft()
         batch = [first]
-        if self.batch_max > 1 and source and first.resolved.batchable:
-            matches = [queued for queued in source
+        if self.batch_max > 1 and first.resolved.batchable:
+            matches = [queued for queued in self._queue
                        if queued.group == first.group]
-            matches = matches[:self.batch_max - 1]
-            if matches:
-                taken = {id(queued) for queued in matches}
-                keep = [queued for queued in source
-                        if id(queued) not in taken]
-                source.clear()
-                source.extend(keep)
-                batch.extend(matches)
-                if stolen:
-                    self.counters["stolen_jobs"] += len(matches)
+            for queued in matches[:self.batch_max - 1]:
+                self._queue.remove(queued)
+                batch.append(queued)
         return batch
 
     def _send(self, index: int, batch: List[_Queued]) -> None:
@@ -402,17 +380,19 @@ class ServeScheduler:
     # -- results --------------------------------------------------------
     def _on_readable(self, index: int) -> None:
         worker = self._pool.workers[index]
-        try:
-            while worker.conn.poll():
+        while True:
+            try:
+                if not worker.conn.poll():
+                    break
                 ok, entries = worker.conn.recv()
-                if not ok:  # execute_jobs raised: handled as a dead worker
-                    raise EOFError(entries)
-                batch, worker.task = worker.task or [], None
-                for queued, entry in zip(batch, entries):
-                    self._finalize(queued, entry)
-        except (EOFError, OSError):
-            self._on_worker_death(index)
-            return
+            except (EOFError, OSError):
+                ok = False
+            if not ok:  # a dead worker, or execute_jobs raised
+                self._on_worker_death(index)
+                return
+            batch, worker.task = worker.task or [], None
+            for queued, entry in zip(batch, entries):
+                self._finalize(queued, entry)
         self._dispatch_all()
 
     def _finalize(self, queued: _Queued, entry: dict) -> None:
@@ -470,10 +450,9 @@ class ServeScheduler:
                 self._fail(queued)
             self._kick()
             return
-        # put the interrupted jobs back at the front of their shard's
-        # deque (they were next in line) and bring up a replacement
-        for queued in reversed(orphans):
-            self._deques[index].appendleft(queued)
+        # put the interrupted jobs back at the front of the queue (they
+        # were its oldest) and bring up a replacement
+        self._queue.extendleft(reversed(orphans))
         self._spawn(index)
         self._kick()
 
@@ -512,7 +491,7 @@ class ServeScheduler:
                              if self._started is not None else 0.0),
             "workers": self.jobs,
             "batch_max": self.batch_max,
-            "queue_depths": [len(dq) for dq in self._deques],
+            "queue_depths": [len(self._queue)],
             "inflight": len(self._inflight),
             "memo_entries": len(self.cache),
             "coalesce_rate": counters["coalesced"] / submitted,
@@ -545,21 +524,6 @@ class ServeScheduler:
             else:
                 lines.append(f"# TYPE repro_serve_{name}_total counter")
                 lines.append(f"repro_serve_{name}_total {value}")
-        lines.extend(render_prometheus_histogram(
-            "repro_serve_gate_seconds",
-            [({"gate": gate}, self.histograms[f"gate_{gate}_seconds"])
-             for gate in _GATES],
-            "Admission gate latency by gate, seconds"))
-        for name, help_text in (
-                ("queue_wait_seconds",
-                 "Time from enqueue to worker dispatch, seconds"),
-                ("execute_seconds",
-                 "Per-job worker execution wall time, seconds"),
-                ("job_latency_seconds",
-                 "End-to-end submit-to-reply latency, seconds"),
-                ("batch_size", "Jobs per worker dispatch")):
-            lines.extend(render_prometheus_histogram(
-                f"repro_serve_{name}", [({}, self.histograms[name])],
-                help_text))
+        lines.extend(render_serve_histograms(self.histograms))
         return "\n".join(lines) + "\n"
 

@@ -180,6 +180,25 @@ class TestLayers:
         assert cache.load(key) is None
         assert (cache.hits, cache.misses, len(cache)) == (0, 1, 0)
 
+    def test_a_removed_directory_is_made_again(self, tmp_path):
+        root = tmp_path / "cache"
+        cache = ArtifactCache(root)
+        root.rmdir()
+        key, _, payload = _passing_payload()
+        assert cache.store(key, payload)
+        assert ArtifactCache(root).load(key) == payload
+
+    def test_an_unwritable_directory_keeps_the_memory_layer(self,
+                                                            tmp_path):
+        root = tmp_path / "cache"
+        cache = ArtifactCache(root)
+        root.rmdir()
+        root.write_text("a file where the directory was")
+        key, _, payload = _passing_payload()
+        assert not cache.store(key, payload)
+        assert cache.recall(key) is payload
+        assert list(tmp_path.iterdir()) == [root]
+
     def test_memory_layer_drops_its_oldest_entry(self, monkeypatch):
         monkeypatch.setattr(cache_module, "_MEMORY_ENTRIES", 2)
         cache = ArtifactCache()
@@ -218,6 +237,17 @@ class TestSuiteCache:
             run_id = ledger.latest_run("suite").run_id
             rows = {row.cache: row for row in ledger.cache_rows(run_id)}
         assert (rows["artifact"].hits, rows["artifact"].misses) == (2, 0)
+
+    def test_a_removed_directory_does_not_crash_the_run(self, tmp_path):
+        """The directory removed under a live cache: the run returns its
+        pass, and its verdicts land in the directory made again."""
+        root = tmp_path / "cache"
+        cache = ArtifactCache(root)
+        root.rmdir()
+        report = _two_case_suite().run(seed=0, cache=cache)
+        assert report.passed
+        assert (report.cache_hits, report.cache_misses) == (0, 2)
+        assert len(list(root.glob("*.json"))) == 2
 
     def test_a_batched_run_neither_looks_up_nor_stores(self, tmp_path):
         suite = _two_case_suite()

@@ -58,8 +58,7 @@ class TestRetryOnce:
         assert recorder.calls == 1
 
     def test_every_recorder_is_guarded(self):
-        for name in ("record_suite", "record_verification",
-                     "record_batch_verification", "record_flow",
+        for name in ("record_suite", "record_flow",
                      "record_fuzz", "record_bench",
                      "record_injection_campaign", "record_triage",
                      "record_serve"):
@@ -70,24 +69,12 @@ class TestRetryOnce:
 # ----------------------------------------------------------------------
 # Two real processes, one real database
 # ----------------------------------------------------------------------
-class FakeVerification:
-    def __init__(self, tag):
-        self.simulation_seconds = 0.01
-        self.cycles = 100
-        self.evaluations = 500
-        self.passed = True
-        self.coverage = None
-        self.design = tag
-        self.backend = "event"
-        self.golden_seconds = 0.001
-        self.reconfigurations = 1
-
-
 def _append_runs(path, tag, count):
     with Ledger(path) as ledger:
         for i in range(count):
-            ledger.record_verification(FakeVerification(f"{tag}-{i}"),
-                                       app=f"{tag}-{i}")
+            ledger.record_triage({"design": f"{tag}-{i}", "mode": "cycle",
+                                  "backend_sub": "event"},
+                                 wall_seconds=0.01)
 
 
 @fork_only

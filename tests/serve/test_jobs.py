@@ -97,13 +97,6 @@ class TestResolve:
         assert a.group != c.group
         assert a.group != d.group
 
-    def test_shard_is_stable_and_in_range(self):
-        resolved = resolve_job(JobSpec(case="matmul", size={"n": 4}))
-        for n in (1, 2, 4, 7):
-            shard = resolved.shard(n)
-            assert 0 <= shard < n
-            assert shard == resolved.shard(n)
-
     def test_batchable_on_any_backend(self):
         """A batched dispatch runs its jobs' own backend, so a job
         needs only a seeded stimulus factory to be batched."""

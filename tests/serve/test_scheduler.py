@@ -1,4 +1,5 @@
-"""Scheduler policies: coalescing, dedup, stealing, batching, respawn.
+"""Scheduler policies: coalescing, dedup, the run queue, batching,
+respawn.
 
 The central acceptance property lives here: M identical + K distinct
 concurrent jobs produce exactly K executions and M + K correct results,
@@ -316,12 +317,24 @@ class TestDigestInvalidation:
         assert payload_passed(payload_after)
 
 
-class TestStealing:
-    def test_idle_worker_steals_from_loaded_shard(self):
-        """With batching off, same-group jobs pile onto one shard; the
-        other worker must steal to keep busy."""
+class _Recording(ServeScheduler):
+    """A scheduler that notes every dispatch: (worker, seeds)."""
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.sent = []
+
+    def _send(self, index, batch):
+        self.sent.append((index, [queued.spec.seed for queued in batch]))
+        super()._send(index, batch)
+
+
+class TestRunQueue:
+    def test_jobs_are_dispatched_oldest_first_to_idle_workers(self):
+        """With batching off, six jobs of one group go out in the order
+        they came in, and both workers run some of them."""
         async def go():
-            scheduler = ServeScheduler(jobs=2, batch_max=1)
+            scheduler = _Recording(jobs=2, batch_max=1)
             await scheduler.start()
             subs = [scheduler.submit({**TINY, "seed": s})
                     for s in range(6)]
@@ -330,10 +343,68 @@ class TestStealing:
 
         scheduler, payloads = run(go())
         assert all(payload_passed(p) for p in payloads)
+        assert [seeds for _, seeds in scheduler.sent] == \
+            [[s] for s in range(6)]
+        assert {index for index, _ in scheduler.sent} == {0, 1}
         counters = scheduler.stats()
         assert counters["executed"] == 6
         assert counters["batches"] == 0
-        assert counters["steals"] >= 1
+        assert (counters["steals"], counters["stolen_jobs"]) == (0, 0)
+        assert counters["queue_depths"] == [0]
+
+    def test_a_batch_gathers_the_oldest_jobs_of_the_oldest_group(self):
+        """An idle worker takes the oldest job and the next
+        ``batch_max - 1`` queued jobs of its group; a job of another
+        group keeps its place in the queue."""
+        other = {"case": "popcount", "size": {"n_words": 16}}
+
+        async def go():
+            scheduler = _Recording(jobs=1, batch_max=2)
+            await scheduler.start()
+            subs = [scheduler.submit({**TINY, "seed": 0}),
+                    scheduler.submit(dict(other)),
+                    scheduler.submit({**TINY, "seed": 1}),
+                    scheduler.submit({**TINY, "seed": 2})]
+            payloads = await drain(scheduler, subs)
+            return scheduler, payloads
+
+        scheduler, payloads = run(go())
+        assert all(payload_passed(p) for p in payloads)
+        assert [seeds for _, seeds in scheduler.sent] == \
+            [[0, 1], [0], [2]]
+
+
+class TestRemovedCacheDirectory:
+    def test_jobs_resolve_when_the_directory_is_removed(self, tmp_path):
+        """The ``--cache`` directory removed under a running daemon: a
+        store makes it again, and no job hangs or costs a worker."""
+        cache_dir = tmp_path / "cache"
+
+        async def go():
+            scheduler = ServeScheduler(jobs=1, cache=str(cache_dir))
+            await scheduler.start()
+            cache_dir.rmdir()
+            subs = [scheduler.submit({**TINY, "size": {"n_pixels": 64},
+                                      "backend": "compiled"}),
+                    scheduler.submit({"case": "popcount",
+                                      "size": {"n_words": 32},
+                                      "backend": "compiled"})]
+            try:
+                payloads = await asyncio.wait_for(
+                    asyncio.gather(*(s.future for s in subs)), 30)
+            except asyncio.TimeoutError:
+                scheduler._pool.close(terminate=True)
+                raise
+            await scheduler.shutdown()
+            return scheduler, subs, payloads
+
+        scheduler, subs, payloads = run(go())
+        assert all(payload_passed(p) for p in payloads)
+        counters = scheduler.stats()
+        assert counters["respawns"] == 0
+        assert counters["completed"] == 2
+        for sub in subs:
+            assert (cache_dir / f"{sub.key}.json").exists()
 
 
 class TestAdaptiveBatching:
