@@ -52,7 +52,7 @@ from .hdl import (Datapath, Fsm, Rtg, load_datapath, load_fsm, load_rtg,
 from .rtg import ReconfigurationContext, RtgExecutor
 from .sim import ObliviousSimulator, Simulator
 from .translate import build_simulation, translate
-from .util import BitVector, MemoryImage, compare_images
+from .util import MemoryImage, compare_images
 
 __version__ = "1.0.0"
 
@@ -81,7 +81,7 @@ __all__ = [
     "ReconfigurationContext", "RtgExecutor",
     "Simulator", "ObliviousSimulator",
     "build_simulation", "translate",
-    "BitVector", "MemoryImage", "compare_images",
+    "MemoryImage", "compare_images",
     "CoupledSystem", "CosimResult", "Microprocessor",
     "__version__",
 ]

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..hdl.model.datapath import Datapath, PortRef
+from ..operators.comparison import COMPARE_OPS
 from ..operators.mux import select_width
 from .cfg import (Cfg, TBranch, TCopy, TLoad, TOp, TStore, Value, VConst,
                   VTemp, VVar)
@@ -42,10 +43,6 @@ from .errors import CompileError
 from .scheduling import BlockSchedule, Schedule
 
 __all__ = ["BindingResult", "generate_datapath"]
-
-#: operator types whose operands are word-wide but whose result is 1 bit
-_CMP_TYPES = {"lt", "le", "gt", "ge", "eq", "ne"}
-
 
 @dataclass
 class BindingResult:
@@ -274,7 +271,9 @@ class _Binder:
 
     # -- operators --------------------------------------------------------
     def _operand_width(self, op: TOp) -> int:
-        if op.op in _CMP_TYPES:
+        """Comparators read word-wide operands and drive one bit; every
+        other unit is as wide as its result."""
+        if op.op in COMPARE_OPS:
             return self.cfg.word_width
         return op.dest.width
 

@@ -5,15 +5,21 @@ block: known-constant temps are substituted into later operands, fully
 constant operations disappear, and algebraic identities collapse
 (``x+0``, ``x*1``, ``x*0``, ``x&0``...).  Branches on constant conditions
 become jumps, which later lets unreachable-block removal shrink the FSM.
+
+A folded constant is what the operator library's unit for that operation
+drives, so it is exactly what the hardware it replaces would compute.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ...operators.catalog import BuildContext, build_operator
+from ...operators.comparison import COMPARE_OPS
+from ...sim.errors import SimulationError
+from ...sim.kernel import Simulator
 from ..cfg import (BasicBlock, Cfg, TBranch, TCopy, TJump, TLoad, TOp,
                    TStore, Value, VConst, VTemp, VVar)
-from .evalop import eval_op
 
 __all__ = ["fold_constants"]
 
@@ -123,15 +129,29 @@ def _fold_block(block: BasicBlock, word_width: int) -> bool:
 
 
 def _try_fold(op: TOp, word_width: int) -> Optional[VConst]:
-    if not isinstance(op.a, VConst):
+    """What the catalog's unit for ``op.op`` drives from constant
+    operands after a settle, or None.
+
+    The unit gets the width the datapath gives it: comparators read
+    word-wide operands and drive one bit, every other unit is as wide as
+    its result.  Its input signals mask the operands to that width.  The
+    unit is built strict, so a zero divisor raises and stays unfolded
+    for simulation to report.
+    """
+    operands = (op.a,) if op.b is None else (op.a, op.b)
+    if not all(isinstance(value, VConst) for value in operands):
         return None
-    if op.b is not None and not isinstance(op.b, VConst):
+    width = word_width if op.op in COMPARE_OPS else op.dest.width
+    sim = Simulator()
+    ports = {port: sim.signal(port, width, value.value)
+             for port, value in zip("ab", operands)}
+    unit = build_operator(BuildContext(sim), op.op, "fold", ports,
+                          {"strict": "1"})
+    try:
+        sim.settle()
+    except SimulationError:
         return None
-    b = op.b.value if op.b is not None else None
-    result = eval_op(op.op, op.a.value, b, op.dest.width, word_width)
-    if result is None:
-        return None
-    return VConst(result)
+    return VConst(unit.y.value)
 
 
 def _try_simplify(op: TOp):

@@ -882,23 +882,30 @@ class Ledger:
         the sentinel uses it to keep fault-campaign baselines out of
         its perf history.
         """
-        sql = ("SELECT * FROM case_runs WHERE app = ? AND backend = ? "
-               "AND size = ?")
+        where = "app = ? AND backend = ? AND size = ?"
         params: List[Any] = [app, backend, size]
-        if exclude_run is not None:
-            sql += " AND run_id != ?"
-            params.append(exclude_run)
         if exclude_kinds:
             marks = ", ".join("?" for _ in exclude_kinds)
-            sql += (f" AND run_id NOT IN (SELECT run_id FROM runs "
-                    f"WHERE kind IN ({marks}))")
+            where += (f" AND run_id NOT IN (SELECT run_id FROM runs "
+                      f"WHERE kind IN ({marks}))")
             params.extend(exclude_kinds)
+        return [self._case_row(row) for row in self._history(
+            "case_runs", where, params, exclude_run, limit)]
+
+    def _history(self, table: str, where: str, params: List[Any],
+                 exclude_run: Optional[int],
+                 limit: Optional[int]) -> List[sqlite3.Row]:
+        """The newest *limit* rows of *table* matching *where*, run
+        *exclude_run* left out, oldest first."""
+        sql = f"SELECT * FROM {table} WHERE {where}"
+        if exclude_run is not None:
+            sql += " AND run_id != ?"
+            params = [*params, exclude_run]
         sql += " ORDER BY run_id DESC"
         if limit is not None:
             sql += " LIMIT ?"
-            params.append(int(limit))
-        rows = [self._case_row(row)
-                for row in self._conn.execute(sql, params)]
+            params = [*params, int(limit)]
+        rows = self._conn.execute(sql, params).fetchall()
         rows.reverse()
         return rows
 
@@ -915,58 +922,38 @@ class Ledger:
                        lane_seconds=row["lane_seconds"])
 
     def coverage_rows(self, run_id: int) -> List[CoverageRow]:
-        return [CoverageRow(run_id=row["run_id"], scope=row["scope"],
-                            state_coverage=row["state_coverage"],
-                            transition_coverage=row["transition_coverage"],
-                            operator_coverage=row["operator_coverage"])
-                for row in self._conn.execute(
-                    "SELECT * FROM coverage_runs WHERE run_id = ? "
-                    "ORDER BY id", (run_id,))]
+        return [self._coverage_row(row) for row in self._conn.execute(
+            "SELECT * FROM coverage_runs WHERE run_id = ? ORDER BY id",
+            (run_id,))]
 
     def coverage_history(self, scope: str, *,
                          exclude_run: Optional[int] = None,
                          limit: Optional[int] = None) -> List[CoverageRow]:
-        sql = "SELECT * FROM coverage_runs WHERE scope = ?"
-        params: List[Any] = [scope]
-        if exclude_run is not None:
-            sql += " AND run_id != ?"
-            params.append(exclude_run)
-        sql += " ORDER BY run_id DESC"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(limit))
-        rows = [CoverageRow(run_id=row["run_id"], scope=row["scope"],
-                            state_coverage=row["state_coverage"],
-                            transition_coverage=row["transition_coverage"],
-                            operator_coverage=row["operator_coverage"])
-                for row in self._conn.execute(sql, params)]
-        rows.reverse()
-        return rows
+        return [self._coverage_row(row) for row in self._history(
+            "coverage_runs", "scope = ?", [scope], exclude_run, limit)]
+
+    @staticmethod
+    def _coverage_row(row: sqlite3.Row) -> CoverageRow:
+        return CoverageRow(run_id=row["run_id"], scope=row["scope"],
+                           state_coverage=row["state_coverage"],
+                           transition_coverage=row["transition_coverage"],
+                           operator_coverage=row["operator_coverage"])
 
     def cache_rows(self, run_id: int) -> List[CacheRow]:
-        return [CacheRow(run_id=row["run_id"], cache=row["cache"],
-                         hits=row["hits"], misses=row["misses"])
-                for row in self._conn.execute(
-                    "SELECT * FROM cache_runs WHERE run_id = ? ORDER BY id",
-                    (run_id,))]
+        return [self._cache_row(row) for row in self._conn.execute(
+            "SELECT * FROM cache_runs WHERE run_id = ? ORDER BY id",
+            (run_id,))]
 
     def cache_history(self, cache: str, *,
                       exclude_run: Optional[int] = None,
                       limit: Optional[int] = None) -> List[CacheRow]:
-        sql = "SELECT * FROM cache_runs WHERE cache = ?"
-        params: List[Any] = [cache]
-        if exclude_run is not None:
-            sql += " AND run_id != ?"
-            params.append(exclude_run)
-        sql += " ORDER BY run_id DESC"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(limit))
-        rows = [CacheRow(run_id=row["run_id"], cache=row["cache"],
-                         hits=row["hits"], misses=row["misses"])
-                for row in self._conn.execute(sql, params)]
-        rows.reverse()
-        return rows
+        return [self._cache_row(row) for row in self._history(
+            "cache_runs", "cache = ?", [cache], exclude_run, limit)]
+
+    @staticmethod
+    def _cache_row(row: sqlite3.Row) -> CacheRow:
+        return CacheRow(run_id=row["run_id"], cache=row["cache"],
+                        hits=row["hits"], misses=row["misses"])
 
     def fuzz_rows(self, run_id: int) -> List[FuzzRow]:
         return [FuzzRow(run_id=row["run_id"], kind=row["kind"],

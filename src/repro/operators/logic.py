@@ -31,9 +31,9 @@ class BitwiseNot(UnaryOp):
 class _Shift(BinaryOp):
     """Shift units: ``b`` is the (unsigned) shift amount.
 
-    Amounts of *width* or more shift everything out — a full barrel
-    shifter fed the raw amount, matching
-    :class:`repro.util.bitvector.BitVector` semantics.
+    Amounts of *width* or more shift everything out, as a full barrel
+    shifter fed the raw amount does: zero for ``shl`` and ``lshr``, the
+    sign for ``ashr``.
     """
 
 

@@ -172,7 +172,9 @@ class ServeScheduler:
         self._respawns = 0
         self._kick_scheduled = False
         self._closed = False
-        self.ledger_rows: List[dict] = []
+        #: one row per answered job, kept only when a daemon with a
+        #: ledger makes this a list; None (nothing to write) keeps none
+        self.ledger_rows: Optional[List[dict]] = None
         self.histograms: Dict[str, Histogram] = _make_histograms()
         self.counters = {
             "submitted": 0, "executed": 0, "completed": 0,
@@ -465,6 +467,8 @@ class ServeScheduler:
     # -- accounting -----------------------------------------------------
     def _record(self, payload: dict, *, cached: bool,
                 batch_size: int) -> None:
+        if self.ledger_rows is None:
+            return
         v = payload.get("verification") or {}
         self.ledger_rows.append({
             "case": payload.get("case", "?"),

@@ -65,6 +65,8 @@ class ServeDaemon:
         self.http_port = http_port
         self.http_host = http_host
         self.ledger_path = ledger_path
+        if ledger_path is not None:
+            scheduler.ledger_rows = []  # the rows run() harvests
         self._stop = asyncio.Event()
         self._tasks: set = set()
         #: run id of the harvested ledger row (set after run() returns)

@@ -1,10 +1,11 @@
 """Signals: the nets connecting simulated components.
 
-A :class:`Signal` carries a fixed-width unsigned integer value.  Plain
-``int`` (rather than :class:`~repro.util.bitvector.BitVector`) is used for
-the stored value because the kernel updates signals millions of times while
-simulating an image-sized workload; width semantics are enforced by masking
-on every write.
+A :class:`Signal` carries a fixed-width unsigned integer value as a plain
+``int``, masked to the width on every write: the kernel updates signals
+millions of times while simulating an image-sized workload.  The operator
+library computes on the same masked ``int``s and reads their two's-
+complement value where it needs one
+(:func:`repro.operators.base.signed_value`).
 
 Two observer lists hang off each signal:
 

@@ -1,17 +1,27 @@
 """Tests for the optimization passes."""
 
-import pytest
+import ast
+from pathlib import Path
 
+import pytest
+from hypothesis import given, strategies as st
+
+import repro.compiler
 from repro.compiler import build_cfg, optimize, parse_function
-from repro.compiler.cfg import (TBranch, TCopy, TJump, TLoad, TOp, TStore,
-                                VConst, VVar)
+from repro.compiler.cfg import (Cfg, TBranch, TCopy, TJump, TLoad, TOp,
+                                TStore, VConst, VVar)
+from repro.compiler.datapath_gen import generate_datapath
+from repro.compiler.hir import BIN_OPS, CMP_OPS, UN_OPS
 from repro.compiler.passes import (compute_liveness,
                                    eliminate_common_subexpressions,
                                    eliminate_dead_code, fold_constants,
                                    reduce_strength,
                                    remove_unreachable_blocks)
-from repro.compiler.passes.evalop import eval_op
+from repro.compiler.scheduling import schedule_cfg
 from repro.compiler.spec import MemorySpec
+from repro.operators import (COMPARE_OPS, BuildContext, build_operator,
+                             operator_types)
+from repro.sim import Simulator
 
 ARR = {"buf": MemorySpec(32, 32), "src": MemorySpec(32, 32)}
 
@@ -26,43 +36,159 @@ def entry_ops(cfg):
     return cfg.block("entry").ops
 
 
+def one_op_cfg(op, a, b, dest_width, word_width):
+    """``t = op a, b`` on constant operands, then ``out[0] = t``."""
+    cfg = Cfg("f", word_width, {"out": MemorySpec(word_width, 2)})
+    dest = cfg.new_temp(dest_width)
+    operands = [VConst(a)] + ([] if b is None else [VConst(b)])
+    cfg.new_block("entry").ops = [TOp(dest, op, *operands),
+                                  TStore("out", VConst(0), dest)]
+    return cfg
+
+
+def fold(op, a, b, dest_width, word_width):
+    """The constant ``fold_constants`` stores for ``t = op a, b``, or
+    None when it keeps the operation."""
+    cfg = one_op_cfg(op, a, b, dest_width, word_width)
+    fold_constants(cfg)
+    *kept, store = cfg.block("entry").ops
+    return None if kept else store.value.value
+
+
+def bound_unit_drives(op, a, b, dest_width, word_width):
+    """What the unit datapath generation binds for ``t = op a, b``
+    drives after a settle, elaborated alone through the catalog with
+    the constant generators the binder feeds it; None when it met a
+    zero divisor (netlist dividers output 0 and count it)."""
+    cfg = one_op_cfg(op, a, b, dest_width, word_width)
+    datapath = generate_datapath(cfg, schedule_cfg(cfg)).datapath
+    unit = datapath.components[f"u0_{op}"]
+    sim = Simulator()
+    ctx = BuildContext(sim)
+    ports = {}
+    for net in datapath.nets.values():
+        into = [sink.port for sink in net.sinks
+                if sink.component == unit.name]
+        if net.source.component == unit.name:
+            ports["y"] = sim.signal(net.name, net.width)
+        elif into:  # one generator feeds both ports when a == b
+            signal = sim.signal(net.name, net.width)
+            ports.update(dict.fromkeys(into, signal))
+            const = datapath.components[net.source.component]
+            build_operator(ctx, "const", const.name, {"y": signal},
+                           const.params)
+    built = build_operator(ctx, unit.type, unit.name, ports, unit.params)
+    sim.settle()
+    if getattr(built, "zero_divisor_events", 0):
+        return None
+    return ports["y"].value
+
+
+def emitted_operator_types():
+    """Every operator type a ``TOp`` built by the CFG lowering or a pass
+    can carry, read from their source: a string literal, a value of one
+    of hir's operator tables, a local bound to literals, or the type of
+    the operation being rebuilt (``op.op``)."""
+    tables = {"BIN_OPS": BIN_OPS, "UN_OPS": UN_OPS, "CMP_OPS": CMP_OPS}
+    root = Path(repro.compiler.__file__).parent
+    types = set()
+    for path in [root / "cfg.py", *sorted((root / "passes").glob("*.py"))]:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            bound = {target.id: node.value for node in ast.walk(func)
+                     if isinstance(node, ast.Assign)
+                     for target in node.targets
+                     if isinstance(target, ast.Name)}
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "TOp"):
+                    continue
+                kind = call.args[1]
+                if isinstance(kind, ast.Attribute) and kind.attr == "op":
+                    continue
+                if isinstance(kind, ast.Subscript):
+                    types.update(tables[kind.value.id].values())
+                    continue
+                if isinstance(kind, ast.Name):
+                    kind = bound[kind.id]
+                literals = [node.value for node in ast.walk(kind)
+                            if isinstance(node, ast.Constant)
+                            and isinstance(node.value, str)]
+                assert literals, f"{path.name}:{call.lineno}"
+                types.update(literals)
+    return types
+
+
+#: what folding can meet: the emitted types, plus the truncating
+#: division and remainder strength reduction knows and the logical shift
+FOLDABLE = sorted(emitted_operator_types() | {"div", "rem", "lshr"})
+
+
 class TestEvalOp:
+    """Each TAC operator folds to what its operator-library unit drives."""
+
     def test_wrapping_add(self):
-        assert eval_op("add", 0xFFFFFFFF, 1, 32, 32) == 0
+        assert fold("add", 0xFFFFFFFF, 1, 32, 32) == 0
 
     def test_signed_compare(self):
-        assert eval_op("lt", 0xFFFFFFFF, 1, 1, 32) == 1  # -1 < 1
+        assert fold("lt", 0xFFFFFFFF, 1, 1, 32) == 1  # -1 < 1
 
     def test_fdiv_floor(self):
         minus7 = (-7) & 0xFFFFFFFF
-        assert eval_op("fdiv", minus7, 2, 32, 32) == (-4) & 0xFFFFFFFF
+        assert fold("fdiv", minus7, 2, 32, 32) == (-4) & 0xFFFFFFFF
 
     def test_div_truncates(self):
         minus7 = (-7) & 0xFFFFFFFF
-        assert eval_op("div", minus7, 2, 32, 32) == (-3) & 0xFFFFFFFF
+        assert fold("div", minus7, 2, 32, 32) == (-3) & 0xFFFFFFFF
 
     def test_fmod_sign_of_divisor(self):
         minus7 = (-7) & 0xFFFFFFFF
-        assert eval_op("fmod", minus7, 3, 32, 32) == 2
+        assert fold("fmod", minus7, 3, 32, 32) == 2
 
     def test_division_by_zero_not_folded(self):
-        assert eval_op("div", 4, 0, 32, 32) is None
-        assert eval_op("fdiv", 4, 0, 32, 32) is None
-        assert eval_op("fmod", 4, 0, 32, 32) is None
+        assert fold("div", 4, 0, 32, 32) is None
+        assert fold("fdiv", 4, 0, 32, 32) is None
+        assert fold("fmod", 4, 0, 32, 32) is None
 
     def test_shift_semantics(self):
-        assert eval_op("shl", 1, 40, 32, 32) == 0
-        assert eval_op("ashr", 0x80000000, 31, 32, 32) == 0xFFFFFFFF
+        assert fold("shl", 1, 40, 32, 32) == 0
+        assert fold("ashr", 0x80000000, 31, 32, 32) == 0xFFFFFFFF
 
     def test_min_max_signed(self):
         minus1 = 0xFFFFFFFF
-        assert eval_op("min", minus1, 1, 32, 32) == minus1
-        assert eval_op("max", minus1, 1, 32, 32) == 1
+        assert fold("min", minus1, 1, 32, 32) == minus1
+        assert fold("max", minus1, 1, 32, 32) == 1
 
     def test_abs_neg_not(self):
-        assert eval_op("abs", (-5) & 0xFF, None, 8, 8) == 5
-        assert eval_op("neg", 1, None, 8, 8) == 0xFF
-        assert eval_op("not", 0, None, 1, 32) == 1
+        assert fold("abs", (-5) & 0xFF, None, 8, 8) == 5
+        assert fold("neg", 1, None, 8, 8) == 0xFF
+        assert fold("not", 0, None, 1, 32) == 1
+
+    def test_every_emitted_operator_is_a_catalog_type(self):
+        emitted = emitted_operator_types()
+        assert {"add", "fdiv", "lt", "not", "shl", "ashr", "and"} <= emitted
+        assert emitted <= set(operator_types())
+
+    @given(st.data())
+    def test_fold_is_what_the_bound_unit_drives(self, data):
+        """Folding picks the width, operand masks and signedness of the
+        unit the datapath would bind: comparators at the word width,
+        everything else at the destination width."""
+        op = data.draw(st.sampled_from(FOLDABLE))
+        word_width = data.draw(st.sampled_from([1, 2, 8, 16, 32]))
+        dest_width = 1 if op in COMPARE_OPS else \
+            data.draw(st.sampled_from([1, word_width]))
+        width = word_width if op in COMPARE_OPS else dest_width
+        top = 1 << width
+        operands = st.one_of(
+            st.sampled_from([0, 1, -1, top >> 1, -(top >> 1), top - 1,
+                             width, width + 1]),
+            st.integers(-(1 << 40), 1 << 40))
+        a = data.draw(operands)
+        b = None if op in UN_OPS.values() else data.draw(operands)
+        assert fold(op, a, b, dest_width, word_width) == \
+            bound_unit_drives(op, a, b, dest_width, word_width)
 
 
 class TestConstFold:

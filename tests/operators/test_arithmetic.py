@@ -46,6 +46,15 @@ class TestAdderSub:
     def test_add_matches_model(self, a, b):
         assert binop_result(Adder, a, b, W) == (a + b) & MASK
 
+    @given(st.data())
+    def test_sub_is_add_of_the_negation(self, data):
+        width = data.draw(st.integers(1, 64))
+        a, b = (data.draw(st.integers(0, (1 << width) - 1))
+                for _ in range(2))
+        minus_b = unop_result(Negate, b, width)
+        assert binop_result(Subtractor, a, b, width) == \
+            binop_result(Adder, a, minus_b, width)
+
 
 class TestMultiplier:
     def test_mul(self):
@@ -75,10 +84,29 @@ class TestDivision:
         result = binop_result(DividerSigned, a & MASK, b & MASK, W)
         assert to_signed(result, W) == q
 
-    @pytest.mark.parametrize("a,b,r", [(7, 2, 1), (-7, 2, -1), (7, -2, 1)])
+    @pytest.mark.parametrize("a,b,r", [(7, 2, 1), (-7, 2, -1), (7, -2, 1),
+                                       (-7, -2, -1)])
     def test_rem_signed(self, a, b, r):
         result = binop_result(RemainderSigned, a & MASK, b & MASK, W)
         assert to_signed(result, W) == r
+
+    @given(st.data())
+    def test_quotient_times_divisor_plus_remainder_is_dividend(self, data):
+        """``a = q*b + r`` with ``|r| < |b|`` and r signed like a, for
+        the signed divider and remainder; exact except for the one
+        quotient that overflows (most negative / -1), which wraps."""
+        width = data.draw(st.integers(2, 32))
+        mask = (1 << width) - 1
+        a = data.draw(st.integers(0, mask))
+        b = data.draw(st.integers(1, mask))
+        q = binop_result(DividerSigned, a, b, width)
+        r = binop_result(RemainderSigned, a, b, width)
+        product = binop_result(Multiplier, q, b, width)
+        assert binop_result(Adder, product, r, width) == a
+        sa, sb, sr = (to_signed(v, width) for v in (a, b, r))
+        assert abs(sr) < abs(sb) and (sr == 0 or (sr < 0) == (sa < 0))
+        if (sa, sb) != (-(1 << (width - 1)), -1):
+            assert to_signed(q, width) * sb + sr == sa
 
     def test_div_unsigned(self):
         assert binop_result(DividerUnsigned, 0xFF, 2, W) == 0x7F
@@ -98,6 +126,9 @@ class TestUnary:
     def test_abs(self):
         assert unop_result(AbsValue, to_signed(-5, W) & MASK, W) == 5
         assert unop_result(AbsValue, 5, W) == 5
+
+    def test_abs_of_the_most_negative_value_wraps_to_itself(self):
+        assert unop_result(AbsValue, 0x80, W) == 0x80
 
 
 class TestMinMax:

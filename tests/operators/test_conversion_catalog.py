@@ -1,6 +1,7 @@
 """Tests for width-conversion units and the operator catalog."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.operators import (BuildContext, Concat, SignExtend, Slice,
                              Truncate, ZeroExtend, build_operator,
@@ -56,6 +57,25 @@ class TestConversion:
         sim.drive(lo, 0xB)
         sim.settle()
         assert y.value == 0xAB
+
+    @given(st.data())
+    def test_slices_of_a_concat_are_its_parts(self, data):
+        w_hi = data.draw(st.integers(1, 16))
+        w_lo = data.draw(st.integers(1, 16))
+        hi_value = data.draw(st.integers(0, (1 << w_hi) - 1))
+        lo_value = data.draw(st.integers(0, (1 << w_lo) - 1))
+        sim = Simulator()
+        hi = sim.signal("hi", w_hi, init=hi_value)
+        lo = sim.signal("lo", w_lo, init=lo_value)
+        joined = sim.signal("joined", w_hi + w_lo)
+        hi_out = sim.signal("hi_out", w_hi)
+        lo_out = sim.signal("lo_out", w_lo)
+        sim.add_async(Concat("cc", [hi, lo], joined))
+        sim.add_async(Slice("sh", joined, hi_out, high=w_hi + w_lo - 1,
+                            low=w_lo))
+        sim.add_async(Slice("sl", joined, lo_out, high=w_lo - 1, low=0))
+        sim.settle()
+        assert (hi_out.value, lo_out.value) == (hi_value, lo_value)
 
     def test_direction_checks(self):
         sim = Simulator()

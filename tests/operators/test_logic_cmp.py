@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.operators import (BitwiseAnd, BitwiseNot, BitwiseOr, BitwiseXor,
-                             Comparator, ShiftLeft, ShiftRightArith,
-                             ShiftRightLogical)
+                             Comparator, Multiplier, ShiftLeft,
+                             ShiftRightArith, ShiftRightLogical)
 from repro.sim import ElaborationError, Simulator
 
 from tests.support import binop_result, to_signed, unop_result
@@ -23,6 +23,13 @@ class TestLogic:
     def test_not(self):
         assert unop_result(BitwiseNot, 0b1100, W) == 0xF3
 
+    @given(st.data())
+    def test_not_is_an_involution(self, data):
+        width = data.draw(st.integers(1, 64))
+        a = data.draw(st.integers(0, (1 << width) - 1))
+        once = unop_result(BitwiseNot, a, width)
+        assert unop_result(BitwiseNot, once, width) == a
+
     @given(st.integers(0, MASK), st.integers(0, MASK))
     def test_de_morgan(self, a, b):
         left = unop_result(BitwiseNot, binop_result(BitwiseAnd, a, b, W), W)
@@ -37,6 +44,14 @@ class TestShifts:
     def test_shl_out_of_range(self):
         assert binop_result(ShiftLeft, 0xFF, 8, W) == 0
         assert binop_result(ShiftLeft, 0xFF, 200, W) == 0
+
+    @given(st.data())
+    def test_shl_is_multiplication_by_a_power_of_two(self, data):
+        width = data.draw(st.integers(1, 64))
+        a = data.draw(st.integers(0, (1 << width) - 1))
+        amount = data.draw(st.integers(0, width - 1))
+        assert binop_result(ShiftLeft, a, amount, width) == \
+            binop_result(Multiplier, a, 1 << amount, width)
 
     def test_lshr(self):
         assert binop_result(ShiftRightLogical, 0x80, 7, W) == 1

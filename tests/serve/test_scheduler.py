@@ -83,6 +83,22 @@ class TestCoalescing:
         assert again.served == "memo"
         assert scheduler.stats()["executed"] == 1
 
+    def test_answers_keep_no_rows_without_a_ledger(self):
+        """Only a daemon with a ledger harvests per-job rows, so a
+        scheduler without one holds none, however many it answers."""
+        async def go():
+            scheduler = ServeScheduler(jobs=1)
+            await scheduler.start()
+            await scheduler.submit(dict(TINY)).future
+            for _ in range(50):
+                await scheduler.submit(dict(TINY)).future
+            await scheduler.shutdown()
+            return scheduler
+
+        scheduler = run(go())
+        assert scheduler.stats()["memo_hits"] == 50
+        assert not scheduler.ledger_rows
+
     def test_invalid_job_resolves_immediately(self):
         async def go():
             scheduler = ServeScheduler(jobs=1)
